@@ -167,18 +167,6 @@ def _empirical_from(cfg: dict) -> EmpiricalDistribution:
     return EmpiricalDistribution(arr)
 
 
-def _resolve_all(
-    specs: List[PredictorSpec], schedule: RegimeSchedule
-) -> List[PredictorSpec]:
-    # pin down KL radii up front so row labels are concrete
-    return [
-        PredictorSpec("kl", s.resolve_radius(schedule))
-        if s.kind == "kl" and s.radius is None
-        else s
-        for s in specs
-    ]
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -240,7 +228,7 @@ def cmd_predict(cfg: dict) -> List[dict]:
     problem = _problem_from(cfg)
     emp = _empirical_from(cfg)
     schedule = _schedule_from(cfg)
-    specs = _resolve_all(_specs_from(cfg), schedule)
+    specs = [s.resolved(schedule) for s in _specs_from(cfg)]
     T = emp.sample_size
     a_T = schedule.a(T)
     rows = []
@@ -295,7 +283,7 @@ def cmd_disappoint(cfg: dict) -> List[dict]:
         )
     p = problem.true_dist
     schedule = _schedule_from(cfg)
-    specs = _resolve_all(_specs_from(cfg), schedule)
+    specs = [s.resolved(schedule) for s in _specs_from(cfg)]
     mode = _mode_from(cfg)
     T_list = _require(cfg, "T_list", "sample sizes to sweep")
     if not isinstance(T_list, list) or not T_list:

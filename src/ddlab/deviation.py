@@ -26,7 +26,7 @@ from .predictors import (
     speed_ratio,
     variance_matrix,
 )
-from .prescriptors import select_decisions, _resolved_spec
+from .prescriptors import select_decisions
 from .simplex import (
     DEFAULT_LATTICE_CAP,
     Distribution,
@@ -135,8 +135,7 @@ def _disappointment_indicator(
 def _prepare(problem, spec, mode, p, schedule):
     if p.dim != problem.n_scenarios:
         raise ValidationError("dimension mismatch")
-    spec = _resolved_spec(spec, schedule)
-    return spec
+    return spec.resolved(schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +203,31 @@ def _sample_count_rows(
     return np.vstack(blocks)
 
 
-def _unique_rows(C: np.ndarray):
-    # Memoization over repeated empirical distributions: the expensive
-    # per-row predictor work runs once per distinct count vector.
-    uniq, inverse, mult = np.unique(C, axis=0, return_inverse=True, return_counts=True)
+def _unique_rows(C: np.ndarray, T: int):
+    """(uniq, inverse, mult) of count rows that each sum to T, with uniq in
+    the lexicographic order of np.unique(C, axis=0).
+
+    Memoization over repeated empirical distributions: the expensive per-row
+    predictor work runs once per distinct count vector.  A row is keyed as
+    an int64 number in radix T+1 over its first d-1 counts (the last one is
+    T minus the others), which sorts in the same order and decodes back;
+    np.unique over whole rows stays only where such keys overflow int64.
+    """
+    d = C.shape[1]
+    if (T + 1) ** (d - 1) >= 2**63:
+        uniq, inverse, mult = np.unique(
+            C, axis=0, return_inverse=True, return_counts=True
+        )
+        return uniq, inverse.reshape(-1), mult
+    keys = np.zeros(C.shape[0], dtype=np.int64)
+    for j in range(d - 1):
+        keys *= T + 1
+        keys += C[:, j]
+    keys, inverse, mult = np.unique(keys, return_inverse=True, return_counts=True)
+    uniq = np.empty((keys.size, d), dtype=C.dtype)
+    for j in range(d - 2, -1, -1):
+        keys, uniq[:, j] = np.divmod(keys, T + 1)
+    uniq[:, -1] = T - uniq[:, :-1].sum(axis=1)
     return uniq, inverse.reshape(-1), mult
 
 
@@ -227,7 +247,7 @@ def disappointment_mc(
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     C = _sample_count_rows(p.weights, T, n_samples, seed)
-    uniq, inverse, mult = _unique_rows(C)
+    uniq, inverse, mult = _unique_rows(C, T)
     Q = _normalized_rows(uniq, T)
     ratio = speed_ratio(schedule, T)
     ind = _disappointment_indicator(problem, spec, mode, Q, p, ratio, kl_tol)
@@ -272,7 +292,7 @@ def disappointment_importance(
     if not shift_q.is_interior:
         raise ValidationError("shift distribution must have full support")
     C = _sample_count_rows(shift_q.weights, T, n_samples, seed)
-    uniq, inverse, mult = _unique_rows(C)
+    uniq, inverse, mult = _unique_rows(C, T)
     Q = _normalized_rows(uniq, T)
     ratio = speed_ratio(schedule, T)
     ind = _disappointment_indicator(problem, spec, mode, Q, p, ratio, kl_tol)

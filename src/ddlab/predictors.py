@@ -5,7 +5,11 @@ Four predictors of the out-of-sample cost of a fixed decision:
 * plug-in (SAA): the empirical expected loss;
 * robust: the worst scenario loss, data-free;
 * KL ball: the worst expected loss over all distributions within relative
-  entropy r of the empirical one, computed through its 1-D convex dual;
+  entropy r of the empirical one, computed through its 1-D convex dual by
+  one batched kernel that every caller shares (a single prediction is a
+  one-row batch).  Per row it bisects a doubled bracket down to width
+  max(tol, 1e-12*(1 + |hi|)) and polishes with guarded Newton steps; a
+  row's result does not depend on the batch it is solved in;
 * variance-penalized (SVP): empirical cost plus sqrt(2 a_T/T * variance),
   which under an interiority condition equals the worst expected loss over
   a local ellipsoid around the empirical distribution.
@@ -148,6 +152,13 @@ class PredictorSpec:
             "ExponentialRate schedule"
         )
 
+    def resolved(self, schedule: Optional[RegimeSchedule]) -> "PredictorSpec":
+        """This spec with its KL radius pinned down (see resolve_radius), so
+        its label is concrete; other kinds come back unchanged."""
+        if self.kind == "kl" and self.radius is None:
+            return PredictorSpec("kl", self.resolve_radius(schedule))
+        return self
+
     @property
     def label(self) -> str:
         if self.kind == "kl" and self.radius is not None:
@@ -187,90 +198,112 @@ def predict_robust(problem: Problem, x: int) -> PredictionResult:
 
 
 # ---------------------------------------------------------------------------
-# KL-ball predictor (dual solve)
+# KL-ball predictor: one batched dual kernel that every KL caller goes through
+
+_KL_BLOCK = 1 << 16  # rows per pass, which bounds the kernel's working memory
+_KL_MAX_DOUBLINGS = 200
+_KL_MAX_BISECTIONS = 300
+_KL_NEWTON_STEPS = 5
+
+
+def _row_sum(X: np.ndarray) -> np.ndarray:
+    # left to right over a row's own entries, whatever the batch around it
+    acc = X[:, 0].copy()
+    for j in range(1, X.shape[1]):
+        acc += X[:, j]
+    return acc
 
 
 def _kl_dual_solve(
-    row: np.ndarray, weights: np.ndarray, r: float, tol: float
-) -> Tuple[float, float, np.ndarray]:
-    """Minimize f(a) = a - exp(-r + sum_i w_i log(a - l_i)) over a >= max(l).
+    L: np.ndarray, W: np.ndarray, r: float, tol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Minimize f(a) = a - exp(-r + sum_i w_i log(a - l_i)) over a >= max(l)
+    for every row pair (l, w) of the (M, d) arrays L and W; returns
+    (values, alphas).  Rows must not be constant and r must be positive.
 
-    Returns (value, alpha, worst_case_weights).  The geometric mean runs over
-    the support of `weights` only (zero weights contribute exponent 0), but
-    the constraint keeps the full-row maximum: the adversary may move mass
-    onto scenarios the empirical distribution never saw.
+    Per row: the minimum sits at the left edge max(l) + 1e-12*span when
+    f' >= 0 there; otherwise the bracket [edge, max(l) + span] is doubled
+    until f' changes sign (at most 200 times), bisected to width
+    max(tol, 1e-12*(1 + |hi|)) (at most 300 steps), and polished by up to 5
+    Newton steps kept inside it.  Values are clamped to [plug-in, max(l)].
+    A row that exceeds a cap raises ConvergenceError with its bracket.
     """
-    gamma = float(row.max())
-    span = float(row.max() - row.min())
-    sup_mask = weights > 0.0
-    ls = row[sup_mask]
-    ws = weights[sup_mask]
+    values, alphas = np.empty(W.shape[0]), np.empty(W.shape[0])
+    for s in range(0, W.shape[0], _KL_BLOCK):
+        b = slice(s, s + _KL_BLOCK)
+        values[b], alphas[b] = _kl_dual_block(L[b], W[b], r, tol)
+    return values, alphas
 
-    def S(a: float) -> float:
-        return float(np.sum(ws * np.log(a - ls)))
 
-    def g(a: float) -> float:  # f'(a)
-        return 1.0 - math.exp(-r + S(a)) * float(np.sum(ws / (a - ls)))
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _kl_dual_block(L, W, r, tol):
+    gamma = L.max(axis=1)
+    span = gamma - L.min(axis=1)
+    plug_in = _row_sum(L * W)
+    # the sums below run over the support of W only, while a stays above the
+    # full-row maximum: a zero weight adds exactly zero once its loss is
+    # parked below the row minimum, where every log stays finite
+    L = np.where(W > 0.0, L, (gamma - 2.0 * span)[:, None])
 
-    def gprime(a: float) -> float:
-        D = float(np.sum(ws / (a - ls)))
-        D2 = float(np.sum(ws / (a - ls) ** 2))
-        return math.exp(-r + S(a)) * (D2 - D * D)
+    def sums(a, rows, second=False):
+        # exp(-r + sum_i w_i log(a - l_i)), sum_i w_i / (a - l_i) and, when
+        # `second`, sum_i w_i / (a - l_i)^2 on the given rows
+        gap = a[:, None] - L[rows]
+        w = W[rows]
+        e = np.exp(-r + _row_sum(w * np.log(gap)))
+        if not second:
+            return e, _row_sum(w / gap)
+        return e, _row_sum(w / gap), _row_sum(w / gap**2)
 
-    lo = gamma + 1e-12 * span
-    if g(lo) >= 0.0:
-        # minimum pinned at the left edge: happens when the max-loss
-        # scenario carries no empirical weight, or when r is huge
-        alpha = lo
+    def g(a, rows):  # f'(a) on the given rows
+        e, D = sums(a, rows)
+        return 1.0 - e * D
+
+    lo, hi = gamma + 1e-12 * span, gamma + span
+    # the minimum is pinned at the left edge when the max-loss scenario
+    # carries no empirical weight, or when r is huge
+    rows = np.flatnonzero(~(g(lo, slice(None)) >= 0.0))
+    live = rows
+    for _ in range(_KL_MAX_DOUBLINGS + 1):
+        live = live[g(hi[live], live) < 0.0]
+        if live.size == 0:
+            break
+        hi[live] = gamma[live] + 2.0 * (hi[live] - gamma[live])
     else:
-        hi = gamma + span
-        doublings = 0
-        while g(hi) < 0.0:
-            hi = gamma + 2.0 * (hi - gamma)
-            doublings += 1
-            if doublings > 200:
-                raise ConvergenceError(
-                    "no sign change while expanding the dual bracket",
-                    bracket=(lo, hi),
-                )
-        width_goal = max(tol, 1e-12 * (1.0 + abs(hi)))
-        iters = 0
-        while hi - lo > width_goal:
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            iters += 1
-            if iters > 300:
-                raise ConvergenceError(
-                    "dual bisection failed to reach width %r" % width_goal,
-                    bracket=(lo, hi),
-                )
-        alpha = 0.5 * (lo + hi)
-        for _ in range(5):  # Newton polish; g is increasing and smooth here
-            gp = gprime(alpha)
-            if gp <= 0.0:
-                break
-            step = g(alpha) / gp
-            nxt = alpha - step
-            if not lo <= nxt <= hi:
-                break
-            alpha = nxt
-
-    gm = math.exp(-r + S(alpha))
-    value = alpha - gm
+        i = live[0]
+        raise ConvergenceError(
+            "no sign change while expanding the dual bracket",
+            bracket=(float(lo[i]), float(hi[i])),
+        )
+    goal = np.maximum(tol, 1e-12 * (1.0 + np.abs(hi)))
+    live = rows
+    for _ in range(_KL_MAX_BISECTIONS + 1):
+        live = live[hi[live] - lo[live] > goal[live]]
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        neg = g(mid, live) < 0.0
+        lo[live[neg]] = mid[neg]
+        hi[live[~neg]] = mid[~neg]
+    else:
+        i = live[0]
+        raise ConvergenceError(
+            "dual bisection failed to reach width %r" % float(goal[i]),
+            bracket=(float(lo[i]), float(hi[i])),
+        )
+    alpha = lo.copy()
+    alpha[rows] = 0.5 * (lo[rows] + hi[rows])
+    for _ in range(_KL_NEWTON_STEPS):  # g is increasing and smooth here
+        e, D, D2 = sums(alpha[rows], rows, second=True)
+        gp = e * (D2 - D * D)
+        nxt = alpha[rows] - (1.0 - e * D) / gp
+        ok = (gp > 0.0) & (lo[rows] <= nxt) & (nxt <= hi[rows])
+        rows = rows[ok]
+        alpha[rows] = nxt[ok]
+    e, _ = sums(alpha, slice(None))
     # alpha grows like sqrt(Var/r) for tiny r and the subtraction then loses
     # ulps; the true supremum always lies between the plug-in cost and gamma
-    value = min(max(value, float(row @ weights)), gamma)
-    # attaining distribution: q_i proportional to w_i/(alpha - l_i) on the
-    # support; at an edge minimum the leftover mass sits on the worst scenario
-    q = np.zeros(row.size)
-    q[sup_mask] = gm * ws / (alpha - ls)
-    residual = 1.0 - float(q.sum())
-    if residual > 0.0:
-        q[int(np.argmax(row))] += residual
-    return value, alpha, q
+    return np.minimum(np.maximum(alpha - e, plug_in), gamma), alpha
 
 
 def predict_kl_dual(
@@ -280,8 +313,8 @@ def predict_kl_dual(
 
     The ball is {q : KL(p, q) <= r} with p (typically the empirical
     distribution) as the first argument.  Solved through the equivalent 1-D
-    strictly convex dual; `tol` bounds the distance of the returned value
-    from the true supremum.
+    strictly convex dual, as a one-row call of the batched kernel; `tol`
+    bounds the distance of the returned value from the true supremum.
     """
     x = _check_decision(problem, x)
     if r < 0:
@@ -298,9 +331,21 @@ def predict_kl_dual(
         return PredictionResult(
             value=float(row[0]), worst_case=p, dual_alpha=float(row[0])
         )
-    value, alpha, q = _kl_dual_solve(row, p.weights, float(r), float(tol))
+    W = p.weights[None, :]
+    values, alphas = _kl_dual_solve(row[None, :], W, float(r), float(tol))
+    alpha = float(alphas[0])
+    # attaining distribution: q_i proportional to w_i/(alpha - l_i) on the
+    # support; at an edge minimum the leftover mass sits on the worst scenario
+    sup = p.weights > 0.0
+    ls, ws = row[sup], p.weights[sup]
+    gm = math.exp(-r + float(np.sum(ws * np.log(alpha - ls))))
+    q = np.zeros(row.size)
+    q[sup] = gm * ws / (alpha - ls)
+    residual = 1.0 - float(q.sum())
+    if residual > 0.0:
+        q[int(np.argmax(row))] += residual
     return PredictionResult(
-        value=value, worst_case=Distribution(q), dual_alpha=alpha
+        value=float(values[0]), worst_case=Distribution(q), dual_alpha=alpha
     )
 
 
@@ -502,6 +547,13 @@ def predict_svp(
 # lattice are evaluated by literally the same code path.
 
 
+def _weight_rows(problem: Problem, W: np.ndarray) -> np.ndarray:
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != problem.n_scenarios:
+        raise ValidationError("W must be (N, %d)" % problem.n_scenarios)
+    return W
+
+
 def predictor_value_rows(
     problem: Problem,
     x: int,
@@ -513,13 +565,14 @@ def predictor_value_rows(
     """Predictor values of decision x over a batch of weight rows.
 
     W has shape (N, d), each row a normalized distribution.  `ratio` is
-    a_T/T (needed by svp); a kl spec must carry an explicit radius.
+    a_T/T (needed by svp); a kl spec must carry an explicit radius.  All
+    rows of a kl spec go through one call of the batched dual kernel, whose
+    per-row result does not depend on the batch: a row gives bit for bit
+    what predict_kl_dual gives for it alone.
     """
     x = _check_decision(problem, x)
     row = problem.loss.values[x]
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[1] != row.size:
-        raise ValidationError("W must be (N, %d)" % row.size)
+    W = _weight_rows(problem, W)
     kind = spec.kind
     if kind == "saa":
         return W @ row
@@ -540,10 +593,8 @@ def predictor_value_rows(
             return W @ row
         if row.max() == row.min():
             return np.full(W.shape[0], float(row[0]))
-        out = np.empty(W.shape[0])
-        for i in range(W.shape[0]):
-            out[i] = _kl_dual_solve(row, W[i], float(r), kl_tol)[0]
-        return out
+        L = np.broadcast_to(row, W.shape)
+        return _kl_dual_solve(L, W, float(r), kl_tol)[0]
     raise ValidationError("unknown predictor kind %r" % (kind,))
 
 
@@ -554,12 +605,28 @@ def predictor_value_matrix(
     ratio: Optional[float] = None,
     kl_tol: float = 1e-10,
 ) -> np.ndarray:
-    """(N, n_decisions) matrix of predictor values over weight rows W."""
-    cols = [
-        predictor_value_rows(problem, x, spec, W, ratio=ratio, kl_tol=kl_tol)
-        for x in range(problem.n_decisions)
-    ]
-    return np.column_stack(cols)
+    """(N, n_decisions) matrix of predictor values over weight rows W.
+
+    Column x equals predictor_value_rows(..., x, ...) bit for bit.  For a kl
+    spec with a positive radius, every (row, decision) pair with a
+    nonconstant loss row is solved in one call of the batched dual kernel.
+    """
+    if spec.kind != "kl" or not spec.radius:  # closed forms, r = 0 or unset
+        cols = [
+            predictor_value_rows(problem, x, spec, W, ratio=ratio, kl_tol=kl_tol)
+            for x in range(problem.n_decisions)
+        ]
+        return np.column_stack(cols)
+    W = _weight_rows(problem, W)
+    losses = problem.loss.values
+    out = np.empty((W.shape[0], problem.n_decisions))
+    out[:] = losses[:, 0]  # a constant row costs its value under every distribution
+    live = np.flatnonzero(losses.max(axis=1) > losses.min(axis=1))
+    L = np.tile(losses[live], (W.shape[0], 1))
+    Wp = np.repeat(W, live.size, axis=0)
+    vals = _kl_dual_solve(L, Wp, float(spec.radius), kl_tol)[0]
+    out[:, live] = vals.reshape(W.shape[0], live.size)
+    return out
 
 
 def variance_matrix(problem: Problem, W: np.ndarray) -> np.ndarray:

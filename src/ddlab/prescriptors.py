@@ -59,12 +59,6 @@ def select_decisions(values: np.ndarray, variances: np.ndarray) -> np.ndarray:
     return pick.astype(np.int64)
 
 
-def _resolved_spec(spec: PredictorSpec, schedule: Optional[RegimeSchedule]) -> PredictorSpec:
-    if spec.kind == "kl" and spec.radius is None:
-        return PredictorSpec("kl", spec.resolve_radius(schedule))
-    return spec
-
-
 def prescribe(
     problem: Problem,
     spec: PredictorSpec,
@@ -79,7 +73,7 @@ def prescribe(
     variance-penalized predictor on an interior empirical distribution the
     result carries the gap sandwich of prescription_gap_bound.
     """
-    spec = _resolved_spec(spec, schedule)
+    spec = spec.resolved(schedule)
     if spec.kind == "svp" and schedule is None:
         raise ValidationError("svp prescription needs a schedule")
     T = emp.sample_size

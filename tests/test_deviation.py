@@ -24,6 +24,7 @@ from ddlab import (
     rate_curve,
     theoretical_rate_saa,
 )
+from ddlab.deviation import _sample_count_rows, _unique_rows
 
 
 def make_problem(loss, true_dist=None):
@@ -189,6 +190,31 @@ class TestMonteCarlo:
                 COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, 5, SCHED,
                 n_samples=0, seed=1,
             )
+
+
+class TestUniqueRows:
+    """Keyed de-duplication returns exactly what np.unique over rows does."""
+
+    @staticmethod
+    def _check(C, T):
+        want = np.unique(C, axis=0, return_inverse=True, return_counts=True)
+        got = _unique_rows(C, T)
+        for a, b in zip(got, (want[0], want[1].reshape(-1), want[2])):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    def test_keyed_path(self):
+        # small T puts counts at the top digit T, where a wrong radix collides
+        cases = ((1, 4, 200), (2, 3, 200), (12, 4, 5000), (200, 4, 20000), (7, 2, 300))
+        for T, d, n in cases:
+            assert (T + 1) ** (d - 1) < 2**63
+            self._check(_sample_count_rows(np.full(d, 1.0 / d), T, n, seed=T), T)
+
+    def test_fallback_path_beyond_int64_keys(self):
+        T, d = 10, 25
+        assert (T + 1) ** (d - 1) >= 2**63
+        w = np.random.default_rng(0).dirichlet(np.full(d, 0.3))
+        self._check(_sample_count_rows(w, T, 3000, seed=4), T)
 
 
 class TestImportance:

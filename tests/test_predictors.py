@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from ddlab import (
+    ConvergenceError,
     CustomTable,
     Distribution,
     EllipsoidConditionError,
@@ -37,6 +39,7 @@ from ddlab import (
     variance,
     variance_matrix,
 )
+from ddlab import predictors
 
 
 def make_problem(loss, true_dist=None):
@@ -268,6 +271,145 @@ class TestKlDual:
             p = Distribution(rng.dirichlet(np.ones(3)))
             res = predict_kl_dual(make_problem([row]), 0, p, 0.4)
             assert res.dual_alpha >= row.max()
+
+
+# ---------------------------------------------------------------------------
+# the batched KL dual kernel
+
+KL_TOL = 1e-10
+
+
+def _kl_reference(row, w, r):
+    """Independent KL value: brentq on the derivative of the dual
+    f(a) = a - exp(-r + sum_i w_i log(a - l_i)) over a > max(l), clamped
+    to [plug-in, max(l)] like the kernel."""
+    row = np.asarray(row, dtype=float)
+    w = np.asarray(w, dtype=float)
+    gamma = float(row.max())
+    if r == 0.0 or row.min() == gamma:
+        return float(row @ w)
+    sup = w > 0.0
+    ls, ws = row[sup], w[sup]
+
+    def gm(a):
+        return math.exp(-r + float(np.sum(ws * np.log(a - ls))))
+
+    def fprime(a):
+        return 1.0 - gm(a) * float(np.sum(ws / (a - ls)))
+
+    # f' -> -inf at max(l) when the max-loss scenario carries weight
+    lower = gamma if w[row == gamma].sum() == 0.0 else np.nextafter(gamma, np.inf)
+    if fprime(lower) >= 0.0:
+        a = lower
+    else:
+        hi = gamma + (gamma - float(row.min()))
+        while fprime(hi) < 0.0:
+            hi = gamma + 2.0 * (hi - gamma)
+        a = brentq(fprime, lower, hi, xtol=1e-14, maxiter=500)
+    return min(max(a - gm(a), float(row @ w)), gamma)
+
+
+def _random_rows(rng, n, d):
+    L = rng.uniform(-1.0, 2.0, (n, d))
+    W = rng.dirichlet(np.full(d, 0.8), n)
+    W[rng.random((n, d)) < 0.15] = 0.0  # boundary weights
+    W[W.sum(axis=1) == 0.0, 0] = 1.0
+    return L, W / W.sum(axis=1, keepdims=True)
+
+
+def _edge_cases():
+    """(loss row, weights, radius) triples at the kernel's edges."""
+    return [
+        ([0.0, 0.5, 1.0], [0.5, 0.5, 0.0], 0.1),  # max loss unseen
+        ([0.0, 0.5, 1.0], [0.5, 0.5, 0.0], 3.0),  # ... and a huge ball
+        ([0.0, 1.0], [1.0, 0.0], 0.1),  # left-edge minimum, closed form
+        ([0.3, 0.3, 0.3], [0.2, 0.5, 0.3], 0.4),  # constant row
+        ([0.0, 1.0, 2.0], [0.2, 0.5, 0.3], 0.0),  # r = 0
+        ([0.0, 1.0, 2.0], [0.2, 0.5, 0.3], 50.0),  # r = 50
+        ([2.0, 0.0, 1.0], [1.0, 0.0, 0.0], 0.2),  # vertex on the max loss
+        ([2.0, 0.0, 1.0], [0.0, 0.0, 1.0], 0.2),  # vertex below it
+        ([2.0, 0.0, 1.0, 1.5], [0.0, 0.6, 0.4, 0.0], 0.5),  # boundary
+        ([1e3, 1e3 + 0.5, 1e3 + 1.0], [0.3, 0.3, 0.4], 0.05),  # shifted
+        ([1e3 - 2.0, 1e3, 1e3 + 1.0], [0.5, 0.5, 0.0], 0.3),  # shifted, unseen
+    ]
+
+
+class TestKlKernel:
+    def test_random_rows_agree_with_reference(self):
+        rng = np.random.default_rng(11)
+        for d in range(2, 9):
+            L, W = _random_rows(rng, 30, d)
+            r = float(rng.uniform(1e-3, 3.0))
+            vals, _ = predictors._kl_dual_solve(L, W, r, KL_TOL)
+            for i in range(L.shape[0]):
+                assert abs(vals[i] - _kl_reference(L[i], W[i], r)) <= KL_TOL
+
+    def test_edge_cases_agree_with_reference(self):
+        for row, w, r in _edge_cases():
+            prob = make_problem([row])
+            want = _kl_reference(row, w, r)
+            spec = PredictorSpec("kl", r)
+            got = predictor_value_rows(prob, 0, spec, np.array([w]), kl_tol=KL_TOL)
+            assert abs(got[0] - want) <= KL_TOL, (row, w, r)
+            scalar = predict_kl_dual(prob, 0, Distribution(w), r, tol=KL_TOL)
+            assert scalar.value == got[0]
+
+    def test_left_edge_minimum_stays_at_the_edge(self):
+        row, w = np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])
+        vals, alphas = predictors._kl_dual_solve(row, w, 0.1, KL_TOL)
+        assert alphas[0] == 1.0 + 1e-12
+        assert vals[0] == pytest.approx(1.0 - math.exp(-0.1), abs=KL_TOL)
+
+    def test_row_result_does_not_depend_on_its_batch(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        # the 3-scenario edge cases, without the constant row the kernel never gets
+        edges = [(r, w) for r, w, _ in _edge_cases() if len(r) == 3 and max(r) > min(r)]
+        L3, W3 = (np.array(col) for col in zip(*edges))
+        batches = [_random_rows(rng, 40, 5), _random_rows(rng, 40, 9), (L3, W3)]
+        for L, W in batches:
+            vals, alphas = predictors._kl_dual_solve(L, W, 0.07, KL_TOL)
+            for i in range(L.shape[0]):
+                v, a = predictors._kl_dual_solve(L[i:i + 1], W[i:i + 1], 0.07, KL_TOL)
+                assert v[0] == vals[i] and a[0] == alphas[i]
+            with monkeypatch.context() as m:
+                m.setattr(predictors, "_KL_BLOCK", 3)
+                v, a = predictors._kl_dual_solve(L, W, 0.07, KL_TOL)
+            assert np.array_equal(v, vals) and np.array_equal(a, alphas)
+
+    def test_matrix_columns_equal_rows(self):
+        rng = np.random.default_rng(13)
+        losses = rng.uniform(0.0, 1.0, (4, 5))
+        losses[2] = 0.25  # a constant decision
+        prob = make_problem(losses)
+        _, W = _random_rows(rng, 60, 5)
+        for r in (0.0, 0.08, 2.0):
+            spec = PredictorSpec("kl", r)
+            M = predictor_value_matrix(prob, spec, W)
+            assert M.shape == (60, 4)
+            for x in range(4):
+                assert np.array_equal(M[:, x], predictor_value_rows(prob, x, spec, W))
+
+    def test_bisection_cap_reports_the_failing_rows_bracket(self, monkeypatch):
+        # row 0 sits at the left edge and never bisects; row 1 fails
+        L = np.array([[0.0, 1.0], [100.0, 101.0]])
+        W = np.array([[1.0, 0.0], [0.4, 0.6]])
+        _, alphas = predictors._kl_dual_solve(L, W, 0.1, KL_TOL)
+        monkeypatch.setattr(predictors, "_KL_MAX_BISECTIONS", 3)
+        with pytest.raises(ConvergenceError) as info:
+            predictors._kl_dual_solve(L, W, 0.1, KL_TOL)
+        lo, hi = info.value.bracket
+        assert 101.0 < lo <= alphas[1] <= hi <= 102.0
+        # the cap allows 3 halvings of the width-1 bracket; the 4th raises
+        assert hi - lo == pytest.approx(1.0 / 16.0, rel=1e-6)
+
+    def test_doubling_cap_reports_the_failing_rows_bracket(self, monkeypatch):
+        # a tiny radius puts row 1's minimum far right of max(l) + span
+        L = np.array([[0.0, 1.0], [0.0, 2.0]])
+        W = np.array([[1.0, 0.0], [0.5, 0.5]])
+        monkeypatch.setattr(predictors, "_KL_MAX_DOUBLINGS", 0)
+        with pytest.raises(ConvergenceError) as info:
+            predictors._kl_dual_solve(L, W, 1e-6, KL_TOL)
+        assert info.value.bracket == (2.0 + 2e-12, 6.0)
 
 
 def _kl_term(pi, qi):
