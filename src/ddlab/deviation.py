@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from .decisions import Problem, cost, _check_decision
 from .errors import ValidationError
@@ -31,6 +31,7 @@ from .simplex import (
     DEFAULT_LATTICE_CAP,
     Distribution,
     _lattice_counts,
+    _log_pmf_rows,
     _philox,
     lattice_size,
 )
@@ -99,14 +100,6 @@ def _normalized_rows(C: np.ndarray, T: int) -> np.ndarray:
     Q = C / T
     Q = Q / Q.sum(axis=1, keepdims=True)
     return Q
-
-
-def _log_pmf_rows(C: np.ndarray, p: Distribution, T: int) -> np.ndarray:
-    w = p.weights
-    logw = np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
-    with np.errstate(invalid="ignore"):
-        contrib = np.where(C > 0, C * logw, 0.0)
-    return gammaln(T + 1) - gammaln(C + 1.0).sum(axis=1) + contrib.sum(axis=1)
 
 
 def _disappointment_indicator(

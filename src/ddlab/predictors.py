@@ -313,8 +313,10 @@ def predict_kl_dual(
 
     The ball is {q : KL(p, q) <= r} with p (typically the empirical
     distribution) as the first argument.  Solved through the equivalent 1-D
-    strictly convex dual, as a one-row call of the batched kernel; `tol`
-    bounds the distance of the returned value from the true supremum.
+    strictly convex dual, as a one-row call of the batched kernel.  `tol`
+    bounds the width of the dual bracket (at least 1e-12 relative to alpha),
+    not the error of the value: that error scales with the loss magnitude,
+    since `alpha - l_i` cancels (up to about 1e-8 for losses near 1e6).
     """
     x = _check_decision(problem, x)
     if r < 0:

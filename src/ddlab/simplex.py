@@ -27,6 +27,8 @@ HARD_REJECT_TOL = 1e-6
 
 #: Default ceiling on exact lattice sizes (number of compositions).
 DEFAULT_LATTICE_CAP = 10**8
+_MAX_RANK = 2**63 - 1  # ranks are int64
+_LATTICE_BLOCK = 1 << 16  # rows per block streamed by enumerate_lattice
 
 
 class Distribution:
@@ -194,23 +196,14 @@ def lattice_size(T: int, d: int) -> int:
     return math.comb(T + d - 1, d - 1)
 
 
-def _composition_at_rank(T: int, d: int, rank: int) -> list:
-    # Unrank in the enumeration order used below: ascending by first count,
-    # then recursively on the remainder.
-    out = []
-    remaining = T
-    for pos in range(d - 1):
-        c = 0
-        while True:
-            block = math.comb(remaining - c + d - pos - 2, d - pos - 2)
-            if rank < block:
-                break
-            rank -= block
-            c += 1
-        out.append(c)
-        remaining -= c
-    out.append(remaining)
-    return out
+def _capped_size(T: int, d: int, cap: int) -> int:
+    # No cap reaches past the int64 ranks: a lattice that big could never
+    # be consumed in full anyway.
+    size = lattice_size(T, d)
+    cap = min(cap, _MAX_RANK)
+    if size > cap:
+        raise LatticeCapError(size, cap)
+    return size
 
 
 def enumerate_lattice(
@@ -226,53 +219,70 @@ def enumerate_lattice(
     recursively on the rest, e.g. (T=2, d=2) gives (0,2), (1,1), (2,0).
     `start`/`stop` select a contiguous rank range in that order, so disjoint
     ranges partition the lattice for parallel consumption; reductions must
-    merge ranges in rank order to stay bit-reproducible.
+    merge ranges in rank order to stay bit-reproducible.  Rows are built in
+    blocks of 2^16 by `_lattice_counts`.
     """
     if T < 1 or d < 2:
         raise ValidationError("need T >= 1 and d >= 2")
-    size = lattice_size(T, d)
-    if size > cap:
-        raise LatticeCapError(size, cap)
-    if stop is None:
-        stop = size
+    size = _capped_size(T, d, cap)
+    stop = size if stop is None else min(stop, size)
+    for lo in range(max(0, start), stop, _LATTICE_BLOCK):
+        for row in _lattice_counts(T, d, cap, lo, min(lo + _LATTICE_BLOCK, stop)):
+            yield EmpiricalDistribution(row, T)
+
+
+def _lattice_counts(
+    T: int,
+    d: int,
+    cap: int = DEFAULT_LATTICE_CAP,
+    start: int = 0,
+    stop: Optional[int] = None,
+) -> np.ndarray:
+    """The compositions of T into d parts with ranks in [start, stop), as
+    (N, d) int64 rows in the order of `enumerate_lattice`.
+
+    The lattice is built one part at a time.  A prefix whose remaining mass
+    is r spawns children in ascending count c, i.e. descending rest sum
+    s = r - c; the ranks below a prefix with k parts left and rest sum at
+    most s number comb(s + k, k), so each child's rank range follows from
+    one table lookup.  Children whose range misses [start, stop) are never
+    made, so time and memory follow the block, not the lattice, apart from
+    d tables of T + 2 counts.
+    """
+    size = _capped_size(T, d, cap)
+    stop = size if stop is None else min(stop, size)
     start = max(0, start)
-    stop = min(size, stop)
     if start >= stop:
-        return
-    state = _composition_at_rank(T, d, start)
-    for _ in range(stop - start):
-        yield EmpiricalDistribution(np.array(state, dtype=np.int64), T)
-        if state[d - 1] > 0:
-            # innermost step: move one unit of slack onto the previous spot
-            state[d - 2] += 1
-            state[d - 1] -= 1
-            continue
-        # carry: rightmost index whose right side still holds mass
-        j = d - 2
-        while j >= 0 and sum(state[j + 1 :]) == 0:
-            j -= 1
-        if j < 0:
-            return
-        s = sum(state[j + 1 :])
-        state[j] += 1
-        for k in range(j + 1, d - 1):
-            state[k] = 0
-        state[d - 1] = s - 1
+        return np.zeros((0, d), dtype=np.int64)
+    # below[k][s + 1] = comb(s + k, k), the compositions of s into k + 1
+    # parts; below[k][0] = 0
+    below = [np.ones(T + 2, dtype=np.int64)]
+    below[0][0] = 0
+    for _ in range(d - 1):
+        below.append(np.cumsum(below[-1]))
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([T], dtype=np.int64)
+    end = np.array([size], dtype=np.int64)  # one past each prefix's last rank
+    for k in range(d - 1, 0, -1):  # parts left after the one being placed
+        cum = below[k]
+        # the child with rest sum s covers ranks [end - cum[s + 1], end - cum[s])
+        s_lo = np.searchsorted(cum[1:], end - stop, side="right")
+        s_hi = np.minimum(np.searchsorted(cum[1:], end - start), rest)
+        n = s_hi - s_lo + 1
+        parent = np.repeat(np.arange(rows.shape[0]), n)
+        s = s_hi[parent] - (np.arange(parent.size) - (np.cumsum(n) - n)[parent])
+        rows = np.column_stack([rows[parent], rest[parent] - s])
+        end = end[parent] - cum[s]
+        rest = s
+    return np.column_stack([rows, rest])
 
 
-def _lattice_counts(T: int, d: int, cap: int = DEFAULT_LATTICE_CAP) -> np.ndarray:
-    """All compositions of T into d parts as an (N, d) int array, in rank order."""
-    size = lattice_size(T, d)
-    if size > cap:
-        raise LatticeCapError(size, cap)
-    if d == 1:
-        return np.array([[T]], dtype=np.int64)
-    blocks = []
-    for c1 in range(T + 1):
-        rest = _lattice_counts(T - c1, d - 1, cap)
-        first = np.full((rest.shape[0], 1), c1, dtype=np.int64)
-        blocks.append(np.hstack([first, rest]))
-    return np.vstack(blocks)
+def _log_pmf_rows(C: np.ndarray, p: Distribution, T: int) -> np.ndarray:
+    w = p.weights
+    logw = np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
+    with np.errstate(invalid="ignore"):
+        contrib = np.where(C > 0, C * logw, 0.0)
+    return gammaln(T + 1) - gammaln(C + 1.0).sum(axis=1) + contrib.sum(axis=1)
 
 
 def multinomial_log_prob(e: EmpiricalDistribution, p: Distribution) -> float:
@@ -283,17 +293,7 @@ def multinomial_log_prob(e: EmpiricalDistribution, p: Distribution) -> float:
     """
     if e.dim != p.dim:
         raise ValidationError("dimension mismatch")
-    c = e.counts
-    w = p.weights
-    if np.any((w == 0.0) & (c > 0)):
-        return -math.inf
-    mask = c > 0
-    T = e.sample_size
-    return float(
-        gammaln(T + 1)
-        - np.sum(gammaln(c + 1.0))
-        + np.sum(c[mask] * np.log(w[mask]))
-    )
+    return float(_log_pmf_rows(e.counts[None, :], p, e.sample_size)[0])
 
 
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:

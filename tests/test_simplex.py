@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from ddlab import (
     Distribution,
@@ -18,7 +20,23 @@ from ddlab import (
     multinomial_log_prob,
     sample_empirical,
 )
-from ddlab.simplex import _lattice_counts
+from ddlab.simplex import _lattice_counts, _log_pmf_rows
+
+
+def _brute_force(T, d):
+    # every d-tuple over 0..T in lexicographic order, kept when it sums to T
+    return [c for c in itertools.product(range(T + 1), repeat=d) if sum(c) == T]
+
+
+def _rank(counts):
+    # compositions before `counts`: for each part, those with a smaller
+    # count there, i.e. a larger rest sum, after the same prefix
+    r, rest = 0, sum(counts)
+    for i, c in enumerate(counts[:-1]):
+        k = len(counts) - i - 1
+        r += math.comb(rest + k, k) - math.comb(rest - c + k, k)
+        rest -= c
+    return r
 
 
 class TestDistribution:
@@ -168,9 +186,57 @@ class TestLattice:
         assert split == full
 
     def test_counts_matrix_matches_generator(self):
+        ref = np.array(_brute_force(3, 4))
         gen = np.array([e.counts for e in enumerate_lattice(3, 4)])
-        mat = _lattice_counts(3, 4)
-        assert np.array_equal(gen, mat)
+        assert np.array_equal(gen, ref)
+        assert np.array_equal(_lattice_counts(3, 4), ref)
+
+    def test_blocks_match_brute_force(self):
+        rng = np.random.default_rng(0)
+        for T in range(1, 9):
+            for d in range(2, 6):
+                ref = _brute_force(T, d)
+                full = _lattice_counts(T, d)
+                assert full.dtype == np.int64
+                assert [tuple(c) for c in full] == ref
+                for _ in range(20):
+                    start, stop = sorted(rng.integers(0, len(ref) + 1, size=2))
+                    block = _lattice_counts(T, d, start=start, stop=stop)
+                    assert [tuple(c) for c in block] == ref[start:stop]
+                    gen = enumerate_lattice(T, d, start=start, stop=stop)
+                    assert [tuple(e.counts) for e in gen] == ref[start:stop]
+
+    def test_empty_and_out_of_range_blocks(self):
+        size = lattice_size(5, 3)
+        for start, stop in [(4, 4), (7, 3), (size, size + 5), (size + 2, None)]:
+            assert _lattice_counts(5, 3, start=start, stop=stop).shape == (0, 3)
+            assert list(enumerate_lattice(5, 3, start=start, stop=stop)) == []
+        ref = _brute_force(5, 3)
+        clipped = _lattice_counts(5, 3, start=-4, stop=size + 9)
+        assert [tuple(c) for c in clipped] == ref
+        assert [tuple(c) for c in _lattice_counts(5, 3, start=-4, stop=2)] == ref[:2]
+
+    def test_deep_block_follows_the_block(self):
+        # a 3-point range deep inside a lattice of about 1.6e12 points
+        T, d = 2500, 5
+        size = lattice_size(T, d)
+        assert size > 10**12
+        for start in (size // 3 + 12345, size - 3):
+            block = _lattice_counts(T, d, cap=10**13, start=start, stop=start + 3)
+            assert block.shape == (3, d)
+            assert np.all(block.sum(axis=1) == T)
+            assert [_rank(list(c)) for c in block] == [start, start + 1, start + 2]
+        tail = enumerate_lattice(T, d, cap=10**13, start=size - 1)
+        assert [tuple(e.counts) for e in tail] == [(T, 0, 0, 0, 0)]
+
+    def test_cap_never_exceeds_int64_ranks(self):
+        # more than 2**63 points cannot be ranked in int64, whatever the cap
+        with pytest.raises(LatticeCapError) as exc:
+            list(enumerate_lattice(10**4, 8, cap=10**60, start=10**20, stop=10**20 + 2))
+        assert exc.value.size == lattice_size(10**4, 8) > 2**63
+        assert exc.value.cap == 2**63 - 1
+        with pytest.raises(LatticeCapError):
+            _lattice_counts(10**4, 8, cap=10**60, start=0, stop=2)
 
     def test_cap_enforced(self):
         with pytest.raises(LatticeCapError) as exc:
@@ -192,12 +258,24 @@ class TestMultinomialLogProb:
         assert multinomial_log_prob(e, p) == -math.inf
 
     def test_sums_to_one_over_lattice(self):
-        rng = np.random.default_rng(3)
-        p = Distribution(rng.dirichlet([2.0, 2.0, 2.0]))
-        total = sum(
-            math.exp(multinomial_log_prob(e, p)) for e in enumerate_lattice(6, 3)
-        )
-        assert abs(total - 1.0) <= 1e-12
+        cases = [
+            (6, 3, np.random.default_rng(3).dirichlet([2.0, 2.0, 2.0])),
+            (120, 4, [0.1, 0.2, 0.3, 0.4]),  # 302,621 points
+            (120, 4, [0.5, 0.0, 0.3, 0.2]),  # on the simplex boundary
+            (40, 5, [0.2] * 5),
+            (700, 3, [0.7, 0.3, 0.0]),
+            (300, 3, [1.0, 0.0, 0.0]),  # a vertex
+        ]
+        for T, d, weights in cases:
+            p = Distribution(weights)
+            log_mass = logsumexp(_log_pmf_rows(_lattice_counts(T, d), p, T))
+            assert abs(float(log_mass)) <= 1e-12, (T, d, weights)
+
+    def test_scalar_is_one_row_of_batch(self):
+        p = Distribution([0.5, 0.0, 0.3, 0.2])
+        rows = _log_pmf_rows(_lattice_counts(7, 4), p, 7)
+        scalar = [multinomial_log_prob(e, p) for e in enumerate_lattice(7, 4)]
+        assert np.array_equal(np.array(scalar), rows)
 
 
 class TestSampling:
