@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .decisions import Problem, cost, _check_decision
-from .errors import ValidationError
+from .errors import LatticeCapError, ValidationError
 from .predictors import (
     PredictorSpec,
     RegimeSchedule,
@@ -30,10 +30,12 @@ from .prescriptors import select_decisions
 from .simplex import (
     DEFAULT_LATTICE_CAP,
     Distribution,
+    _LATTICE_BLOCK,
+    _capped_size,
     _lattice_counts,
     _log_pmf_rows,
     _philox,
-    lattice_size,
+    _rank_tables,
 )
 
 _GUARD = 1e-12  # ties at lattice symmetry points count as non-disappointment
@@ -147,18 +149,31 @@ def disappointment_exact(
 ) -> DisappointmentReport:
     """Exact disappointment probability: the multinomial mass of the lattice
     points where the event holds.  Within the cap this is a ground truth the
-    sampling estimators are tested against."""
+    sampling estimators are tested against.
+
+    The lattice is streamed in rank blocks of B = `_LATTICE_BLOCK` rows,
+    keeping only the disappointing points' log-pmf values in rank order:
+    memory is O(B (d + n_decisions) + d T) plus 8 bytes per disappointing
+    point, not O(lattice).  A row's indicator and log-pmf do not depend on
+    its block, and the kept values meet one `logsumexp`, so the result
+    equals the single-pass reduction bit for bit.
+    """
     spec = _prepare(problem, spec, mode, p, schedule)
     d = problem.n_scenarios
-    C = _lattice_counts(T, d, cap)  # raises LatticeCapError when too big
-    Q = _normalized_rows(C, T)
+    size = _capped_size(T, d, cap)  # raises LatticeCapError when too big
     ratio = speed_ratio(schedule, T)
-    ind = _disappointment_indicator(problem, spec, mode, Q, p, ratio, kl_tol)
-    logpmf = _log_pmf_rows(C, p, T)
-    if not ind.any():
+    below = _rank_tables(T, d)
+    hits = []
+    for lo in range(0, size, _LATTICE_BLOCK):
+        C = _lattice_counts(T, d, cap, lo, min(lo + _LATTICE_BLOCK, size), below)
+        Q = _normalized_rows(C, T)
+        ind = _disappointment_indicator(problem, spec, mode, Q, p, ratio, kl_tol)
+        hits.append(_log_pmf_rows(C[ind], p, T))
+    logpmf = np.concatenate(hits)
+    if logpmf.size == 0:
         log_p = -math.inf
     else:
-        log_p = float(logsumexp(logpmf[ind]))
+        log_p = float(logsumexp(logpmf))
         log_p = min(log_p, 0.0)  # clamp float dust above certainty
     prob = math.exp(log_p) if log_p != -math.inf else 0.0
     return DisappointmentReport(
@@ -377,22 +392,22 @@ def rate_curve(
 ) -> List[Tuple[int, float]]:
     """Guarantee rate log(p_T)/a_T for each T, in ascending T order.
 
-    Uses exact enumeration whenever the lattice fits the cap, otherwise
-    importance sampling around the default shift (which then requires a
-    seed).  A feasible guarantee shows rates at or below -1 + o(1).
+    Uses exact enumeration whenever the lattice fits the cap (never past
+    2**63 - 1 points), otherwise importance sampling around the default
+    shift (which then requires a seed).  A feasible guarantee shows rates
+    at or below -1 + o(1).
     """
-    d = problem.n_scenarios
     out: List[Tuple[int, float]] = []
     for T in sorted(int(t) for t in T_list):
-        if lattice_size(T, d) <= cap:
+        try:  # the cap is checked before any enumeration work
             rep = disappointment_exact(
                 problem, spec, mode, p, T, schedule, cap=cap, kl_tol=kl_tol
             )
-        else:
+        except LatticeCapError:
             if seed is None:
                 raise ValidationError(
                     "lattice too large for exact enumeration; sampling needs a seed"
-                )
+                ) from None
             shift = importance_shift(problem, mode, p, speed_ratio(schedule, T))
             rep = disappointment_importance(
                 problem, spec, mode, p, T, schedule, shift, n_samples, seed,

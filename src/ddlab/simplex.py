@@ -28,7 +28,9 @@ HARD_REJECT_TOL = 1e-6
 #: Default ceiling on exact lattice sizes (number of compositions).
 DEFAULT_LATTICE_CAP = 10**8
 _MAX_RANK = 2**63 - 1  # ranks are int64
-_LATTICE_BLOCK = 1 << 16  # rows per block streamed by enumerate_lattice
+# rows per block built by enumerate_lattice and streamed through
+# deviation.disappointment_exact
+_LATTICE_BLOCK = 1 << 13
 
 
 class Distribution:
@@ -220,15 +222,28 @@ def enumerate_lattice(
     `start`/`stop` select a contiguous rank range in that order, so disjoint
     ranges partition the lattice for parallel consumption; reductions must
     merge ranges in rank order to stay bit-reproducible.  Rows are built in
-    blocks of 2^16 by `_lattice_counts`.
+    blocks of `_LATTICE_BLOCK` by `_lattice_counts`.
     """
     if T < 1 or d < 2:
         raise ValidationError("need T >= 1 and d >= 2")
     size = _capped_size(T, d, cap)
     stop = size if stop is None else min(stop, size)
+    below = _rank_tables(T, d)
     for lo in range(max(0, start), stop, _LATTICE_BLOCK):
-        for row in _lattice_counts(T, d, cap, lo, min(lo + _LATTICE_BLOCK, stop)):
+        hi = min(lo + _LATTICE_BLOCK, stop)
+        for row in _lattice_counts(T, d, cap, lo, hi, below):
             yield EmpiricalDistribution(row, T)
+
+
+def _rank_tables(T: int, d: int) -> list:
+    # below[k][s + 1] = comb(s + k, k), the compositions of s into k + 1
+    # parts; below[k][0] = 0.  They cost O(d T) and depend on (T, d) only,
+    # so a walk over many blocks of one lattice builds them once.
+    below = [np.ones(T + 2, dtype=np.int64)]
+    below[0][0] = 0
+    for _ in range(d - 1):
+        below.append(np.cumsum(below[-1]))
+    return below
 
 
 def _lattice_counts(
@@ -237,6 +252,7 @@ def _lattice_counts(
     cap: int = DEFAULT_LATTICE_CAP,
     start: int = 0,
     stop: Optional[int] = None,
+    below: Optional[list] = None,
 ) -> np.ndarray:
     """The compositions of T into d parts with ranks in [start, stop), as
     (N, d) int64 rows in the order of `enumerate_lattice`.
@@ -247,19 +263,16 @@ def _lattice_counts(
     most s number comb(s + k, k), so each child's rank range follows from
     one table lookup.  Children whose range misses [start, stop) are never
     made, so time and memory follow the block, not the lattice, apart from
-    d tables of T + 2 counts.
+    the d tables of T + 2 counts from `_rank_tables` (built here unless
+    passed in as `below`).
     """
     size = _capped_size(T, d, cap)
     stop = size if stop is None else min(stop, size)
     start = max(0, start)
     if start >= stop:
         return np.zeros((0, d), dtype=np.int64)
-    # below[k][s + 1] = comb(s + k, k), the compositions of s into k + 1
-    # parts; below[k][0] = 0
-    below = [np.ones(T + 2, dtype=np.int64)]
-    below[0][0] = 0
-    for _ in range(d - 1):
-        below.append(np.cumsum(below[-1]))
+    if below is None:
+        below = _rank_tables(T, d)
     rows = np.zeros((1, 0), dtype=np.int64)
     rest = np.array([T], dtype=np.int64)
     end = np.array([size], dtype=np.int64)  # one past each prefix's last rank

@@ -1,5 +1,7 @@
 """Tests for the disappointment laboratory: exact, Monte Carlo, importance."""
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,15 +23,23 @@ from ddlab import (
     disappointment_importance,
     disappointment_mc,
     importance_shift,
+    lattice_size,
+    load_scenario,
     rate_curve,
+    speed_ratio,
     theoretical_rate_saa,
 )
+from ddlab import deviation, simplex
 from ddlab.deviation import _sample_count_rows, _unique_rows
 
 
 def make_problem(loss, true_dist=None):
     td = None if true_dist is None else Distribution(true_dist)
     return Problem(LossMatrix(np.array(loss, dtype=float)), td)
+
+
+def scenario(name):
+    return load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios" / name))
 
 
 COIN = make_problem([[0.5, 0.5], [0.0, 1.0]], true_dist=(0.5, 0.5))
@@ -136,6 +146,100 @@ class TestExact:
                 COIN, PredictorSpec("saa"), Mode.prediction(1),
                 Distribution((0.2, 0.3, 0.5)), 5, SCHED,
             )
+
+
+class TestExactStreaming:
+    """disappointment_exact streams the lattice in rank blocks; neither its
+    result nor the lattice it covers may depend on the block size."""
+
+    # (scenario, decision tested in prediction mode, T per patched block
+    # size): each lattice spans several blocks of its size
+    LATTICES = (
+        ("newsvendor.json", 4, {1: 8, 7: 20, 4096: 30}),
+        ("absolute_loss_grid.json", 50, {1: 4, 7: 8, 4096: 16}),
+    )
+
+    @staticmethod
+    def _log_ps(problem, decision, T):
+        out = []
+        work = lattice_size(T, problem.n_scenarios) * problem.n_decisions
+        for kind in ("saa", "svp", "robust", "kl"):
+            for mode in (Mode.prediction(decision), Mode.prescription()):
+                if kind == "kl" and mode.kind == "prescription" and work > 10**5:
+                    continue  # one KL solve per point and decision: seconds
+                rep = disappointment_exact(
+                    problem, PredictorSpec(kind), mode, problem.true_dist, T,
+                    ExponentialRate(0.05),
+                )
+                out.append(rep.log_probability)
+        return out
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_log_probability_does_not_depend_on_the_block(self, block, monkeypatch):
+        for name, decision, sizes in self.LATTICES:
+            problem = scenario(name)
+            T = sizes[block]
+            assert lattice_size(T, problem.n_scenarios) > block
+            want = self._log_ps(problem, decision, T)
+            monkeypatch.setattr(deviation, "_LATTICE_BLOCK", block)
+            got = self._log_ps(problem, decision, T)
+            monkeypatch.undo()
+            assert got == want
+
+    @pytest.mark.parametrize("block, T", [(7, 30), (None, 120)])  # None: default
+    def test_blocks_tile_the_lattice_in_rank_order(self, block, T, monkeypatch):
+        calls = []
+        original = deviation._lattice_counts
+
+        def recording(T, d, cap, start, stop, *tables):
+            calls.append((start, stop))
+            return original(T, d, cap, start, stop, *tables)
+
+        problem = scenario("newsvendor.json")
+        monkeypatch.setattr(deviation, "_lattice_counts", recording)
+        if block is not None:
+            monkeypatch.setattr(deviation, "_LATTICE_BLOCK", block)
+        disappointment_exact(
+            problem, PredictorSpec("saa"), Mode.prescription(), problem.true_dist,
+            T, SCHED,
+        )
+        size = lattice_size(T, problem.n_scenarios)
+        assert len(calls) > 1
+        assert calls[0][0] == 0 and calls[-1][1] == size
+        assert all(lo < hi for lo, hi in calls)
+        assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+
+    def test_rank_tables_are_built_once_per_call(self, monkeypatch):
+        # they cost O(d T), so one build per block would make a d=2 lattice
+        # quadratic in T
+        calls = []
+        original = deviation._rank_tables
+
+        def counting(T, d):
+            calls.append((T, d))
+            return original(T, d)
+
+        monkeypatch.setattr(deviation, "_rank_tables", counting)
+        monkeypatch.setattr(simplex, "_rank_tables", counting)
+        monkeypatch.setattr(deviation, "_LATTICE_BLOCK", 7)
+        disappointment_exact(COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, 100, SCHED)
+        assert calls == [(100, 2)]
+
+    def test_memory_follows_the_block_not_the_lattice(self):
+        # 302,621 lattice points; holding them with their 9-decision value,
+        # variance and mask arrays at once peaks above 100 MB
+        problem = scenario("newsvendor.json")
+        for kind in ("svp", "saa"):
+            tracemalloc.start()
+            try:
+                disappointment_exact(
+                    problem, PredictorSpec(kind), Mode.prescription(),
+                    problem.true_dist, 120, ExponentialRate(0.02),
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24e6, (kind, peak)
 
 
 class TestMonteCarlo:
@@ -375,6 +479,19 @@ class TestRateCurve:
         )
         assert is_pts[0][0] == 50
         assert is_pts[0][1] == pytest.approx(exact_pts[0][1], abs=0.05)
+
+    def test_lattice_past_int64_ranks_falls_back_to_importance(self):
+        # comb(T + 3, 3) exceeds 2**63 - 1, the ceiling on any cap, so even
+        # a cap of 10**40 leaves this lattice to importance sampling
+        problem = scenario("newsvendor.json")
+        T, mode, spec, p = 4194304, Mode.prediction(4), PredictorSpec("saa"), problem.true_dist
+        assert 2**63 - 1 < lattice_size(T, 4) < 10**40
+        pts = rate_curve(
+            problem, spec, mode, p, SCHED, [T], cap=10**40, n_samples=2_000, seed=1,
+        )
+        shift = importance_shift(problem, mode, p, speed_ratio(SCHED, T))
+        want = disappointment_importance(problem, spec, mode, p, T, SCHED, shift, 2_000, 1)
+        assert pts == [(T, want.rate)]
 
 
 class TestTheoreticalRateSaa:

@@ -20,6 +20,7 @@ from ddlab import (
     multinomial_log_prob,
     sample_empirical,
 )
+from ddlab import simplex
 from ddlab.simplex import _lattice_counts, _log_pmf_rows
 
 
@@ -237,6 +238,21 @@ class TestLattice:
         assert exc.value.cap == 2**63 - 1
         with pytest.raises(LatticeCapError):
             _lattice_counts(10**4, 8, cap=10**60, start=0, stop=2)
+
+    def test_rank_tables_are_built_once_per_walk(self, monkeypatch):
+        # they cost O(d T), so one build per block would make a d=2 walk
+        # quadratic in T
+        calls = []
+        original = simplex._rank_tables
+
+        def counting(T, d):
+            calls.append((T, d))
+            return original(T, d)
+
+        monkeypatch.setattr(simplex, "_rank_tables", counting)
+        monkeypatch.setattr(simplex, "_LATTICE_BLOCK", 7)
+        assert len(list(enumerate_lattice(100, 2))) == 101
+        assert calls == [(100, 2)]
 
     def test_cap_enforced(self):
         with pytest.raises(LatticeCapError) as exc:
