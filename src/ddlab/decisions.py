@@ -21,7 +21,7 @@ SCHEMA_VERSION = 1
 class LossMatrix:
     """Losses l(x, i): rows are decisions, columns are scenarios."""
 
-    __slots__ = ("values", "decision_labels", "scenario_labels", "k_half")
+    __slots__ = ("values", "decision_labels", "scenario_labels", "k_half", "tie_window")
 
     def __init__(
         self,
@@ -56,6 +56,9 @@ class LossMatrix:
         # cached sup-norm; the two-sided bound used by finite-sample
         # guarantees is K = 2 * k_half
         object.__setattr__(self, "k_half", float(np.abs(v).max()))
+        # costs and predictor values closer than this are equal: relative to
+        # the loss scale, so ties do not depend on the units of the losses
+        object.__setattr__(self, "tie_window", 1e-12 * self.k_half)
 
     def __setattr__(self, name, value):
         raise AttributeError("LossMatrix is immutable")
@@ -133,20 +136,36 @@ def covariance(problem: Problem, x1: int, x2: int, p: Distribution) -> float:
     )
 
 
-def min_variance_minimizer(
-    problem: Problem, p: Distribution, tol: Optional[float] = None
-) -> int:
-    """Among decisions whose cost is within tol of the minimum, the one
-    with the smallest variance; ties broken by lowest index."""
+def select_decisions(
+    problem: Problem, values: np.ndarray, variances: np.ndarray
+) -> np.ndarray:
+    """Row-wise argmin with the prescriptor tie-break.
+
+    values, variances: (N, n_decisions).  Within each row, decisions whose
+    value is within problem.loss.tie_window of the row minimum are
+    candidates; among candidates the smallest variance wins; remaining ties
+    go to the lowest index.  Returns (N,) int indices.
+    """
+    values = np.asarray(values, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    if values.shape != variances.shape or values.ndim != 2:
+        raise ValidationError("values and variances must share shape (N, n)")
+    vmin = values.min(axis=1, keepdims=True)
+    cand = values <= vmin + problem.loss.tie_window
+    masked_var = np.where(cand, variances, np.inf)
+    wmin = masked_var.min(axis=1, keepdims=True)
+    # argmax returns the first index where the winning mask is True
+    pick = np.argmax(cand & (masked_var == wmin), axis=1)
+    return pick.astype(np.int64)
+
+
+def min_variance_minimizer(problem: Problem, p: Distribution) -> int:
+    """The cost minimizer under p by the select_decisions rule: among
+    decisions whose cost ties the minimum, the one with the smallest
+    variance, then the lowest index."""
     costs = problem.loss.values @ p.weights
-    c_star = float(costs.min())
-    if tol is None:
-        tol = 1e-9 * (1.0 + abs(c_star))
-    elif tol <= 0:
-        raise ValidationError("tol must be > 0")
-    candidates = np.flatnonzero(costs <= c_star + tol)
-    variances = np.array([variance(problem, int(x), p) for x in candidates])
-    return int(candidates[int(np.argmin(variances))])
+    variances = [variance(problem, x, p) for x in range(problem.n_decisions)]
+    return int(select_decisions(problem, costs[None, :], [variances])[0])
 
 
 def _problem_from_dict(doc: dict, where: str) -> Problem:

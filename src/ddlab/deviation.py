@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .decisions import Problem, cost, _check_decision
+from .decisions import Problem, cost, variance, _check_decision
 from .errors import LatticeCapError, ValidationError
 from .predictors import (
     PredictorSpec,
@@ -24,6 +24,7 @@ from .predictors import (
     predictor_value_matrix,
     predictor_value_rows,
     speed_ratio,
+    svp_direction,
     variance_matrix,
 )
 from .prescriptors import select_decisions
@@ -38,7 +39,6 @@ from .simplex import (
     _rank_tables,
 )
 
-_GUARD = 1e-12  # ties at lattice symmetry points count as non-disappointment
 _MC_BLOCK = 1 << 16
 
 
@@ -86,10 +86,10 @@ class DisappointmentReport:
     mode: Mode
 
 
-def _rate(log_probability: float, a_T: float) -> float:
-    if log_probability == -math.inf:
-        return -math.inf
-    return log_probability / a_T
+def _report(prob, log_p, method, T, schedule, mode) -> DisappointmentReport:
+    a_T = schedule.a(T)
+    rate = -math.inf if log_p == -math.inf else log_p / a_T
+    return DisappointmentReport(prob, log_p, rate, method, T, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -111,23 +111,25 @@ def _disappointment_indicator(
     Q: np.ndarray,
     p: Distribution,
     ratio: Optional[float],
-    kl_tol: float,
 ) -> np.ndarray:
+    # a true cost that ties the prediction (within the tie window, as at
+    # lattice symmetry points) is no disappointment
+    tie = problem.loss.tie_window
     if mode.kind == "prediction":
         x = _check_decision(problem, mode.decision)
-        vals = predictor_value_rows(problem, x, spec, Q, ratio=ratio, kl_tol=kl_tol)
+        vals = predictor_value_rows(problem, x, spec, Q, ratio=ratio)
         c_true = cost(problem, x, p)
-        return c_true > vals + _GUARD
-    V = predictor_value_matrix(problem, spec, Q, ratio=ratio, kl_tol=kl_tol)
+        return c_true > vals + tie
+    V = predictor_value_matrix(problem, spec, Q, ratio=ratio)
     VarM = variance_matrix(problem, Q)
-    pick = select_decisions(V, VarM)
+    pick = select_decisions(problem, V, VarM)
     rows = np.arange(Q.shape[0])
     v_hat = V[rows, pick]
     true_costs = problem.loss.values @ p.weights
-    return true_costs[pick] > v_hat + _GUARD
+    return true_costs[pick] > v_hat + tie
 
 
-def _prepare(problem, spec, mode, p, schedule):
+def _prepare(problem, spec, p, schedule):
     if p.dim != problem.n_scenarios:
         raise ValidationError("dimension mismatch")
     return spec.resolved(schedule)
@@ -145,7 +147,6 @@ def disappointment_exact(
     T: int,
     schedule: RegimeSchedule,
     cap: int = DEFAULT_LATTICE_CAP,
-    kl_tol: float = 1e-10,
 ) -> DisappointmentReport:
     """Exact disappointment probability: the multinomial mass of the lattice
     points where the event holds.  Within the cap this is a ground truth the
@@ -158,7 +159,7 @@ def disappointment_exact(
     its block, and the kept values meet one `logsumexp`, so the result
     equals the single-pass reduction bit for bit.
     """
-    spec = _prepare(problem, spec, mode, p, schedule)
+    spec = _prepare(problem, spec, p, schedule)
     d = problem.n_scenarios
     size = _capped_size(T, d, cap)  # raises LatticeCapError when too big
     ratio = speed_ratio(schedule, T)
@@ -167,7 +168,7 @@ def disappointment_exact(
     for lo in range(0, size, _LATTICE_BLOCK):
         C = _lattice_counts(T, d, cap, lo, min(lo + _LATTICE_BLOCK, size), below)
         Q = _normalized_rows(C, T)
-        ind = _disappointment_indicator(problem, spec, mode, Q, p, ratio, kl_tol)
+        ind = _disappointment_indicator(problem, spec, mode, Q, p, ratio)
         hits.append(_log_pmf_rows(C[ind], p, T))
     logpmf = np.concatenate(hits)
     if logpmf.size == 0:
@@ -176,14 +177,7 @@ def disappointment_exact(
         log_p = float(logsumexp(logpmf))
         log_p = min(log_p, 0.0)  # clamp float dust above certainty
     prob = math.exp(log_p) if log_p != -math.inf else 0.0
-    return DisappointmentReport(
-        probability=prob,
-        log_probability=log_p,
-        rate=_rate(log_p, schedule.a(T)),
-        method=MethodInfo(name="exact"),
-        T=T,
-        mode=mode,
-    )
+    return _report(prob, log_p, MethodInfo(name="exact"), T, schedule, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +233,20 @@ def _unique_rows(C: np.ndarray, T: int):
     return uniq, inverse.reshape(-1), mult
 
 
+def _sampled_indicator(problem, spec, mode, p, T, schedule, draw, n_samples, seed):
+    """Draw n_samples count rows from `draw`, de-duplicate them and evaluate
+    the indicator once per distinct row: (distinct rows, multiplicities,
+    indicator)."""
+    spec = _prepare(problem, spec, p, schedule)
+    if n_samples < 1:
+        raise ValidationError("n_samples must be >= 1")
+    C = _sample_count_rows(draw.weights, T, n_samples, seed)
+    uniq, _, mult = _unique_rows(C, T)
+    Q = _normalized_rows(uniq, T)
+    ind = _disappointment_indicator(problem, spec, mode, Q, p, speed_ratio(schedule, T))
+    return uniq, mult, ind
+
+
 def disappointment_mc(
     problem: Problem,
     spec: PredictorSpec,
@@ -248,29 +256,17 @@ def disappointment_mc(
     schedule: RegimeSchedule,
     n_samples: int,
     seed: int,
-    kl_tol: float = 1e-10,
 ) -> DisappointmentReport:
     """Plain Monte Carlo frequency estimate with binomial standard error."""
-    spec = _prepare(problem, spec, mode, p, schedule)
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
-    C = _sample_count_rows(p.weights, T, n_samples, seed)
-    uniq, inverse, mult = _unique_rows(C, T)
-    Q = _normalized_rows(uniq, T)
-    ratio = speed_ratio(schedule, T)
-    ind = _disappointment_indicator(problem, spec, mode, Q, p, ratio, kl_tol)
+    _, mult, ind = _sampled_indicator(
+        problem, spec, mode, p, T, schedule, p, n_samples, seed
+    )
     hits = int(mult[ind].sum())
     prob = hits / n_samples
     se = math.sqrt(prob * (1.0 - prob) / n_samples)
     log_p = math.log(prob) if prob > 0.0 else -math.inf
-    return DisappointmentReport(
-        probability=prob,
-        log_probability=log_p,
-        rate=_rate(log_p, schedule.a(T)),
-        method=MethodInfo(name="monte_carlo", n_samples=n_samples, std_err=se),
-        T=T,
-        mode=mode,
-    )
+    method = MethodInfo(name="monte_carlo", n_samples=n_samples, std_err=se)
+    return _report(prob, log_p, method, T, schedule, mode)
 
 
 def disappointment_importance(
@@ -283,7 +279,6 @@ def disappointment_importance(
     shift_q: Distribution,
     n_samples: int,
     seed: int,
-    kl_tol: float = 1e-10,
 ) -> DisappointmentReport:
     """Change-of-measure estimate: sample counts from shift_q, weight each
     sample by prod_i (p_i/q_i)^counts_i computed in log space.
@@ -292,18 +287,13 @@ def disappointment_importance(
     disappointment mass concentrates, far fewer samples reach the tail.
     Reports the effective sample size (sum w)^2 / sum w^2.
     """
-    spec = _prepare(problem, spec, mode, p, schedule)
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
     if shift_q.dim != p.dim:
         raise ValidationError("dimension mismatch")
     if not shift_q.is_interior:
         raise ValidationError("shift distribution must have full support")
-    C = _sample_count_rows(shift_q.weights, T, n_samples, seed)
-    uniq, inverse, mult = _unique_rows(C, T)
-    Q = _normalized_rows(uniq, T)
-    ratio = speed_ratio(schedule, T)
-    ind = _disappointment_indicator(problem, spec, mode, Q, p, ratio, kl_tol)
+    uniq, mult, ind = _sampled_indicator(
+        problem, spec, mode, p, T, schedule, shift_q, n_samples, seed
+    )
 
     w = p.weights
     qw = shift_q.weights
@@ -327,16 +317,10 @@ def disappointment_importance(
     ess = (wsum * wsum / wsq) if wsq > 0.0 else 0.0
     prob = min(max(est, 0.0), 1.0)
     log_p = math.log(prob) if prob > 0.0 else -math.inf
-    return DisappointmentReport(
-        probability=prob,
-        log_probability=log_p,
-        rate=_rate(log_p, schedule.a(T)),
-        method=MethodInfo(
-            name="importance", n_samples=n_samples, std_err=se, shift=shift_q, ess=ess
-        ),
-        T=T,
-        mode=mode,
+    method = MethodInfo(
+        name="importance", n_samples=n_samples, std_err=se, shift=shift_q, ess=ess
     )
+    return _report(prob, log_p, method, T, schedule, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +344,10 @@ def importance_shift(
     else:
         W = p.weights[None, :]
         V = predictor_value_matrix(problem, PredictorSpec("svp"), W, ratio=ratio)
-        x = int(select_decisions(V, variance_matrix(problem, W))[0])
-    row = problem.loss.values[x]
+        x = int(select_decisions(problem, V, variance_matrix(problem, W))[0])
     w = p.weights
-    c = float(row @ w)
-    var = max(float((row * row) @ w) - c * c, 0.0)
-    if var > 0.0:
-        q = w - math.sqrt(2.0 * ratio) * (row * w - c * w) / math.sqrt(var)
+    if variance(problem, x, p) > 0.0:
+        q = w - math.sqrt(2.0 * ratio) * svp_direction(problem, x, p)
     else:
         q = w.copy()
     q = np.maximum(q, 1e-9)
@@ -388,7 +369,6 @@ def rate_curve(
     cap: int = DEFAULT_LATTICE_CAP,
     n_samples: int = 100_000,
     seed: Optional[int] = None,
-    kl_tol: float = 1e-10,
 ) -> List[Tuple[int, float]]:
     """Guarantee rate log(p_T)/a_T for each T, in ascending T order.
 
@@ -400,9 +380,7 @@ def rate_curve(
     out: List[Tuple[int, float]] = []
     for T in sorted(int(t) for t in T_list):
         try:  # the cap is checked before any enumeration work
-            rep = disappointment_exact(
-                problem, spec, mode, p, T, schedule, cap=cap, kl_tol=kl_tol
-            )
+            rep = disappointment_exact(problem, spec, mode, p, T, schedule, cap=cap)
         except LatticeCapError:
             if seed is None:
                 raise ValidationError(
@@ -410,8 +388,7 @@ def rate_curve(
                 ) from None
             shift = importance_shift(problem, mode, p, speed_ratio(schedule, T))
             rep = disappointment_importance(
-                problem, spec, mode, p, T, schedule, shift, n_samples, seed,
-                kl_tol=kl_tol,
+                problem, spec, mode, p, T, schedule, shift, n_samples, seed
             )
         out.append((T, rep.rate))
     return out

@@ -8,7 +8,7 @@ Four predictors of the out-of-sample cost of a fixed decision:
   entropy r of the empirical one, computed through its 1-D convex dual by
   one batched kernel that every caller shares (a single prediction is a
   one-row batch).  Per row it bisects a doubled bracket down to width
-  max(tol, 1e-12*(1 + |hi|)) and polishes with guarded Newton steps; a
+  max(1e-10, 1e-12*(1 + |hi|)) and polishes with guarded Newton steps; a
   row's result does not depend on the batch it is solved in;
 * variance-penalized (SVP): empirical cost plus sqrt(2 a_T/T * variance),
   which under an interiority condition equals the worst expected loss over
@@ -140,24 +140,18 @@ class PredictorSpec:
         if self.radius is not None and self.radius < 0:
             raise ValidationError("radius must be >= 0")
 
-    def resolve_radius(self, schedule: Optional[RegimeSchedule]) -> float:
-        if self.kind != "kl":
-            raise ValidationError("only KL predictors carry a radius")
-        if self.radius is not None:
-            return self.radius
+    def resolved(self, schedule: Optional[RegimeSchedule]) -> "PredictorSpec":
+        """This spec with its KL radius pinned down, so its label is
+        concrete: an explicit radius wins, else an ExponentialRate schedule
+        gives its rate.  Other kinds come back unchanged."""
+        if self.kind != "kl" or self.radius is not None:
+            return self
         if isinstance(schedule, ExponentialRate):
-            return schedule.rate
+            return PredictorSpec("kl", schedule.rate)
         raise ValidationError(
             "KL predictor needs a radius: give one explicitly or use an "
             "ExponentialRate schedule"
         )
-
-    def resolved(self, schedule: Optional[RegimeSchedule]) -> "PredictorSpec":
-        """This spec with its KL radius pinned down (see resolve_radius), so
-        its label is concrete; other kinds come back unchanged."""
-        if self.kind == "kl" and self.radius is None:
-            return PredictorSpec("kl", self.resolve_radius(schedule))
-        return self
 
     @property
     def label(self) -> str:
@@ -201,6 +195,7 @@ def predict_robust(problem: Problem, x: int) -> PredictionResult:
 # KL-ball predictor: one batched dual kernel that every KL caller goes through
 
 _KL_BLOCK = 1 << 16  # rows per pass, which bounds the kernel's working memory
+_KL_TOL = 1e-10  # absolute floor of the final dual bracket width
 _KL_MAX_DOUBLINGS = 200
 _KL_MAX_BISECTIONS = 300
 _KL_NEWTON_STEPS = 5
@@ -215,7 +210,7 @@ def _row_sum(X: np.ndarray) -> np.ndarray:
 
 
 def _kl_dual_solve(
-    L: np.ndarray, W: np.ndarray, r: float, tol: float
+    L: np.ndarray, W: np.ndarray, r: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize f(a) = a - exp(-r + sum_i w_i log(a - l_i)) over a >= max(l)
     for every row pair (l, w) of the (M, d) arrays L and W; returns
@@ -224,19 +219,19 @@ def _kl_dual_solve(
     Per row: the minimum sits at the left edge max(l) + 1e-12*span when
     f' >= 0 there; otherwise the bracket [edge, max(l) + span] is doubled
     until f' changes sign (at most 200 times), bisected to width
-    max(tol, 1e-12*(1 + |hi|)) (at most 300 steps), and polished by up to 5
+    max(_KL_TOL, 1e-12*(1 + |hi|)) (at most 300 steps), and polished by up to 5
     Newton steps kept inside it.  Values are clamped to [plug-in, max(l)].
     A row that exceeds a cap raises ConvergenceError with its bracket.
     """
     values, alphas = np.empty(W.shape[0]), np.empty(W.shape[0])
     for s in range(0, W.shape[0], _KL_BLOCK):
         b = slice(s, s + _KL_BLOCK)
-        values[b], alphas[b] = _kl_dual_block(L[b], W[b], r, tol)
+        values[b], alphas[b] = _kl_dual_block(L[b], W[b], r)
     return values, alphas
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _kl_dual_block(L, W, r, tol):
+def _kl_dual_block(L, W, r):
     gamma = L.max(axis=1)
     span = gamma - L.min(axis=1)
     plug_in = _row_sum(L * W)
@@ -275,7 +270,7 @@ def _kl_dual_block(L, W, r, tol):
             "no sign change while expanding the dual bracket",
             bracket=(float(lo[i]), float(hi[i])),
         )
-    goal = np.maximum(tol, 1e-12 * (1.0 + np.abs(hi)))
+    goal = np.maximum(_KL_TOL, 1e-12 * (1.0 + np.abs(hi)))
     live = rows
     for _ in range(_KL_MAX_BISECTIONS + 1):
         live = live[hi[live] - lo[live] > goal[live]]
@@ -307,22 +302,20 @@ def _kl_dual_block(L, W, r, tol):
 
 
 def predict_kl_dual(
-    problem: Problem, x: int, p: Distribution, r: float, tol: float = 1e-10
+    problem: Problem, x: int, p: Distribution, r: float
 ) -> PredictionResult:
     """Worst expected loss over the relative-entropy ball of radius r at p.
 
     The ball is {q : KL(p, q) <= r} with p (typically the empirical
     distribution) as the first argument.  Solved through the equivalent 1-D
-    strictly convex dual, as a one-row call of the batched kernel.  `tol`
-    bounds the width of the dual bracket (at least 1e-12 relative to alpha),
-    not the error of the value: that error scales with the loss magnitude,
-    since `alpha - l_i` cancels (up to about 1e-8 for losses near 1e6).
+    strictly convex dual, as a one-row call of the batched kernel.  Its
+    fixed bracket width bounds alpha, not the error of the value: that error
+    scales with the loss magnitude, since `alpha - l_i` cancels (up to about
+    1e-8 for losses near 1e6).
     """
     x = _check_decision(problem, x)
     if r < 0:
         raise ValidationError("r must be >= 0")
-    if tol <= 0:
-        raise ValidationError("tol must be > 0")
     if p.dim != problem.n_scenarios:
         raise ValidationError("dimension mismatch")
     row = problem.loss.values[x]
@@ -334,15 +327,22 @@ def predict_kl_dual(
             value=float(row[0]), worst_case=p, dual_alpha=float(row[0])
         )
     W = p.weights[None, :]
-    values, alphas = _kl_dual_solve(row[None, :], W, float(r), float(tol))
+    values, alphas = _kl_dual_solve(row[None, :], W, float(r))
     alpha = float(alphas[0])
     # attaining distribution: q_i proportional to w_i/(alpha - l_i) on the
-    # support; at an edge minimum the leftover mass sits on the worst scenario
+    # support; at an edge minimum the leftover mass sits on the worst scenario.
+    # The dual optimum has gm <= 1/sum_i w_i/(alpha - l_i), with equality at
+    # an interior minimum; the cap keeps q's sum at most 1 where the gaps
+    # cancel (losses near 1e6)
     sup = p.weights > 0.0
     ls, ws = row[sup], p.weights[sup]
-    gm = math.exp(-r + float(np.sum(ws * np.log(alpha - ls))))
+    gap = alpha - ls
+    gm = min(
+        math.exp(-r + float(np.sum(ws * np.log(gap)))),
+        1.0 / float(np.sum(ws / gap)),
+    )
     q = np.zeros(row.size)
-    q[sup] = gm * ws / (alpha - ls)
+    q[sup] = gm * ws / gap
     residual = 1.0 - float(q.sum())
     if residual > 0.0:
         q[int(np.argmax(row))] += residual
@@ -549,11 +549,40 @@ def predict_svp(
 # lattice are evaluated by literally the same code path.
 
 
-def _weight_rows(problem: Problem, W: np.ndarray) -> np.ndarray:
+def _predictor_values(
+    spec: PredictorSpec, L: np.ndarray, W: np.ndarray, ratio: Optional[float]
+) -> np.ndarray:
+    """(N, n) predictor values of the loss rows L (n, d) over the weight
+    rows W (N, d).  Products run one loss row at a time (W @ row), so a
+    column does not depend on the rows beside it.  For a kl spec with a
+    positive radius, every (weight row, nonconstant loss row) pair goes
+    through one call of the batched dual kernel."""
     W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[1] != problem.n_scenarios:
-        raise ValidationError("W must be (N, %d)" % problem.n_scenarios)
-    return W
+    if W.ndim != 2 or W.shape[1] != L.shape[1]:
+        raise ValidationError("W must be (N, %d)" % L.shape[1])
+    kind, r = spec.kind, spec.radius
+    if kind == "svp" and ratio is None:
+        raise ValidationError("svp needs ratio = a_T/T")
+    if kind == "kl" and r is None:
+        raise ValidationError("kl spec must carry a resolved radius")
+    out = np.empty((W.shape[0], L.shape[0]))
+    if kind == "kl" and r > 0.0:
+        out[:] = L[:, 0]  # a constant row costs its value under every distribution
+        live = np.flatnonzero(L.max(axis=1) > L.min(axis=1))
+        pairs = np.tile(L[live], (W.shape[0], 1))
+        vals = _kl_dual_solve(pairs, np.repeat(W, live.size, axis=0), float(r))[0]
+        out[:, live] = vals.reshape(W.shape[0], live.size)
+        return out
+    for j, row in enumerate(L):
+        if kind == "robust":
+            out[:, j] = row.max()
+        elif kind == "svp":
+            m = W @ row
+            var = np.maximum(W @ (row * row) - m * m, 0.0)
+            out[:, j] = m + np.sqrt(2.0 * ratio * var)
+        else:  # saa, and kl at radius 0
+            out[:, j] = W @ row
+    return out
 
 
 def predictor_value_rows(
@@ -562,42 +591,15 @@ def predictor_value_rows(
     spec: PredictorSpec,
     W: np.ndarray,
     ratio: Optional[float] = None,
-    kl_tol: float = 1e-10,
 ) -> np.ndarray:
     """Predictor values of decision x over a batch of weight rows.
 
     W has shape (N, d), each row a normalized distribution.  `ratio` is
-    a_T/T (needed by svp); a kl spec must carry an explicit radius.  All
-    rows of a kl spec go through one call of the batched dual kernel, whose
-    per-row result does not depend on the batch: a row gives bit for bit
-    what predict_kl_dual gives for it alone.
+    a_T/T (needed by svp); a kl spec must carry an explicit radius.  A kl
+    row gives bit for bit what predict_kl_dual gives for it alone.
     """
     x = _check_decision(problem, x)
-    row = problem.loss.values[x]
-    W = _weight_rows(problem, W)
-    kind = spec.kind
-    if kind == "saa":
-        return W @ row
-    if kind == "robust":
-        return np.full(W.shape[0], float(row.max()))
-    if kind == "svp":
-        if ratio is None:
-            raise ValidationError("svp needs ratio = a_T/T")
-        m = W @ row
-        e2 = W @ (row * row)
-        var = np.maximum(e2 - m * m, 0.0)
-        return m + np.sqrt(2.0 * ratio * var)
-    if kind == "kl":
-        r = spec.radius
-        if r is None:
-            raise ValidationError("kl spec must carry a resolved radius")
-        if r == 0.0:
-            return W @ row
-        if row.max() == row.min():
-            return np.full(W.shape[0], float(row[0]))
-        L = np.broadcast_to(row, W.shape)
-        return _kl_dual_solve(L, W, float(r), kl_tol)[0]
-    raise ValidationError("unknown predictor kind %r" % (kind,))
+    return _predictor_values(spec, problem.loss.values[x:x + 1], W, ratio)[:, 0]
 
 
 def predictor_value_matrix(
@@ -605,30 +607,10 @@ def predictor_value_matrix(
     spec: PredictorSpec,
     W: np.ndarray,
     ratio: Optional[float] = None,
-    kl_tol: float = 1e-10,
 ) -> np.ndarray:
-    """(N, n_decisions) matrix of predictor values over weight rows W.
-
-    Column x equals predictor_value_rows(..., x, ...) bit for bit.  For a kl
-    spec with a positive radius, every (row, decision) pair with a
-    nonconstant loss row is solved in one call of the batched dual kernel.
-    """
-    if spec.kind != "kl" or not spec.radius:  # closed forms, r = 0 or unset
-        cols = [
-            predictor_value_rows(problem, x, spec, W, ratio=ratio, kl_tol=kl_tol)
-            for x in range(problem.n_decisions)
-        ]
-        return np.column_stack(cols)
-    W = _weight_rows(problem, W)
-    losses = problem.loss.values
-    out = np.empty((W.shape[0], problem.n_decisions))
-    out[:] = losses[:, 0]  # a constant row costs its value under every distribution
-    live = np.flatnonzero(losses.max(axis=1) > losses.min(axis=1))
-    L = np.tile(losses[live], (W.shape[0], 1))
-    Wp = np.repeat(W, live.size, axis=0)
-    vals = _kl_dual_solve(L, Wp, float(spec.radius), kl_tol)[0]
-    out[:, live] = vals.reshape(W.shape[0], live.size)
-    return out
+    """(N, n_decisions) matrix of predictor values over weight rows W;
+    column x equals predictor_value_rows(..., x, ...) bit for bit."""
+    return _predictor_values(spec, problem.loss.values, W, ratio)
 
 
 def variance_matrix(problem: Problem, W: np.ndarray) -> np.ndarray:

@@ -8,13 +8,10 @@ families.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
-from .decisions import LossMatrix, Problem
+from .decisions import LossMatrix, Problem, select_decisions
 from .errors import ValidationError
 from .predictors import (
     PredictorSpec,
@@ -26,8 +23,6 @@ from .predictors import (
 )
 from .simplex import Distribution, EmpiricalDistribution
 
-VALUE_TIE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PrescriptionResult:
@@ -38,40 +33,19 @@ class PrescriptionResult:
     gap_upper: Optional[float] = None
 
 
-def select_decisions(values: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Row-wise argmin with the prescriptor tie-break.
-
-    values, variances: (N, n_decisions).  Within each row, decisions whose
-    value is within VALUE_TIE_TOL of the row minimum are candidates; among
-    candidates the smallest variance wins; remaining ties go to the lowest
-    index.  Returns (N,) int indices.
-    """
-    values = np.asarray(values, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    if values.shape != variances.shape or values.ndim != 2:
-        raise ValidationError("values and variances must share shape (N, n)")
-    vmin = values.min(axis=1, keepdims=True)
-    cand = values <= vmin + VALUE_TIE_TOL
-    masked_var = np.where(cand, variances, np.inf)
-    wmin = masked_var.min(axis=1, keepdims=True)
-    # argmax returns the first index where the winning mask is True
-    pick = np.argmax(cand & (masked_var == wmin), axis=1)
-    return pick.astype(np.int64)
-
-
 def prescribe(
     problem: Problem,
     spec: PredictorSpec,
     emp: EmpiricalDistribution,
     schedule: Optional[RegimeSchedule] = None,
-    kl_tol: float = 1e-10,
 ) -> PrescriptionResult:
     """Minimize the chosen predictor over all decisions.
 
-    Ties within 1e-12 of the minimal value go to the decision with the
-    smaller loss variance under emp, then to the lowest index.  For the
-    variance-penalized predictor on an interior empirical distribution the
-    result carries the gap sandwich of prescription_gap_bound.
+    Values within problem.loss.tie_window of the minimum tie; ties go to
+    the decision with the smaller loss variance under emp, then to the
+    lowest index.  For the variance-penalized predictor on an interior
+    empirical distribution the result carries the gap sandwich of
+    prescription_gap_bound.
     """
     spec = spec.resolved(schedule)
     if spec.kind == "svp" and schedule is None:
@@ -80,9 +54,9 @@ def prescribe(
     ratio = speed_ratio(schedule, T) if schedule is not None else None
     p = emp.distribution
     W = p.weights[None, :]
-    values = predictor_value_matrix(problem, spec, W, ratio=ratio, kl_tol=kl_tol)
+    values = predictor_value_matrix(problem, spec, W, ratio=ratio)
     variances = variance_matrix(problem, W)
-    pick = int(select_decisions(values, variances)[0])
+    pick = int(select_decisions(problem, values, variances)[0])
     value = float(values[0, pick])
     gap_lower = gap_upper = None
     if spec.kind == "svp" and p.is_interior:
@@ -102,9 +76,12 @@ def prescription_gap_bound(
     """Sandwich for the variance-penalized optimal value at p.
 
     With ratio = a_T/T, the optimal penalized value c*_V exceeds the true
-    optimum c* by at least sqrt(2*ratio*Var(picked decision)) and at most
-    sqrt(2*ratio*Var(cost minimizer)); both sides use the same 2*a_T/T
-    scaling.  The sandwich is re-checked numerically on every call.
+    optimum c* by at least the penalty sqrt(2*ratio*Var) of the picked
+    decision and at most that of x*, the cost minimizer of least variance
+    (min_variance_minimizer).  Penalties are read off the svp values, as
+    value - cost, so the sandwich and the prescription see the same
+    rounding of Var; it is re-checked on every call, up to
+    problem.loss.tie_window.
     """
     if not p.is_interior:
         raise ValidationError("gap bound needs an interior distribution")
@@ -113,12 +90,13 @@ def prescription_gap_bound(
     values = predictor_value_matrix(problem, PredictorSpec("svp"), W, ratio=ratio)
     variances = variance_matrix(problem, W)
     costs = predictor_value_matrix(problem, PredictorSpec("saa"), W)
-    pick = int(select_decisions(values, variances)[0])
-    x_star = int(np.argmin(costs[0]))
-    lower = math.sqrt(2.0 * ratio * float(variances[0, pick]))
-    upper = math.sqrt(2.0 * ratio * float(variances[0, x_star]))
+    pick = int(select_decisions(problem, values, variances)[0])
+    x_star = int(select_decisions(problem, costs, variances)[0])
+    lower = float(values[0, pick] - costs[0, pick])
+    upper = float(values[0, x_star] - costs[0, x_star])
     gap = float(values[0].min()) - float(costs[0].min())
-    if not (lower - 1e-12 <= gap <= upper + 1e-12):
+    tie = problem.loss.tie_window
+    if not (lower - tie <= gap <= upper + tie):
         raise RuntimeError(
             "gap sandwich violated: %r <= %r <= %r" % (lower, gap, upper)
         )

@@ -24,3 +24,24 @@ def test_exact_ops_match_the_stored_references(monkeypatch):
     ops = workloads.lab_ops("exact-lattice", 1, True, workloads.load_references())
     assert ops
     assert [(op.name, op.check(op.run())) for op in ops] == [(op.name, "ok") for op in ops]
+
+
+def test_sampled_ops_pass_their_checks(monkeypatch):
+    # seed 1, as the smoke run; the deep-tail op may only report its
+    # recorded known defect, never a wrong answer
+    monkeypatch.chdir(ROOT)
+    workloads = _workloads(monkeypatch)
+    references = workloads.load_references()
+    for workload in ("sampled-kl", "sampled-large"):
+        ops = workloads.lab_ops(workload, 1, True, references)
+        assert ops
+        results = [(op.name, op.check(op.run())) for op in ops]
+        assert [r for r in results if r[1].startswith("fail")] == [], workload
+
+
+def test_cli_ops_match_the_golden_files(monkeypatch, tmp_path):
+    monkeypatch.chdir(ROOT)  # configs name their scenarios relative to the root
+    workloads = _workloads(monkeypatch)
+    ops = workloads.cli_ops(str(tmp_path / "out"))
+    assert ops
+    assert [(op.name, op.check(op.run())) for op in ops] == [(op.name, "ok") for op in ops]

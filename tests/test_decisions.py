@@ -97,10 +97,12 @@ class TestMinVarianceMinimizer:
         prob2 = Problem(LossMatrix([[0.6, 0.6], [0.0, 1.0]]))
         assert min_variance_minimizer(prob2, Distribution([0.5, 0.5])) == 1
 
-    def test_bad_tol(self):
-        prob = Problem(LossMatrix([[0.5, 0.5]]))
-        with pytest.raises(ValidationError):
-            min_variance_minimizer(prob, Distribution([0.5, 0.5]), tol=0.0)
+    def test_tie_window_follows_the_loss_scale(self):
+        # decision 1 is cheaper by 1e-10 of the largest loss at every scale:
+        # a real difference, 100 times the tie window
+        for a in (1e-6, 1.0, 1e6):
+            prob = Problem(LossMatrix(a * np.array([[0.5, 0.5], [0.0, 1.0 - 2e-10]])))
+            assert min_variance_minimizer(prob, Distribution([0.5, 0.5])) == 1
 
 
 class TestProblem:

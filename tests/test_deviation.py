@@ -8,6 +8,7 @@ import pytest
 from scipy.special import logsumexp
 
 from ddlab import (
+    DEFAULT_LATTICE_CAP,
     CustomTable,
     Distribution,
     EmpiricalDistribution,
@@ -240,6 +241,30 @@ class TestExactStreaming:
             finally:
                 tracemalloc.stop()
             assert peak < 24e6, (kind, peak)
+
+
+class TestIndicatorIsUnitFree:
+    @pytest.mark.parametrize("kind", ["saa", "svp", "robust", "kl"])
+    def test_exact_indicator_survives_rescaling_shifting_and_permutation(self, kind):
+        # at T=10 the truth (0.2, 0.3, 0.3, 0.2) is a lattice point, where
+        # predictions tie the true cost
+        prob = scenario("newsvendor.json")
+        L, p, T = prob.loss.values, prob.true_dist, 10
+        C = simplex._lattice_counts(T, 4, DEFAULT_LATTICE_CAP, 0, lattice_size(T, 4))
+        Q = deviation._normalized_rows(C, T)
+        spec = PredictorSpec(kind, 0.02 if kind == "kl" else None)
+        perm = [2, 0, 3, 1]
+        permuted = Problem(LossMatrix(L[:, perm]), Distribution(p.weights[perm]))
+        for mode in (Mode.prediction(4), Mode.prescription()):
+            want = deviation._disappointment_indicator(prob, spec, mode, Q, p, 0.02)
+            for a, b in ((1e6, 0.0), (1e-6, 0.0), (1.0, 1e3)):
+                moved = Problem(LossMatrix(a * L + b), p)
+                got = deviation._disappointment_indicator(moved, spec, mode, Q, p, 0.02)
+                assert np.array_equal(got, want), (mode, a, b)
+            got = deviation._disappointment_indicator(
+                permuted, spec, mode, Q[:, perm], permuted.true_dist, 0.02
+            )
+            assert np.array_equal(got, want), (mode, "permuted")
 
 
 class TestMonteCarlo:

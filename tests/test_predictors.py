@@ -127,20 +127,24 @@ class TestPredictorSpec:
 
     def test_resolve_radius_explicit_wins(self):
         spec = PredictorSpec("kl", radius=0.3)
-        assert spec.resolve_radius(ExponentialRate(0.1)) == 0.3
+        assert spec.resolved(ExponentialRate(0.1)) == spec
 
     def test_resolve_radius_from_exponential_schedule(self):
-        assert PredictorSpec("kl").resolve_radius(ExponentialRate(0.07)) == 0.07
+        spec = PredictorSpec("kl").resolved(ExponentialRate(0.07))
+        assert spec == PredictorSpec("kl", 0.07)
+        assert spec.label == "kl(r=0.07)"
 
     def test_resolve_radius_requires_a_source(self):
         with pytest.raises(ValidationError):
-            PredictorSpec("kl").resolve_radius(PowerLaw(1.0, 0.5))
+            PredictorSpec("kl").resolved(PowerLaw(1.0, 0.5))
         with pytest.raises(ValidationError):
-            PredictorSpec("kl").resolve_radius(None)
+            PredictorSpec("kl").resolved(None)
 
-    def test_resolve_radius_only_for_kl(self):
-        with pytest.raises(ValidationError):
-            PredictorSpec("saa").resolve_radius(ExponentialRate(0.1))
+    def test_resolved_leaves_other_kinds_unchanged(self):
+        for kind in ("saa", "robust", "svp"):
+            spec = PredictorSpec(kind)
+            assert spec.resolved(None) is spec
+            assert spec.resolved(ExponentialRate(0.1)) is spec
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +229,24 @@ class TestKlDual:
         with pytest.raises(ValidationError):
             predict_kl_dual(COIN, 1, HALF, -0.1)
         with pytest.raises(ValidationError):
-            predict_kl_dual(COIN, 1, HALF, 0.1, tol=0.0)
-        with pytest.raises(ValidationError):
             predict_kl_dual(COIN, 1, Distribution((0.2, 0.3, 0.5)), 0.1)
+
+    def test_worst_case_near_1e6_is_a_distribution(self):
+        # alpha - l_i cancels near 1e6: the worst case rebuilt from the dual
+        # normaliser summed to 1.0043 and 1.00001 here and raised
+        cases = [
+            ([1000000.9367104138, 999999.1283525809],
+             [0.8283670693389734, 0.1716329306610267], 2.5838379133685394),
+            ([1000000.0920912208, 1000000.6406282306, 1000000.9116128096],
+             [0.027866421853148242, 0.08759876125365981, 0.884534816893192],
+             1.5374776175079312),
+        ]
+        for row, w, r in cases:
+            p = Distribution(w)
+            res = predict_kl_dual(make_problem([row]), 0, p, r)
+            near_0 = predict_kl_dual(make_problem([np.subtract(row, 1e6)]), 0, p, r)
+            assert res.value == pytest.approx(near_0.value + 1e6, abs=1e-8)
+            assert np.allclose(res.worst_case.weights, near_0.worst_case.weights, atol=1e-9)
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(3)
@@ -276,7 +295,7 @@ class TestKlDual:
 # ---------------------------------------------------------------------------
 # the batched KL dual kernel
 
-KL_TOL = 1e-10
+KL_TOL = 1e-10  # the kernel's fixed bracket floor; a looser kernel fails here
 
 
 def _kl_reference(row, w, r):
@@ -340,7 +359,7 @@ class TestKlKernel:
         for d in range(2, 9):
             L, W = _random_rows(rng, 30, d)
             r = float(rng.uniform(1e-3, 3.0))
-            vals, _ = predictors._kl_dual_solve(L, W, r, KL_TOL)
+            vals, _ = predictors._kl_dual_solve(L, W, r)
             for i in range(L.shape[0]):
                 assert abs(vals[i] - _kl_reference(L[i], W[i], r)) <= KL_TOL
 
@@ -349,14 +368,14 @@ class TestKlKernel:
             prob = make_problem([row])
             want = _kl_reference(row, w, r)
             spec = PredictorSpec("kl", r)
-            got = predictor_value_rows(prob, 0, spec, np.array([w]), kl_tol=KL_TOL)
+            got = predictor_value_rows(prob, 0, spec, np.array([w]))
             assert abs(got[0] - want) <= KL_TOL, (row, w, r)
-            scalar = predict_kl_dual(prob, 0, Distribution(w), r, tol=KL_TOL)
+            scalar = predict_kl_dual(prob, 0, Distribution(w), r)
             assert scalar.value == got[0]
 
     def test_left_edge_minimum_stays_at_the_edge(self):
         row, w = np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])
-        vals, alphas = predictors._kl_dual_solve(row, w, 0.1, KL_TOL)
+        vals, alphas = predictors._kl_dual_solve(row, w, 0.1)
         assert alphas[0] == 1.0 + 1e-12
         assert vals[0] == pytest.approx(1.0 - math.exp(-0.1), abs=KL_TOL)
 
@@ -367,13 +386,13 @@ class TestKlKernel:
         L3, W3 = (np.array(col) for col in zip(*edges))
         batches = [_random_rows(rng, 40, 5), _random_rows(rng, 40, 9), (L3, W3)]
         for L, W in batches:
-            vals, alphas = predictors._kl_dual_solve(L, W, 0.07, KL_TOL)
+            vals, alphas = predictors._kl_dual_solve(L, W, 0.07)
             for i in range(L.shape[0]):
-                v, a = predictors._kl_dual_solve(L[i:i + 1], W[i:i + 1], 0.07, KL_TOL)
+                v, a = predictors._kl_dual_solve(L[i:i + 1], W[i:i + 1], 0.07)
                 assert v[0] == vals[i] and a[0] == alphas[i]
             with monkeypatch.context() as m:
                 m.setattr(predictors, "_KL_BLOCK", 3)
-                v, a = predictors._kl_dual_solve(L, W, 0.07, KL_TOL)
+                v, a = predictors._kl_dual_solve(L, W, 0.07)
             assert np.array_equal(v, vals) and np.array_equal(a, alphas)
 
     def test_matrix_columns_equal_rows(self):
@@ -393,10 +412,10 @@ class TestKlKernel:
         # row 0 sits at the left edge and never bisects; row 1 fails
         L = np.array([[0.0, 1.0], [100.0, 101.0]])
         W = np.array([[1.0, 0.0], [0.4, 0.6]])
-        _, alphas = predictors._kl_dual_solve(L, W, 0.1, KL_TOL)
+        _, alphas = predictors._kl_dual_solve(L, W, 0.1)
         monkeypatch.setattr(predictors, "_KL_MAX_BISECTIONS", 3)
         with pytest.raises(ConvergenceError) as info:
-            predictors._kl_dual_solve(L, W, 0.1, KL_TOL)
+            predictors._kl_dual_solve(L, W, 0.1)
         lo, hi = info.value.bracket
         assert 101.0 < lo <= alphas[1] <= hi <= 102.0
         # the cap allows 3 halvings of the width-1 bracket; the 4th raises
@@ -408,7 +427,7 @@ class TestKlKernel:
         W = np.array([[1.0, 0.0], [0.5, 0.5]])
         monkeypatch.setattr(predictors, "_KL_MAX_DOUBLINGS", 0)
         with pytest.raises(ConvergenceError) as info:
-            predictors._kl_dual_solve(L, W, 1e-6, KL_TOL)
+            predictors._kl_dual_solve(L, W, 1e-6)
         assert info.value.bracket == (2.0 + 2e-12, 6.0)
 
 

@@ -22,7 +22,7 @@ from ddlab import (
     prescription_gap_bound,
     variance,
 )
-from ddlab.prescriptors import VALUE_TIE_TOL, select_decisions
+from ddlab.prescriptors import select_decisions
 
 
 def make_problem(loss, true_dist=None):
@@ -41,34 +41,42 @@ def abs_grid_problem():
     return LossMatrix(np.abs(xs[:, None] - xi[None, :]))
 
 
+def unit_problem(n):
+    # n decisions whose largest |loss| is 1, so the tie window is 1e-12
+    return make_problem([[0.0, 1.0]] * n)
+
+
 class TestSelectDecisions:
     def test_plain_argmin(self):
         values = np.array([[3.0, 1.0, 2.0], [0.0, 5.0, -1.0]])
         variances = np.zeros_like(values)
-        assert select_decisions(values, variances).tolist() == [1, 2]
+        assert select_decisions(unit_problem(3), values, variances).tolist() == [1, 2]
 
     def test_value_tie_goes_to_smaller_variance(self):
         values = np.array([[1.0, 1.0 + 5e-13, 2.0]])
         variances = np.array([[3.0, 1.0, 0.0]])
-        assert select_decisions(values, variances).tolist() == [1]
+        assert select_decisions(unit_problem(3), values, variances).tolist() == [1]
 
     def test_full_tie_goes_to_lowest_index(self):
         values = np.ones((2, 3))
         variances = np.full((2, 3), 2.0)
-        assert select_decisions(values, variances).tolist() == [0, 0]
+        assert select_decisions(unit_problem(3), values, variances).tolist() == [0, 0]
 
     def test_tie_window_is_tight(self):
-        # a value 2e-12 above the minimum is not a candidate
+        # a value 2e-12 above the minimum is no candidate at largest |loss|
+        # 1, and ties it at largest |loss| 4 (window 4e-12)
         values = np.array([[1.0, 1.0 + 2e-12]])
         variances = np.array([[5.0, 0.0]])
-        assert VALUE_TIE_TOL == 1e-12
-        assert select_decisions(values, variances).tolist() == [0]
+        assert unit_problem(2).loss.tie_window == 1e-12
+        assert select_decisions(unit_problem(2), values, variances).tolist() == [0]
+        wide = make_problem([[0.0, 4.0], [1.0, 1.0]])
+        assert select_decisions(wide, values, variances).tolist() == [1]
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
-            select_decisions(np.ones(3), np.ones(3))
+            select_decisions(unit_problem(3), np.ones(3), np.ones(3))
         with pytest.raises(ValidationError):
-            select_decisions(np.ones((2, 3)), np.ones((2, 2)))
+            select_decisions(unit_problem(3), np.ones((2, 3)), np.ones((2, 2)))
 
 
 class TestPrescribe:
@@ -214,6 +222,63 @@ class TestGapBound:
         # svp values: 0.5 + sqrt(0.04*0.09) = 0.56 vs 0.6 -> picks decision 0
         assert lo == pytest.approx(hi, abs=1e-15)
 
+    def test_upper_bound_takes_the_least_variance_cost_minimizer(self):
+        # both decisions cost 0.5; the constant one makes the sandwich tight
+        prob = make_problem([[0.0, 1.0], [0.5, 0.5]])
+        p = Distribution((0.5, 0.5))
+        assert prescription_gap_bound(prob, p, 100, ExponentialRate(0.02)) == (0.0, 0.0)
+
+
+# L -> a L + b: unit, mega, micro, shifted
+TRANSFORMS = ((1.0, 0.0), (1e6, 0.0), (1e-6, 0.0), (1.0, 1e3))
+
+
+def equal_cost_instances(n):
+    """(losses, emp) with two decisions of equal cost under emp: a random
+    row and the constant row at its cost, which the tie rule prefers."""
+    rng = np.random.default_rng(0)
+    for _ in range(n):
+        d = int(rng.integers(2, 6))
+        emp = EmpiricalDistribution(rng.integers(1, 20, d))
+        row = rng.uniform(0.0, 1.0, d)
+        yield np.array([np.full(d, float(row @ emp.distribution.weights)), row]), emp
+
+
+def permuted(emp, perm):
+    return EmpiricalDistribution(np.asarray(emp.counts)[perm])
+
+
+class TestTieRuleIsUnitFree:
+    def test_equal_costs_tie_in_any_units_and_scenario_order(self):
+        perm_rng = np.random.default_rng(1)
+        for L, emp in equal_cost_instances(400):
+            perm = perm_rng.permutation(L.shape[1])
+            variants = [(a * L + b, emp) for a, b in TRANSFORMS]
+            variants.append((L[:, perm], permuted(emp, perm)))
+            for losses, e in variants:
+                assert prescribe(make_problem(losses), PredictorSpec("saa"), e).decision == 0
+
+    def test_every_kind_prescribes_the_same_in_any_units_and_scenario_order(self):
+        rng = np.random.default_rng(57)
+        sched = ExponentialRate(0.05)
+        ties = list(equal_cost_instances(20))
+        for i in range(40):
+            if i < len(ties):
+                L, emp = ties[i]
+            else:
+                d = int(rng.integers(2, 5))
+                L = rng.uniform(0.0, 1.0, (int(rng.integers(2, 6)), d))
+                emp = EmpiricalDistribution(rng.integers(1, 20, d))
+            perm = rng.permutation(L.shape[1])
+            for kind in ("saa", "robust", "kl", "svp"):
+                spec = PredictorSpec(kind)
+                want = prescribe(make_problem(L), spec, emp, sched).decision
+                for a, b in TRANSFORMS[1:]:
+                    got = prescribe(make_problem(a * L + b), spec, emp, sched)
+                    assert got.decision == want, (i, kind, a, b)
+                got = prescribe(make_problem(L[:, perm]), spec, permuted(emp, perm), sched)
+                assert got.decision == want, (i, kind, "permuted")
+
 
 class TestConvexityCertificate:
     def test_grid_too_small(self):
@@ -292,7 +357,7 @@ class TestBatchConsistency:
             )
             from ddlab import variance_matrix
 
-            pick = int(select_decisions(vals, variance_matrix(prob, W))[0])
+            pick = int(select_decisions(prob, vals, variance_matrix(prob, W))[0])
             assert pick == res.decision
 
     def test_prescribed_variance_reaches_minimum_for_small_ratio(self):
