@@ -16,6 +16,7 @@ from ddlab import (
     convexity_certificate,
     load_scenario,
     predictor_value_matrix,
+    prescribe,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,8 +45,8 @@ def main():
     print("ratio 0.5, worst violated triple x = %g, %g, %g:" % (xs[i], xs[m], xs[j]))
     print("value at midpoint %.4f sits %.4f ABOVE the chord %.4f"
           % (values[m], values[m] - chord, chord))
-    print("minimum of the bent profile is still near x=%.2f"
-          % xs[int(np.argmin(values))])
+    best = prescribe(problem, PredictorSpec("svp"), emp, CustomTable(((5, 2.5),)))
+    print("minimum of the bent profile is still near x=%.2f" % xs[best.decision])
 
 
 if __name__ == "__main__":

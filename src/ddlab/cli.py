@@ -91,19 +91,9 @@ def _load_config(path: str) -> dict:
 
 def _merged_config(args: argparse.Namespace) -> dict:
     cfg = _load_config(args.config) if args.config else {"schema_version": 1}
-    # flags override file fields
-    if args.scenario is not None:
-        cfg["scenario"] = args.scenario
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.format is not None:
-        cfg["format"] = args.format
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.method is not None:
-        cfg["method"] = args.method
-    if args.cap is not None:
-        cfg["cap"] = args.cap
+    for key in ("scenario", "out", "format", "seed", "method", "cap"):
+        if getattr(args, key) is not None:  # flags override file fields
+            cfg[key] = getattr(args, key)
     return cfg
 
 

@@ -8,7 +8,7 @@ the primitives every predictor and prescriptor builds on.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,8 @@ SCHEMA_VERSION = 1
 class LossMatrix:
     """Losses l(x, i): rows are decisions, columns are scenarios."""
 
-    __slots__ = ("values", "decision_labels", "scenario_labels", "k_half", "tie_window")
+    __slots__ = ("values", "decision_labels", "scenario_labels", "k_half",
+                 "tie_window", "var_window")
 
     def __init__(
         self,
@@ -59,6 +60,8 @@ class LossMatrix:
         # costs and predictor values closer than this are equal: relative to
         # the loss scale, so ties do not depend on the units of the losses
         object.__setattr__(self, "tie_window", 1e-12 * self.k_half)
+        # variances closer than this are equal; a shift does not move a span
+        object.__setattr__(self, "var_window", 1e-12 * float(v.max() - v.min()) ** 2)
 
     def __setattr__(self, name, value):
         raise AttributeError("LossMatrix is immutable")
@@ -108,32 +111,45 @@ def _check_decision(problem: Problem, x: int) -> int:
 def cost(problem: Problem, x: int, p: Distribution) -> float:
     """Expected loss of decision x under p; linear in p."""
     x = _check_decision(problem, x)
-    if p.dim != problem.n_scenarios:
-        raise ValidationError("dimension mismatch")
-    return float(problem.loss.values[x] @ p.weights)
+    return float(_moments(problem.loss.values[x:x + 1], p.weights[None, :])[0][0, 0])
+
+
+def _moments(L: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(mean, var), each (N, n), of the loss rows L (n, d) under the weight
+    rows W (N, d): two-pass sums about the mean of D = L - L[:, :1] (Chan,
+    Golub & LeVeque 1983), so a constant row has variance exactly 0 and a
+    shift of the losses moves the mean up to rounding.  Sums run left to
+    right over a weight row's own entries: no entry depends on its batch."""
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != L.shape[1]:
+        raise ValidationError("W must be (N, %d)" % L.shape[1])
+    D = L - L[:, :1]
+    WT = np.ascontiguousarray(W.T)  # (d, N): one scenario's weights per row
+    M = np.multiply.outer(D[:, 0], WT[0])
+    V, t = np.zeros_like(M), np.empty_like(M)
+    for i in range(1, L.shape[1]):  # in place: fresh temporaries cost 3x here
+        M += np.multiply(D[:, i, None], WT[i], out=t)
+    for i in range(L.shape[1]):
+        np.subtract(D[:, i, None], M, out=t)
+        t *= t
+        V += np.multiply(t, WT[i], out=t)
+    M += L[:, :1]
+    return M.T, V.T
 
 
 def variance(problem: Problem, x: int, p: Distribution) -> float:
-    """Variance of the loss of decision x under p, clamped at 0.
-
-    The raw E[l^2] - (E[l])^2 can land a hair below zero in floats and
-    downstream code takes square roots of it.
-    """
+    """Variance of the loss of decision x under p."""
     x = _check_decision(problem, x)
-    row = problem.loss.values[x]
-    m = float(row @ p.weights)
-    return max(float((row * row) @ p.weights) - m * m, 0.0)
+    return float(_moments(problem.loss.values[x:x + 1], p.weights[None, :])[1][0, 0])
 
 
 def covariance(problem: Problem, x1: int, x2: int, p: Distribution) -> float:
-    """Covariance of the losses of two decisions under p."""
-    x1 = _check_decision(problem, x1)
-    x2 = _check_decision(problem, x2)
-    r1 = problem.loss.values[x1]
-    r2 = problem.loss.values[x2]
-    return float((r1 * r2) @ p.weights) - float(r1 @ p.weights) * float(
-        r2 @ p.weights
-    )
+    """Covariance of the losses of two decisions under p, by polarization:
+    (Var(l1 + l2) - Var(l1) - Var(l2)) / 2 with the centered variances."""
+    r1 = problem.loss.values[_check_decision(problem, x1)]
+    r2 = problem.loss.values[_check_decision(problem, x2)]
+    var = _moments(np.array([r1, r2, r1 + r2]), p.weights[None, :])[1][0]
+    return float(var[2] - var[0] - var[1]) / 2.0
 
 
 def select_decisions(
@@ -143,19 +159,18 @@ def select_decisions(
 
     values, variances: (N, n_decisions).  Within each row, decisions whose
     value is within problem.loss.tie_window of the row minimum are
-    candidates; among candidates the smallest variance wins; remaining ties
-    go to the lowest index.  Returns (N,) int indices.
+    candidates; candidates whose variance is within var_window of the least
+    one tie, and ties go to the lowest index.  Returns (N,) int indices.
     """
     values = np.asarray(values, dtype=float)
     variances = np.asarray(variances, dtype=float)
     if values.shape != variances.shape or values.ndim != 2:
         raise ValidationError("values and variances must share shape (N, n)")
     vmin = values.min(axis=1, keepdims=True)
-    cand = values <= vmin + problem.loss.tie_window
-    masked_var = np.where(cand, variances, np.inf)
+    masked_var = np.where(values <= vmin + problem.loss.tie_window, variances, np.inf)
     wmin = masked_var.min(axis=1, keepdims=True)
     # argmax returns the first index where the winning mask is True
-    pick = np.argmax(cand & (masked_var == wmin), axis=1)
+    pick = np.argmax(masked_var <= wmin + problem.loss.var_window, axis=1)
     return pick.astype(np.int64)
 
 
@@ -163,9 +178,8 @@ def min_variance_minimizer(problem: Problem, p: Distribution) -> int:
     """The cost minimizer under p by the select_decisions rule: among
     decisions whose cost ties the minimum, the one with the smallest
     variance, then the lowest index."""
-    costs = problem.loss.values @ p.weights
-    variances = [variance(problem, x, p) for x in range(problem.n_decisions)]
-    return int(select_decisions(problem, costs[None, :], [variances])[0])
+    costs, variances = _moments(problem.loss.values, p.weights[None, :])
+    return int(select_decisions(problem, costs, variances)[0])
 
 
 def _problem_from_dict(doc: dict, where: str) -> Problem:

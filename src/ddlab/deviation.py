@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .decisions import Problem, cost, variance, _check_decision
+from .decisions import Problem, variance, _check_decision, _moments
 from .errors import LatticeCapError, ValidationError
 from .predictors import (
     PredictorSpec,
@@ -115,17 +115,16 @@ def _disappointment_indicator(
     # a true cost that ties the prediction (within the tie window, as at
     # lattice symmetry points) is no disappointment
     tie = problem.loss.tie_window
+    true_costs = _moments(problem.loss.values, p.weights[None, :])[0][0]
     if mode.kind == "prediction":
         x = _check_decision(problem, mode.decision)
         vals = predictor_value_rows(problem, x, spec, Q, ratio=ratio)
-        c_true = cost(problem, x, p)
-        return c_true > vals + tie
+        return true_costs[x] > vals + tie
     V = predictor_value_matrix(problem, spec, Q, ratio=ratio)
     VarM = variance_matrix(problem, Q)
     pick = select_decisions(problem, V, VarM)
     rows = np.arange(Q.shape[0])
     v_hat = V[rows, pick]
-    true_costs = problem.loss.values @ p.weights
     return true_costs[pick] > v_hat + tie
 
 
@@ -304,11 +303,9 @@ def disappointment_importance(
     weights = np.exp(log_w)  # 0 when counts land outside support(p)
 
     y = weights * ind
-    total = float(mult @ y)
-    est = total / n_samples
-    mean_sq = float(mult @ (y * y)) / n_samples
-    if n_samples > 1:
-        var = max(mean_sq - est * est, 0.0) * n_samples / (n_samples - 1)
+    est = float(mult @ y) / n_samples
+    if n_samples > 1:  # two passes about the mean, as decisions._moments
+        var = float(mult @ (y - est) ** 2) / (n_samples - 1)
         se = math.sqrt(var / n_samples)
     else:
         se = 0.0
@@ -345,11 +342,9 @@ def importance_shift(
         W = p.weights[None, :]
         V = predictor_value_matrix(problem, PredictorSpec("svp"), W, ratio=ratio)
         x = int(select_decisions(problem, V, variance_matrix(problem, W))[0])
-    w = p.weights
+    q = w = p.weights  # a zero-variance decision has no direction to tilt along
     if variance(problem, x, p) > 0.0:
         q = w - math.sqrt(2.0 * ratio) * svp_direction(problem, x, p)
-    else:
-        q = w.copy()
     q = np.maximum(q, 1e-9)
     q = q / q.sum()
     # defensive mixture: keep every p-typical region reachable so weights

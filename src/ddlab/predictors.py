@@ -7,9 +7,9 @@ Four predictors of the out-of-sample cost of a fixed decision:
 * KL ball: the worst expected loss over all distributions within relative
   entropy r of the empirical one, computed through its 1-D convex dual by
   one batched kernel that every caller shares (a single prediction is a
-  one-row batch).  Per row it bisects a doubled bracket down to width
-  max(1e-10, 1e-12*(1 + |hi|)) and polishes with guarded Newton steps; a
-  row's result does not depend on the batch it is solved in;
+  one-row batch).  Per row, in units of its span, it bisects a doubled
+  bracket down to width max(1e-10, 1e-12*(1 + |hi|)) and polishes with
+  guarded Newton steps; a row's result does not depend on its batch;
 * variance-penalized (SVP): empirical cost plus sqrt(2 a_T/T * variance),
   which under an interiority condition equals the worst expected loss over
   a local ellipsoid around the empirical distribution.
@@ -26,7 +26,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .decisions import Problem, cost, variance, _check_decision
+from .decisions import Problem, cost, _check_decision, _moments
 from .errors import (
     ConvergenceError,
     EllipsoidConditionError,
@@ -178,7 +178,9 @@ class PredictionResult:
 
 def predict_saa(problem: Problem, x: int, emp: EmpiricalDistribution) -> PredictionResult:
     """Plug-in predictor: expected loss under the empirical distribution."""
-    return PredictionResult(value=cost(problem, x, emp.distribution))
+    W = emp.distribution.weights[None, :]
+    value = predictor_value_rows(problem, x, PredictorSpec("saa"), W)[0]
+    return PredictionResult(value=float(value))
 
 
 def predict_robust(problem: Problem, x: int) -> PredictionResult:
@@ -195,7 +197,7 @@ def predict_robust(problem: Problem, x: int) -> PredictionResult:
 # KL-ball predictor: one batched dual kernel that every KL caller goes through
 
 _KL_BLOCK = 1 << 16  # rows per pass, which bounds the kernel's working memory
-_KL_TOL = 1e-10  # absolute floor of the final dual bracket width
+_KL_TOL = 1e-10  # floor of the final dual bracket width, in units of the span
 _KL_MAX_DOUBLINGS = 200
 _KL_MAX_BISECTIONS = 300
 _KL_NEWTON_STEPS = 5
@@ -214,14 +216,20 @@ def _kl_dual_solve(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize f(a) = a - exp(-r + sum_i w_i log(a - l_i)) over a >= max(l)
     for every row pair (l, w) of the (M, d) arrays L and W; returns
-    (values, alphas).  Rows must not be constant and r must be positive.
+    (values, alphas), each alpha measured from its row's first loss.  Rows
+    must not be constant and r must be positive.
 
     Per row: the minimum sits at the left edge max(l) + 1e-12*span when
     f' >= 0 there; otherwise the bracket [edge, max(l) + span] is doubled
     until f' changes sign (at most 200 times), bisected to width
     max(_KL_TOL, 1e-12*(1 + |hi|)) (at most 300 steps), and polished by up to 5
-    Newton steps kept inside it.  Values are clamped to [plug-in, max(l)].
-    A row that exceeds a cap raises ConvergenceError with its bracket.
+    Newton steps kept inside it.  Values are clamped to [plug-in, max(l)];
+    the plug-in sums w_i (l_i - l_1) left to right, as decisions._moments
+    does, and the power-of-two scaling below is exact, so a clamped value
+    equals the saa value bit for bit.
+    All of this runs on the row centered on its first loss and divided by
+    the power of two nearest its span, so it moves with l -> a l + b.  A row
+    that exceeds a cap raises ConvergenceError with its bracket in loss units.
     """
     values, alphas = np.empty(W.shape[0]), np.empty(W.shape[0])
     for s in range(0, W.shape[0], _KL_BLOCK):
@@ -232,6 +240,10 @@ def _kl_dual_solve(
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _kl_dual_block(L, W, r):
+    # in the units _kl_dual_solve describes; results go back to loss units
+    ref = L[:, 0]
+    sc = np.exp2(np.round(np.log2(L.max(axis=1) - L.min(axis=1))))
+    L = (L - ref[:, None]) / sc[:, None]
     gamma = L.max(axis=1)
     span = gamma - L.min(axis=1)
     plug_in = _row_sum(L * W)
@@ -255,6 +267,11 @@ def _kl_dual_block(L, W, r):
         return 1.0 - e * D
 
     lo, hi = gamma + 1e-12 * span, gamma + span
+
+    def fail(message, i):  # row i's error, its bracket back in loss units
+        lo_i, hi_i = (float(a[i] * sc[i] + ref[i]) for a in (lo, hi))
+        return ConvergenceError(message, bracket=(lo_i, hi_i))
+
     # the minimum is pinned at the left edge when the max-loss scenario
     # carries no empirical weight, or when r is huge
     rows = np.flatnonzero(~(g(lo, slice(None)) >= 0.0))
@@ -265,11 +282,7 @@ def _kl_dual_block(L, W, r):
             break
         hi[live] = gamma[live] + 2.0 * (hi[live] - gamma[live])
     else:
-        i = live[0]
-        raise ConvergenceError(
-            "no sign change while expanding the dual bracket",
-            bracket=(float(lo[i]), float(hi[i])),
-        )
+        raise fail("no sign change while expanding the dual bracket", live[0])
     goal = np.maximum(_KL_TOL, 1e-12 * (1.0 + np.abs(hi)))
     live = rows
     for _ in range(_KL_MAX_BISECTIONS + 1):
@@ -282,10 +295,8 @@ def _kl_dual_block(L, W, r):
         hi[live[~neg]] = mid[~neg]
     else:
         i = live[0]
-        raise ConvergenceError(
-            "dual bisection failed to reach width %r" % float(goal[i]),
-            bracket=(float(lo[i]), float(hi[i])),
-        )
+        width = float(goal[i] * sc[i])
+        raise fail("dual bisection failed to reach width %r" % width, i)
     alpha = lo.copy()
     alpha[rows] = 0.5 * (lo[rows] + hi[rows])
     for _ in range(_KL_NEWTON_STEPS):  # g is increasing and smooth here
@@ -298,7 +309,8 @@ def _kl_dual_block(L, W, r):
     e, _ = sums(alpha, slice(None))
     # alpha grows like sqrt(Var/r) for tiny r and the subtraction then loses
     # ulps; the true supremum always lies between the plug-in cost and gamma
-    return np.minimum(np.maximum(alpha - e, plug_in), gamma), alpha
+    value = np.minimum(np.maximum(alpha - e, plug_in), gamma)
+    return value * sc + ref, alpha * sc
 
 
 def predict_kl_dual(
@@ -308,34 +320,26 @@ def predict_kl_dual(
 
     The ball is {q : KL(p, q) <= r} with p (typically the empirical
     distribution) as the first argument.  Solved through the equivalent 1-D
-    strictly convex dual, as a one-row call of the batched kernel.  Its
-    fixed bracket width bounds alpha, not the error of the value: that error
-    scales with the loss magnitude, since `alpha - l_i` cancels (up to about
-    1e-8 for losses near 1e6).
+    strictly convex dual, as a one-row call of the batched kernel.
     """
     x = _check_decision(problem, x)
     if r < 0:
         raise ValidationError("r must be >= 0")
     if p.dim != problem.n_scenarios:
         raise ValidationError("dimension mismatch")
-    row = problem.loss.values[x]
-    if r == 0.0:
-        return PredictionResult(value=cost(problem, x, p), worst_case=p)
-    if row.max() == row.min():
-        # constant losses: every distribution gives the same cost
-        return PredictionResult(
-            value=float(row[0]), worst_case=p, dual_alpha=float(row[0])
-        )
-    W = p.weights[None, :]
+    row, W = problem.loss.values[x], p.weights[None, :]
+    if r == 0.0 or row.max() == row.min():  # the ball is {p}, or the cost is flat
+        value = predictor_value_rows(problem, x, PredictorSpec("saa"), W)[0]
+        alpha = None if r == 0.0 else float(row[0])
+        return PredictionResult(value=float(value), worst_case=p, dual_alpha=alpha)
     values, alphas = _kl_dual_solve(row[None, :], W, float(r))
-    alpha = float(alphas[0])
+    alpha = float(alphas[0])  # measured from row[0], so the gaps below are exact
     # attaining distribution: q_i proportional to w_i/(alpha - l_i) on the
     # support; at an edge minimum the leftover mass sits on the worst scenario.
     # The dual optimum has gm <= 1/sum_i w_i/(alpha - l_i), with equality at
-    # an interior minimum; the cap keeps q's sum at most 1 where the gaps
-    # cancel (losses near 1e6)
+    # an interior minimum; the cap keeps q's sum at most 1 under rounding
     sup = p.weights > 0.0
-    ls, ws = row[sup], p.weights[sup]
+    ls, ws = row[sup] - row[0], p.weights[sup]
     gap = alpha - ls
     gm = min(
         math.exp(-r + float(np.sum(ws * np.log(gap)))),
@@ -347,7 +351,7 @@ def predict_kl_dual(
     if residual > 0.0:
         q[int(np.argmax(row))] += residual
     return PredictionResult(
-        value=float(values[0]), worst_case=Distribution(q), dual_alpha=alpha
+        value=float(values[0]), worst_case=Distribution(q), dual_alpha=alpha + float(row[0])
     )
 
 
@@ -469,13 +473,11 @@ def svp_direction(problem: Problem, x: int, p: Distribution) -> np.ndarray:
     Returned as a raw zero-sum vector (a signed measure).  Satisfies
     2*||phi||_p^2 = 1 and sum_i l_i phi_i = sqrt(Var).  Requires Var > 0.
     """
-    x = _check_decision(problem, x)
-    row = problem.loss.values[x]
-    c = cost(problem, x, p)
-    var = variance(problem, x, p)
+    row = problem.loss.values[_check_decision(problem, x)]
+    mean, var = (float(m[0, 0]) for m in _moments(row[None, :], p.weights[None, :]))
     if var <= 0.0:
         raise ValidationError("zero variance: direction undefined")
-    return (row * p.weights - c * p.weights) / math.sqrt(var)
+    return (row - mean) * p.weights / math.sqrt(var)
 
 
 def svp_worst_case(
@@ -484,18 +486,17 @@ def svp_worst_case(
     """The distribution on the ellipsoid boundary ||q - p||_p^2 = ratio
     whose cost equals the SVP prediction.
 
-    For a zero-variance row every feasible point has the same cost; the
+    For a constant row every feasible point has the same cost; the
     convention then walks toward the first vertex: q = p + sqrt(ratio) * v
     with v = sqrt(2 p_1/(1-p_1)) * (e_1 - p), which has ||v||_p^2 = 1.
     """
-    x = _check_decision(problem, x)
+    row = problem.loss.values[_check_decision(problem, x)]
     if not p.is_interior:
         raise ValidationError("worst case needs an interior distribution")
     if ratio < 0:
         raise ValidationError("ratio must be >= 0")
     w = p.weights
-    var = variance(problem, x, p)
-    if var > 0.0:
+    if row.max() > row.min():  # Var > 0, as p is interior
         q = w + math.sqrt(2.0 * ratio) * svp_direction(problem, x, p)
     else:
         v = math.sqrt(2.0 * w[0] / (1.0 - w[0])) * (np.eye(w.size)[0] - w)
@@ -521,21 +522,18 @@ def predict_svp(
     distribution.  worst_case is filled in when the variance is positive
     and the attaining point exists inside the simplex.
     """
-    x = _check_decision(problem, x)
-    T = emp.sample_size
-    ratio = speed_ratio(schedule, T)
+    ratio = speed_ratio(schedule, emp.sample_size)
     p = emp.distribution
-    c = cost(problem, x, p)
-    var = variance(problem, x, p)
-    value = c + math.sqrt(2.0 * ratio * var)
+    W = p.weights[None, :]
+    value = predictor_value_rows(problem, x, PredictorSpec("svp"), W, ratio)[0]
     worst: Optional[Distribution] = None
-    if var > 0.0 and p.is_interior:
+    if p.is_interior and np.ptp(problem.loss.values[x]) > 0.0:  # then Var > 0
         try:
             worst = svp_worst_case(problem, x, p, ratio)
         except ValidationError:
             worst = None
     return PredictionResult(
-        value=value,
+        value=float(value),
         worst_case=worst,
         condition_ok=dro_condition_holds(p, ratio),
     )
@@ -553,10 +551,10 @@ def _predictor_values(
     spec: PredictorSpec, L: np.ndarray, W: np.ndarray, ratio: Optional[float]
 ) -> np.ndarray:
     """(N, n) predictor values of the loss rows L (n, d) over the weight
-    rows W (N, d).  Products run one loss row at a time (W @ row), so a
-    column does not depend on the rows beside it.  For a kl spec with a
-    positive radius, every (weight row, nonconstant loss row) pair goes
-    through one call of the batched dual kernel."""
+    rows W (N, d).  saa, svp and kl at radius 0 read the centered moments
+    of decisions._moments; for a kl spec with a positive radius, every
+    (weight row, nonconstant loss row) pair goes through one call of the
+    batched dual kernel.  An entry does not depend on the rows beside it."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != L.shape[1]:
         raise ValidationError("W must be (N, %d)" % L.shape[1])
@@ -565,24 +563,20 @@ def _predictor_values(
         raise ValidationError("svp needs ratio = a_T/T")
     if kind == "kl" and r is None:
         raise ValidationError("kl spec must carry a resolved radius")
-    out = np.empty((W.shape[0], L.shape[0]))
+    if kind == "robust":
+        return np.tile(L.max(axis=1), (W.shape[0], 1))
     if kind == "kl" and r > 0.0:
-        out[:] = L[:, 0]  # a constant row costs its value under every distribution
+        # a constant row costs its value under every distribution
+        out = np.tile(L[:, 0], (W.shape[0], 1))
         live = np.flatnonzero(L.max(axis=1) > L.min(axis=1))
         pairs = np.tile(L[live], (W.shape[0], 1))
         vals = _kl_dual_solve(pairs, np.repeat(W, live.size, axis=0), float(r))[0]
         out[:, live] = vals.reshape(W.shape[0], live.size)
         return out
-    for j, row in enumerate(L):
-        if kind == "robust":
-            out[:, j] = row.max()
-        elif kind == "svp":
-            m = W @ row
-            var = np.maximum(W @ (row * row) - m * m, 0.0)
-            out[:, j] = m + np.sqrt(2.0 * ratio * var)
-        else:  # saa, and kl at radius 0
-            out[:, j] = W @ row
-    return out
+    mean, var = _moments(L, W)
+    if kind == "svp":
+        return mean + np.sqrt(2.0 * ratio * var)
+    return mean  # saa, and kl at radius 0
 
 
 def predictor_value_rows(
@@ -614,12 +608,8 @@ def predictor_value_matrix(
 
 
 def variance_matrix(problem: Problem, W: np.ndarray) -> np.ndarray:
-    """(N, n_decisions) loss variances over weight rows W, clamped at 0."""
-    W = np.asarray(W, dtype=float)
-    L = problem.loss.values
-    M = W @ L.T
-    E2 = W @ (L * L).T
-    return np.maximum(E2 - M * M, 0.0)
+    """(N, n_decisions) loss variances over weight rows W."""
+    return _moments(problem.loss.values, W)[1]
 
 
 def ellipsoid_linear_max(

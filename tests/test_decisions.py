@@ -77,6 +77,17 @@ class TestCostAndVariance:
         p = Distribution([0.5, 0.5])
         assert abs(covariance(prob, 0, 1, p) + 0.25) <= 1e-15
 
+    def test_covariance_ignores_a_shift_of_the_losses(self):
+        # the raw E[l1 l2] - E[l1] E[l2] moved by up to 4e-4 at a 1e6 shift
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            L = rng.uniform(-1.0, 2.0, (2, 4))
+            p = Distribution(rng.dirichlet(np.ones(4)))
+            base = covariance(Problem(LossMatrix(L)), 0, 1, p)
+            for b in (1e6, -1e6):
+                shifted = covariance(Problem(LossMatrix(L + b)), 0, 1, p)
+                assert abs(shifted - base) <= 1e-9
+
     def test_decision_index_checked(self):
         with pytest.raises(IndexError):
             cost(self.problem, 5, self.p)

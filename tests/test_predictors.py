@@ -413,13 +413,47 @@ class TestKlKernel:
         L = np.array([[0.0, 1.0], [100.0, 101.0]])
         W = np.array([[1.0, 0.0], [0.4, 0.6]])
         _, alphas = predictors._kl_dual_solve(L, W, 0.1)
+        alpha = L[1, 0] + alphas[1]  # alphas are measured from a row's first loss
         monkeypatch.setattr(predictors, "_KL_MAX_BISECTIONS", 3)
         with pytest.raises(ConvergenceError) as info:
             predictors._kl_dual_solve(L, W, 0.1)
         lo, hi = info.value.bracket
-        assert 101.0 < lo <= alphas[1] <= hi <= 102.0
+        assert 101.0 < lo <= alpha <= hi <= 102.0
         # the cap allows 3 halvings of the width-1 bracket; the 4th raises
         assert hi - lo == pytest.approx(1.0 / 16.0, rel=1e-6)
+
+    def test_bisection_cap_reports_the_bracket_in_loss_units_at_1e6(self, monkeypatch):
+        # the rows above shifted by 1e6: the kernel solves them centered, and
+        # the failing row's bracket still comes back in loss units
+        L = np.array([[0.0, 1.0], [100.0, 101.0]]) + 1e6
+        W = np.array([[1.0, 0.0], [0.4, 0.6]])
+        _, alphas = predictors._kl_dual_solve(L, W, 0.1)
+        alpha = L[1, 0] + alphas[1]
+        monkeypatch.setattr(predictors, "_KL_MAX_BISECTIONS", 3)
+        with pytest.raises(ConvergenceError) as info:
+            predictors._kl_dual_solve(L, W, 0.1)
+        lo, hi = info.value.bracket
+        assert 1e6 + 101.0 < lo <= alpha <= hi <= 1e6 + 102.0
+        assert hi - lo == pytest.approx(1.0 / 16.0, rel=1e-6)
+        # the scalar is a one-row call: same units there
+        with pytest.raises(ConvergenceError) as info:
+            predict_kl_dual(make_problem(L[1:]), 0, Distribution(W[1]), 0.1)
+        lo, hi = info.value.bracket
+        assert 1e6 + 101.0 < lo <= alpha <= hi <= 1e6 + 102.0
+
+    def test_values_near_1e6_match_a_centered_reference(self):
+        # `alpha - l_i` cancelled near 1e6 before the kernel centered its
+        # rows: errors up to about 240 ulps of 1e6; now within 2
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            d = int(rng.integers(2, 6))
+            row = rng.uniform(1e6 - 1.0, 1e6 + 1.0, d)
+            p = Distribution(rng.dirichlet(np.ones(d)))
+            r = float(rng.uniform(1e-3, 3.0))
+            with np.errstate(over="ignore"):  # the reference's edge at 0
+                want = _kl_reference(row - row[0], p.weights, r) + row[0]
+            got = predict_kl_dual(make_problem([row]), 0, p, r).value
+            assert abs(got - want) <= 2 * np.spacing(1e6), (row, p.weights, r)
 
     def test_doubling_cap_reports_the_failing_rows_bracket(self, monkeypatch):
         # a tiny radius puts row 1's minimum far right of max(l) + span
@@ -808,12 +842,15 @@ class TestBatchEngine:
         counts = rng.integers(1, 25, (20, 4))
         self.counts = counts
         self.W = counts / counts.sum(axis=1, keepdims=True)
+        # the scalars' own weight rows: a scalar is a one-row view of the
+        # batch, so on these it must agree bit for bit
+        self.emps = [EmpiricalDistribution(c) for c in counts]
+        self.W_emp = np.array([e.distribution.weights for e in self.emps])
 
     def test_saa_rows_match_scalar(self):
-        vals = predictor_value_rows(self.prob, 1, PredictorSpec("saa"), self.W)
-        for i, c in enumerate(self.counts):
-            want = predict_saa(self.prob, 1, EmpiricalDistribution(c)).value
-            assert abs(vals[i] - want) <= 1e-12
+        vals = predictor_value_rows(self.prob, 1, PredictorSpec("saa"), self.W_emp)
+        for i, emp in enumerate(self.emps):
+            assert vals[i] == predict_saa(self.prob, 1, emp).value
 
     def test_robust_rows_match_scalar(self):
         vals = predictor_value_rows(self.prob, 2, PredictorSpec("robust"), self.W)
@@ -821,23 +858,21 @@ class TestBatchEngine:
         assert np.all(vals == want)
 
     def test_svp_rows_match_scalar(self):
-        ratio = 0.015
-        vals = predictor_value_rows(
-            self.prob, 0, PredictorSpec("svp"), self.W, ratio=ratio
-        )
-        for i, c in enumerate(self.counts):
-            T = int(c.sum())
-            emp = EmpiricalDistribution(c)
-            sched = CustomTable(((T, ratio * T),))
-            want = predict_svp(self.prob, 0, emp, sched).value
-            assert abs(vals[i] - want) <= 1e-12
+        for i, emp in enumerate(self.emps):
+            T = emp.sample_size
+            sched = CustomTable(((T, 0.015 * T),))
+            ratio = speed_ratio(sched, T)
+            vals = predictor_value_rows(
+                self.prob, 0, PredictorSpec("svp"), self.W_emp, ratio=ratio
+            )
+            assert vals[i] == predict_svp(self.prob, 0, emp, sched).value
 
     def test_kl_rows_match_scalar(self):
         spec = PredictorSpec("kl", radius=0.08)
-        vals = predictor_value_rows(self.prob, 1, spec, self.W)
-        for i, w in enumerate(self.W):
-            want = predict_kl_dual(self.prob, 1, Distribution(w), 0.08).value
-            assert abs(vals[i] - want) <= 1e-12
+        vals = predictor_value_rows(self.prob, 1, spec, self.W_emp)
+        for i, emp in enumerate(self.emps):
+            want = predict_kl_dual(self.prob, 1, emp.distribution, 0.08).value
+            assert vals[i] == want
 
     def test_kl_zero_radius_rows(self):
         spec = PredictorSpec("kl", radius=0.0)
@@ -852,14 +887,11 @@ class TestBatchEngine:
             assert np.array_equal(M[:, x], col)
 
     def test_variance_matrix_matches_scalar(self):
-        V = variance_matrix(self.prob, self.W)
+        V = variance_matrix(self.prob, self.W_emp)
         assert V.shape == (20, 3)
-        for i, w in enumerate(self.W):
-            p = Distribution(w)
+        for i, emp in enumerate(self.emps):
             for x in range(3):
-                assert V[i, x] == pytest.approx(
-                    variance(self.prob, x, p), abs=1e-12
-                )
+                assert V[i, x] == variance(self.prob, x, emp.distribution)
         assert np.all(V >= 0.0)
 
     def test_error_paths(self):
@@ -922,3 +954,67 @@ def test_svp_never_below_plug_in_property(raw, ratio):
     res = predict_svp(prob, 0, emp, CustomTable(((T, ratio * T),)))
     base = predict_saa(prob, 0, emp).value
     assert res.value >= base
+
+
+# the affine maps L -> a L + b of the equivariance tests
+SCALES = (1e-3, 1.0, 1e3)
+SHIFTS = (0.0, 1e6, -1e6)
+# kl at a moderate radius: at r <= 0.05 the documented `alpha - e`
+# cancellation and at r >= 3 the left-edge pin max(l) + 1e-12*span move
+# kl values by more than 4 ulps under a rescaling
+EQUIVARIANT_SPECS = (
+    (PredictorSpec("saa"), None),
+    (PredictorSpec("robust"), None),
+    (PredictorSpec("kl", 0.1), None),
+    (PredictorSpec("kl", 1.0), None),
+    (PredictorSpec("svp"), 0.05),
+)
+
+
+class TestAffineEquivariance:
+    def test_values_move_with_the_losses(self):
+        # a v + b within 4 ulps of a k_half + |b|; before the moments were
+        # centered svp was off by up to 5e7 such ulps at b = 1e6
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            d = int(rng.integers(2, 6))
+            L = rng.uniform(-1.0, 2.0, (3, d))
+            W = np.array([
+                EmpiricalDistribution(rng.integers(1, 20, d)).distribution.weights
+                for _ in range(4)
+            ])
+            k_half = make_problem(L).loss.k_half
+            for spec, ratio in EQUIVARIANT_SPECS:
+                v = predictor_value_matrix(make_problem(L), spec, W, ratio=ratio)
+                for a in SCALES:
+                    for b in SHIFTS:
+                        prob = make_problem(a * L + b)
+                        got = predictor_value_matrix(prob, spec, W, ratio=ratio)
+                        err = np.abs(got - (a * v + b)).max()
+                        assert err <= 4 * np.spacing(a * k_half + abs(b)), (spec, a, b)
+
+    def test_shift_probe(self):
+        # svp - b was 0.303363806446 at b = 0 and 0.303412591922 at b = 1e6
+        emp = EmpiricalDistribution((19, 14, 13, 11, 11))
+        sched = CustomTable(((68, 0.05 * 68),))
+        row = [1.0, 0.0, -1.0, 0.0, 0.0]
+        base = predict_svp(make_problem([row]), 0, emp, sched).value
+        for b in SHIFTS:
+            row = [b + 1.0, b, b - 1.0, b, b]
+            got = predict_svp(make_problem([row]), 0, emp, sched).value
+            assert abs(got - (base + b)) <= 4 * np.spacing(1.0 + abs(b))
+
+    def test_constant_rows_carry_no_penalty(self):
+        # before the moments were centered, 60 of these rows had a nonzero
+        # variance and an svp penalty of up to 0.006
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            c = float(rng.uniform(1e5, 1e6))
+            emp = EmpiricalDistribution(rng.integers(1, 15, 5))
+            T = emp.sample_size
+            prob = make_problem([[c] * 5])
+            W = emp.distribution.weights[None, :]
+            assert variance(prob, 0, emp.distribution) == 0.0
+            assert variance_matrix(prob, W)[0, 0] == 0.0
+            svp = predict_svp(prob, 0, emp, CustomTable(((T, 0.05 * T),))).value
+            assert svp == predict_saa(prob, 0, emp).value == c

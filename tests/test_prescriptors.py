@@ -1,4 +1,5 @@
 """Tests for prescriptors: argmin with tie-breaks, gap sandwich, convexity."""
+import itertools
 import math
 
 import numpy as np
@@ -71,6 +72,18 @@ class TestSelectDecisions:
         assert select_decisions(unit_problem(2), values, variances).tolist() == [0]
         wide = make_problem([[0.0, 4.0], [1.0, 1.0]])
         assert select_decisions(wide, values, variances).tolist() == [1]
+
+    def test_variance_tie_window_is_squared_loss_units(self):
+        # candidates whose variances differ by less than var_window = 1e-12 *
+        # span**2 tie and go to the lowest index; at span 2 that is 4e-12
+        values = np.ones((1, 2))
+        close, apart = [[0.25 + 5e-13, 0.25]], [[0.25 + 2e-12, 0.25]]
+        assert select_decisions(unit_problem(2), values, close).tolist() == [0]
+        assert select_decisions(unit_problem(2), values, apart).tolist() == [1]
+        wide = make_problem([[0.0, 2.0], [1.0, 1.0]])
+        assert select_decisions(wide, values, apart).tolist() == [0]
+        shifted = make_problem([[1e6, 1e6 + 1.0], [1e6 + 0.5, 1e6 + 0.5]])
+        assert select_decisions(shifted, values, apart).tolist() == [1]
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
@@ -229,8 +242,8 @@ class TestGapBound:
         assert prescription_gap_bound(prob, p, 100, ExponentialRate(0.02)) == (0.0, 0.0)
 
 
-# L -> a L + b: unit, mega, micro, shifted
-TRANSFORMS = ((1.0, 0.0), (1e6, 0.0), (1e-6, 0.0), (1.0, 1e3))
+# L -> a L + b: unit, mega, micro, shifted, far shifted
+TRANSFORMS = ((1.0, 0.0), (1e6, 0.0), (1e-6, 0.0), (1.0, 1e3), (1.0, 1e6))
 
 
 def equal_cost_instances(n):
@@ -258,6 +271,17 @@ class TestTieRuleIsUnitFree:
             for losses, e in variants:
                 assert prescribe(make_problem(losses), PredictorSpec("saa"), e).decision == 0
 
+    def test_least_variance_minimizer_wins_at_any_offset(self):
+        # both decisions cost b + 0.5, with variances 0.25 and 0; a variance
+        # window that grew with |b| (1e-12 * max|l|**2) let index 0 win at 1e6
+        p = Distribution((0.5, 0.5))
+        for b in (0.0, 1e6, -1e6):
+            prob = make_problem([[b, b + 1.0], [b + 0.5, b + 0.5]])
+            assert min_variance_minimizer(prob, p) == 1, b
+            assert prescribe(prob, PredictorSpec("saa"), HALF_EMP).decision == 1, b
+            sched = ExponentialRate(0.02)
+            assert prescription_gap_bound(prob, p, 100, sched) == (0.0, 0.0), b
+
     def test_every_kind_prescribes_the_same_in_any_units_and_scenario_order(self):
         rng = np.random.default_rng(57)
         sched = ExponentialRate(0.05)
@@ -278,6 +302,41 @@ class TestTieRuleIsUnitFree:
                     assert got.decision == want, (i, kind, a, b)
                 got = prescribe(make_problem(L[:, perm]), spec, permuted(emp, perm), sched)
                 assert got.decision == want, (i, kind, "permuted")
+
+
+class TestScenarioPermutations:
+    SPECS = (PredictorSpec("saa"), PredictorSpec("robust"), PredictorSpec("kl", 0.1),
+             PredictorSpec("svp"))
+
+    def test_grid_prescription_is_the_same_in_every_scenario_order(self):
+        # x = -0.12 and x = +0.12 tie in svp value, and in variance up to an
+        # ulp that follows the scenario order: an exact variance comparison
+        # picked +0.12 once the scenarios were reversed
+        loss = abs_grid_problem().values
+        emp = EmpiricalDistribution((1, 1, 1, 1, 1))
+        sched = CustomTable(((5, 2.5),))
+        for spec in self.SPECS:
+            want = prescribe(Problem(LossMatrix(loss)), spec, emp, sched).decision
+            if spec.kind == "svp":
+                assert want == 48  # x = -0.12, the lower index of the tie
+            for perm in itertools.permutations(range(5)):
+                prob = Problem(LossMatrix(loss[:, list(perm)]))
+                assert prescribe(prob, spec, emp, sched).decision == want, (spec, perm)
+
+    def test_every_kind_prescribes_the_same_in_every_scenario_order(self):
+        rng = np.random.default_rng(8)
+        sched = ExponentialRate(0.05)
+        for _ in range(10):
+            d = int(rng.integers(2, 5))
+            L = rng.uniform(0.0, 1.0, (int(rng.integers(2, 6)), d))
+            L[1] = L[0][::-1]  # decisions alike up to scenario order
+            emp = EmpiricalDistribution(rng.integers(1, 20, d))
+            for spec in self.SPECS:
+                want = prescribe(make_problem(L), spec, emp, sched).decision
+                for perm in map(list, itertools.permutations(range(d))):
+                    prob = make_problem(L[:, perm])
+                    got = prescribe(prob, spec, permuted(emp, perm), sched)
+                    assert got.decision == want, (spec, perm)
 
 
 class TestConvexityCertificate:
