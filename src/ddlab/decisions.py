@@ -66,6 +66,15 @@ class LossMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("LossMatrix is immutable")
 
+    def _merged(self, values) -> "LossMatrix":
+        """The loss matrix `values` of some of this one's rows over its
+        merged scenarios, with this one's tie windows: ties stay in the
+        units of the full matrix, whose k_half a single row may not reach."""
+        out = LossMatrix(values)
+        object.__setattr__(out, "tie_window", self.tie_window)
+        object.__setattr__(out, "var_window", self.var_window)
+        return out
+
     @property
     def n_decisions(self) -> int:
         return self.values.shape[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from .decisions import Problem, variance, _check_decision, _moments
 from .errors import LatticeCapError, ValidationError
@@ -128,10 +128,45 @@ def _disappointment_indicator(
     return true_costs[pick] > v_hat + tie
 
 
-def _prepare(problem, spec, p, schedule):
+def _merged_columns(L: np.ndarray):
+    """(columns, labels): the distinct columns (n, d') of L and each
+    scenario's column index (d,), or None when every column differs or all
+    are equal (d' = 1)."""
+    S = np.sort(L, axis=1)
+    if (S[:, 1:] != S[:, :-1]).all(axis=1).any():
+        return None  # a row of distinct losses tells every column apart
+    columns, labels = np.unique(L, axis=1, return_inverse=True)
+    if not 1 < columns.shape[1] < L.shape[1]:
+        return None
+    return columns, labels.reshape(-1)
+
+
+def _prepare(problem, spec, mode, p, schedule, draw=None):
+    """Validate, resolve the spec and merge the scenarios that the tested
+    losses cannot tell apart (see `disappointment_exact`).  Predictors see
+    an empirical distribution only through the law of the loss (kl by the
+    data-processing inequality) and group sums of multinomial counts are
+    multinomial, so the event and its probability do not change.  Returns
+    (problem, spec, mode, p, draw), merged and with p and draw summed over
+    the groups; the inputs themselves when nothing merges."""
     if p.dim != problem.n_scenarios:
         raise ValidationError("dimension mismatch")
-    return spec.resolved(schedule)
+    spec = spec.resolved(schedule)
+    L = problem.loss.values
+    if mode.kind == "prediction":
+        L = L[_check_decision(problem, mode.decision)][None, :]
+    found = _merged_columns(L)
+    if found is None:
+        return problem, spec, mode, p, draw
+    columns, labels = found
+
+    def fold(dist):
+        return dist if dist is None else Distribution(np.bincount(labels, dist.weights))
+
+    if mode.kind == "prediction":
+        mode = Mode.prediction(0)
+    merged = Problem(problem.loss._merged(columns))
+    return merged, spec, mode, fold(p), fold(draw)
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +186,33 @@ def disappointment_exact(
     points where the event holds.  Within the cap this is a ground truth the
     sampling estimators are tested against.
 
+    Scenarios the tested losses cannot tell apart are merged first: equal
+    losses of the tested row in prediction mode (the problem becomes that
+    row), equal columns of the loss matrix in prescription mode.  The
+    lattice then has comb(T + d' - 1, d' - 1) points for the merged
+    dimension d', and `cap` bounds that lattice.  The probability is the
+    same, up to its last bits; a problem that does not merge gives the
+    bits of the unmerged enumeration.
+
     The lattice is streamed in rank blocks of B = `_LATTICE_BLOCK` rows,
     keeping only the disappointing points' log-pmf values in rank order:
-    memory is O(B (d + n_decisions) + d T) plus 8 bytes per disappointing
+    memory is O(B (d' + n_decisions) + d' T) plus 8 bytes per disappointing
     point, not O(lattice).  A row's indicator and log-pmf do not depend on
     its block, and the kept values meet one `logsumexp`, so the result
     equals the single-pass reduction bit for bit.
     """
-    spec = _prepare(problem, spec, p, schedule)
-    d = problem.n_scenarios
+    merged, spec, tested, p, _ = _prepare(problem, spec, mode, p, schedule)
+    d = merged.n_scenarios
     size = _capped_size(T, d, cap)  # raises LatticeCapError when too big
     ratio = speed_ratio(schedule, T)
     below = _rank_tables(T, d)
+    log_fact = gammaln(np.arange(T + 1) + 1.0)  # log c! for every count c
     hits = []
     for lo in range(0, size, _LATTICE_BLOCK):
         C = _lattice_counts(T, d, cap, lo, min(lo + _LATTICE_BLOCK, size), below)
         Q = _normalized_rows(C, T)
-        ind = _disappointment_indicator(problem, spec, mode, Q, p, ratio)
-        hits.append(_log_pmf_rows(C[ind], p, T))
+        ind = _disappointment_indicator(merged, spec, tested, Q, p, ratio)
+        hits.append(_log_pmf_rows(C[ind], p, T, log_fact))
     logpmf = np.concatenate(hits)
     if logpmf.size == 0:
         log_p = -math.inf
@@ -233,17 +277,18 @@ def _unique_rows(C: np.ndarray, T: int):
 
 
 def _sampled_indicator(problem, spec, mode, p, T, schedule, draw, n_samples, seed):
-    """Draw n_samples count rows from `draw`, de-duplicate them and evaluate
-    the indicator once per distinct row: (distinct rows, multiplicities,
-    indicator)."""
-    spec = _prepare(problem, spec, p, schedule)
+    """Merge the problem as `_prepare` does, draw n_samples count rows of
+    the merged scenarios from the merged `draw`, de-duplicate them and
+    evaluate the indicator once per distinct row: (merged p, merged draw,
+    distinct rows, multiplicities, indicator)."""
+    problem, spec, mode, p, draw = _prepare(problem, spec, mode, p, schedule, draw)
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     C = _sample_count_rows(draw.weights, T, n_samples, seed)
     uniq, _, mult = _unique_rows(C, T)
     Q = _normalized_rows(uniq, T)
     ind = _disappointment_indicator(problem, spec, mode, Q, p, speed_ratio(schedule, T))
-    return uniq, mult, ind
+    return p, draw, uniq, mult, ind
 
 
 def disappointment_mc(
@@ -256,8 +301,12 @@ def disappointment_mc(
     n_samples: int,
     seed: int,
 ) -> DisappointmentReport:
-    """Plain Monte Carlo frequency estimate with binomial standard error."""
-    _, mult, ind = _sampled_indicator(
+    """Plain Monte Carlo frequency estimate with binomial standard error.
+
+    Samples are drawn over the merged scenarios of `disappointment_exact`,
+    so on a problem that merges the random stream differs from an unmerged
+    draw with the same seed; the estimate agrees within its error."""
+    *_, mult, ind = _sampled_indicator(
         problem, spec, mode, p, T, schedule, p, n_samples, seed
     )
     hits = int(mult[ind].sum())
@@ -285,17 +334,23 @@ def disappointment_importance(
     Unbiased for the same probability; with a shift near where the
     disappointment mass concentrates, far fewer samples reach the tail.
     Reports the effective sample size (sum w)^2 / sum w^2.
+
+    Scenarios are merged as in `disappointment_exact`: both p and shift_q
+    are summed over each merged group, counts are drawn over the groups
+    from the summed shift, and the weights and the effective sample size
+    are those of the merged draws.  The report's `method.shift` is the
+    caller's shift_q.
     """
     if shift_q.dim != p.dim:
         raise ValidationError("dimension mismatch")
     if not shift_q.is_interior:
         raise ValidationError("shift distribution must have full support")
-    uniq, mult, ind = _sampled_indicator(
+    p_m, q_m, uniq, mult, ind = _sampled_indicator(
         problem, spec, mode, p, T, schedule, shift_q, n_samples, seed
     )
 
-    w = p.weights
-    qw = shift_q.weights
+    w = p_m.weights
+    qw = q_m.weights
     diff = np.where(w > 0.0, np.log(np.maximum(w, 1e-300)) - np.log(qw), -np.inf)
     with np.errstate(invalid="ignore"):
         terms = np.where(uniq > 0, uniq * diff, 0.0)
@@ -367,10 +422,11 @@ def rate_curve(
 ) -> List[Tuple[int, float]]:
     """Guarantee rate log(p_T)/a_T for each T, in ascending T order.
 
-    Uses exact enumeration whenever the lattice fits the cap (never past
-    2**63 - 1 points), otherwise importance sampling around the default
-    shift (which then requires a seed).  A feasible guarantee shows rates
-    at or below -1 + o(1).
+    Uses exact enumeration whenever the merged lattice of
+    `disappointment_exact` fits the cap (never past 2**63 - 1 points),
+    otherwise importance sampling around the default shift (which then
+    requires a seed).  A feasible guarantee shows rates at or below
+    -1 + o(1).
     """
     out: List[Tuple[int, float]] = []
     for T in sorted(int(t) for t in T_list):

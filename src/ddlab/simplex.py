@@ -290,12 +290,17 @@ def _lattice_counts(
     return np.column_stack([rows, rest])
 
 
-def _log_pmf_rows(C: np.ndarray, p: Distribution, T: int) -> np.ndarray:
+def _log_pmf_rows(
+    C: np.ndarray, p: Distribution, T: int, log_fact: Optional[np.ndarray] = None
+) -> np.ndarray:
+    # log_fact, when given, is gammaln(arange(T + 1) + 1.0): indexing it
+    # gives the bits gammaln(C + 1.0) would
     w = p.weights
     logw = np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
     with np.errstate(invalid="ignore"):
         contrib = np.where(C > 0, C * logw, 0.0)
-    return gammaln(T + 1) - gammaln(C + 1.0).sum(axis=1) + contrib.sum(axis=1)
+    lf = gammaln(C + 1.0) if log_fact is None else log_fact[C]
+    return gammaln(T + 1) - lf.sum(axis=1) + contrib.sum(axis=1)
 
 
 def multinomial_log_prob(e: EmpiricalDistribution, p: Distribution) -> float:

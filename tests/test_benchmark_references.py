@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
@@ -18,10 +20,12 @@ def _workloads(monkeypatch):
     return module
 
 
-def test_exact_ops_match_the_stored_references(monkeypatch):
+@pytest.mark.parametrize("smoke", [True, False])
+def test_exact_ops_match_the_stored_references(monkeypatch, smoke):
+    # the full size runs the T = 120 lattice the benchmark times
     monkeypatch.chdir(ROOT)  # ops load scenarios by path relative to the root
     workloads = _workloads(monkeypatch)
-    ops = workloads.lab_ops("exact-lattice", 1, True, workloads.load_references())
+    ops = workloads.lab_ops("exact-lattice", 1, smoke, workloads.load_references())
     assert ops
     assert [(op.name, op.check(op.run())) for op in ops] == [(op.name, "ok") for op in ops]
 

@@ -267,6 +267,107 @@ class TestIndicatorIsUnitFree:
             assert np.array_equal(got, want), (mode, "permuted")
 
 
+class TestScenarioMerge:
+    """Scenarios the tested losses cannot tell apart are merged before the
+    lattice is enumerated or sampled; the probability must not move."""
+
+    SCHEDULE = ExponentialRate(0.05)
+    T = 8
+
+    @staticmethod
+    def _problem(seed):
+        # d = 6 scenarios over k = 3 loss columns, so equal columns and
+        # equal losses within rows; p has a zero inside the largest group
+        rng = np.random.default_rng(seed)
+        labels = np.concatenate([[0, 0, 1, 2], rng.integers(0, 3, size=2)])
+        base = rng.integers(-2, 3, size=(4, 3)).astype(float)
+        base[:, 0] += 0.5 * (np.ptp(base, axis=1) == 0)  # no constant row
+        L = base[:, labels]
+        w = rng.dirichlet(np.ones(6))
+        w[1] = 0.0
+        decision = int(np.argmax([np.unique(row).size for row in L]))
+        return make_problem(L, w / w.sum()), decision
+
+    @classmethod
+    def _cases(cls):
+        for seed in range(5):
+            problem, decision = cls._problem(seed)
+            for kind in ("saa", "svp", "robust", "kl"):
+                for mode in (Mode.prediction(decision), Mode.prescription()):
+                    yield seed, problem, PredictorSpec(kind), mode
+
+    @classmethod
+    def _unmerged_log_p(cls, problem, spec, mode):
+        T, p = cls.T, problem.true_dist
+        C = simplex._lattice_counts(T, problem.n_scenarios)
+        ind = deviation._disappointment_indicator(
+            problem, spec.resolved(cls.SCHEDULE), mode,
+            deviation._normalized_rows(C, T), p, speed_ratio(cls.SCHEDULE, T),
+        )
+        if not ind.any():
+            return -math.inf
+        return min(float(logsumexp(simplex._log_pmf_rows(C[ind], p, T))), 0.0)
+
+    def test_exact_matches_the_unmerged_lattice(self):
+        merged_dims = set()
+        for seed, problem, spec, mode in self._cases():
+            p = problem.true_dist
+            merged = deviation._prepare(problem, spec, mode, p, self.SCHEDULE)[0]
+            merged_dims.add(merged.n_scenarios)
+            assert merged.n_scenarios < problem.n_scenarios, (seed, mode)
+            want = self._unmerged_log_p(problem, spec, mode)
+            rep = disappointment_exact(problem, spec, mode, p, self.T, self.SCHEDULE)
+            got = rep.log_probability
+            assert (got == want) or abs(got - want) <= 1e-12 * abs(want), (
+                seed, spec.kind, mode, got, want)
+            assert rep.mode == mode
+        assert merged_dims == {2, 3}
+
+    def test_sampling_stays_within_four_sigma_of_exact(self):
+        n = 20_000
+        for seed, problem, spec, mode in self._cases():
+            p = problem.true_dist
+            exact = disappointment_exact(problem, spec, mode, p, self.T, self.SCHEDULE)
+            pe = exact.probability
+            sigma = math.sqrt(pe * (1.0 - pe) / n)
+            mc = disappointment_mc(
+                problem, spec, mode, p, self.T, self.SCHEDULE, n, seed
+            )
+            assert abs(mc.probability - pe) <= 4.0 * sigma, (seed, spec.kind, mode)
+            assert mc.mode == mode
+            # interior, and not proportional to p inside any merged group
+            rng = np.random.default_rng(100 + seed)
+            shift = Distribution(0.5 * p.weights + 0.5 * rng.dirichlet(np.ones(6)))
+            is_ = disappointment_importance(
+                problem, spec, mode, p, self.T, self.SCHEDULE, shift, n, seed
+            )
+            yard = 4.0 * max(is_.method.std_err, sigma)
+            assert abs(is_.probability - pe) <= yard, (seed, spec.kind, mode)
+            assert is_.mode == mode
+            assert is_.method.shift is shift
+
+    def test_problems_that_do_not_merge_are_left_as_they_are(self):
+        problem = scenario("newsvendor.json")
+        p, spec = problem.true_dist, PredictorSpec("saa")
+        for mode in (Mode.prediction(8), Mode.prescription()):
+            got = deviation._prepare(problem, spec, mode, p, SCHED, HALF)
+            assert got[0] is problem and got[2] is mode
+            assert got[3] is p and got[4] is HALF
+        # a constant row would merge to d' = 1, which is left unmerged too
+        got = deviation._prepare(COIN, spec, Mode.prediction(0), HALF, SCHED)
+        assert got[0] is COIN
+
+    def test_merged_problem_keeps_the_tie_windows(self):
+        problem = scenario("newsvendor.json")
+        merged = deviation._prepare(
+            problem, PredictorSpec("saa"), Mode.prediction(3), problem.true_dist, SCHED
+        )[0]
+        assert merged.loss.values.tolist() == [[-1.5, -0.5]]
+        assert merged.loss.k_half == 1.5 < problem.loss.k_half
+        assert merged.loss.tie_window == problem.loss.tie_window
+        assert merged.loss.var_window == problem.loss.var_window
+
+
 class TestMonteCarlo:
     def test_matches_exact_within_three_sigma(self):
         rep = disappointment_mc(
@@ -507,9 +608,10 @@ class TestRateCurve:
 
     def test_lattice_past_int64_ranks_falls_back_to_importance(self):
         # comb(T + 3, 3) exceeds 2**63 - 1, the ceiling on any cap, so even
-        # a cap of 10**40 leaves this lattice to importance sampling
+        # a cap of 10**40 leaves this lattice to importance sampling;
+        # decision 8 has four distinct losses, so nothing merges
         problem = scenario("newsvendor.json")
-        T, mode, spec, p = 4194304, Mode.prediction(4), PredictorSpec("saa"), problem.true_dist
+        T, mode, spec, p = 4194304, Mode.prediction(8), PredictorSpec("saa"), problem.true_dist
         assert 2**63 - 1 < lattice_size(T, 4) < 10**40
         pts = rate_curve(
             problem, spec, mode, p, SCHED, [T], cap=10**40, n_samples=2_000, seed=1,
@@ -517,6 +619,17 @@ class TestRateCurve:
         shift = importance_shift(problem, mode, p, speed_ratio(SCHED, T))
         want = disappointment_importance(problem, spec, mode, p, T, SCHED, shift, 2_000, 1)
         assert pts == [(T, want.rate)]
+
+    def test_merged_lattice_past_int64_ranks_runs_exactly(self):
+        # decision 4's losses (0, -2, -2, -2) merge to d' = 2: its T + 1
+        # merged lattice points fit the cap although comb(T + 3, 3) does not
+        problem = scenario("newsvendor.json")
+        T, mode, spec, p = 4194304, Mode.prediction(4), PredictorSpec("saa"), problem.true_dist
+        pts = rate_curve(problem, spec, mode, p, SCHED, [T], cap=10**40)
+        want = disappointment_exact(problem, spec, mode, p, T, SCHED, cap=T + 1)
+        assert want.method.name == "exact"
+        assert pts == [(T, want.rate)]
+        assert -1.0 < want.rate < 0.0
 
 
 class TestTheoreticalRateSaa:
