@@ -39,8 +39,6 @@ from .simplex import (
     _rank_tables,
 )
 
-_MC_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class Mode:
@@ -130,15 +128,19 @@ def _disappointment_indicator(
 
 def _merged_columns(L: np.ndarray):
     """(columns, labels): the distinct columns (n, d') of L and each
-    scenario's column index (d,), or None when every column differs or all
-    are equal (d' = 1)."""
+    scenario's column index (d,), or None when every column differs.  When
+    all columns are equal they fold into two groups, the first scenario and
+    the rest, since a loss matrix needs two scenarios; None when d = 2."""
     S = np.sort(L, axis=1)
     if (S[:, 1:] != S[:, :-1]).all(axis=1).any():
         return None  # a row of distinct losses tells every column apart
     columns, labels = np.unique(L, axis=1, return_inverse=True)
-    if not 1 < columns.shape[1] < L.shape[1]:
+    labels = labels.reshape(-1)
+    if columns.shape[1] == 1:
+        columns, labels = L[:, :2], np.minimum(np.arange(L.shape[1]), 1)
+    if columns.shape[1] == L.shape[1]:
         return None
-    return columns, labels.reshape(-1)
+    return columns, labels
 
 
 def _prepare(problem, spec, mode, p, schedule, draw=None):
@@ -190,7 +192,9 @@ def disappointment_exact(
     losses of the tested row in prediction mode (the problem becomes that
     row), equal columns of the loss matrix in prescription mode.  The
     lattice then has comb(T + d' - 1, d' - 1) points for the merged
-    dimension d', and `cap` bounds that lattice.  The probability is the
+    dimension d', and `cap` bounds that lattice.  Losses that cannot tell
+    any scenarios apart fold into two groups, the first scenario and the
+    rest: T + 1 points, where the probability is 0.  The probability is the
     same, up to its last bits; a problem that does not merge gives the
     bits of the unmerged enumeration.
 
@@ -228,24 +232,85 @@ def disappointment_exact(
 
 
 def _sample_count_rows(
-    p_weights: np.ndarray, T: int, n_samples: int, seed: int
+    p_weights: np.ndarray, totals: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """n_samples multinomial count vectors in fixed block order.
+    """One multinomial count row per entry of `totals`, in order: row i
+    places totals[i] draws over the cells of p_weights (which sum to 1)."""
+    return rng.multinomial(totals, p_weights)
 
-    Each 2^16-sample block draws from its own counter-based stream keyed by
-    (seed, block index), so results are reproducible and independent of how
-    blocks would be scheduled.
+
+def _binomial_pmf_rows(t: np.ndarray, w: float, rest: float, log_fact: np.ndarray):
+    """(len(t), max(t) + 1) rows: the pmf of Binomial(t_i, w / (w + rest))
+    over 0..max(t), from the log-factorial table as in `_log_pmf_rows`.
+    rest > 0; w may be 0."""
+    c = np.arange(t.max() + 1)
+    k = t[:, None] - c  # draws left to the later cells
+    # c log(pi) + k log(1 - pi) = t log(rest / (w + rest)) + c log(w / rest)
+    log_odds = (math.log(w) if w > 0.0 else -math.inf) - math.log(rest)
+    with np.errstate(invalid="ignore"):
+        log_pmf = (
+            (log_fact[t] + t * (math.log(rest) - math.log(w + rest)))[:, None]
+            - log_fact[c]
+            - log_fact[np.maximum(k, 0)]
+            + np.where(c > 0, c * log_odds, 0.0)
+        )
+    log_pmf[k < 0] = -np.inf
+    pmf = np.exp(log_pmf)
+    return pmf / pmf.sum(axis=1, keepdims=True)
+
+
+def _sample_histogram(
+    weights: np.ndarray, T: int, n_samples: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(uniq, mult): the distinct rows, in lexicographic order, and the
+    multiplicities of n_samples i.i.d. Multinomial(T, weights) count rows;
+    mult sums to n_samples.
+
+    The histogram is drawn directly, one cell per level (the conditional
+    binomial method; Davis 1993, "The computer generation of multinomial
+    random variates").  Given a distinct prefix (c_0..c_{j-1}) of
+    multiplicity m with t draws left, c_j ~ Binomial(t, w_j / sum_{k>=j}
+    w_k) for each of its m samples, so its children's multiplicities are
+    one Multinomial(m, that pmf) draw; children of multiplicity 0 are
+    dropped.  A level runs one 2-D `Generator.multinomial` call over
+    prefixes x (T + 1) cells while that is at most n_samples; past that
+    (always when T >= n_samples) the remaining cells are drawn once per
+    sample by `_sample_count_rows` and merged by `_unique_rows`.  Where the
+    histogram runs to the last cell, memory is the distinct rows plus at
+    most n_samples cells per level, not n_samples rows.  One counter-based
+    stream keyed by seed feeds
+    every level: reproducible, with the law of n_samples independent draws
+    but not the bits of a per-sample draw.
     """
-    blocks = []
-    remaining = n_samples
-    block_index = 0
-    while remaining > 0:
-        m = min(_MC_BLOCK, remaining)
-        rng = _philox(seed, stream=block_index)
-        blocks.append(rng.multinomial(T, p_weights, size=m).astype(np.int64))
-        remaining -= m
-        block_index += 1
-    return np.vstack(blocks)
+    w = np.asarray(weights, dtype=float)
+    d = w.size
+    tail = np.cumsum(w[::-1])[::-1]  # tail[j] = sum of w[j:]
+    last = int(np.flatnonzero(w)[-1])  # takes what is left; later cells get 0
+    rng = _philox(seed)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([T], dtype=np.int64)
+    mult = np.array([n_samples], dtype=np.int64)
+    # histogram levels run only while T < n_samples, so the table stays small
+    log_fact = gammaln(np.arange(min(T, n_samples) + 1) + 1.0)
+    for j in range(last):
+        if rows.shape[0] * (T + 1) > n_samples:
+            C = np.empty((n_samples, d), dtype=np.int64)
+            C[:, :j] = np.repeat(rows, mult, axis=0)
+            C[:, j:] = _sample_count_rows(w[j:] / tail[j], np.repeat(left, mult), rng)
+            uniq, _, mult = _unique_rows(C, T)
+            return uniq, mult
+        # the pmf depends on a prefix only through t: one row per distinct t
+        t, t_row = np.unique(left, return_inverse=True)
+        pmf = _binomial_pmf_rows(t, w[j], tail[j + 1], log_fact)
+        children = rng.multinomial(mult, pmf[t_row])
+        parent, c = np.nonzero(children)
+        mult = children[parent, c]
+        rows = np.column_stack([rows[parent], c])
+        left = left[parent] - c
+    uniq = np.zeros((rows.shape[0], d), dtype=np.int64)
+    uniq[:, :last] = rows
+    uniq[:, last] = left
+    return uniq, mult
 
 
 def _unique_rows(C: np.ndarray, T: int):
@@ -277,15 +342,14 @@ def _unique_rows(C: np.ndarray, T: int):
 
 
 def _sampled_indicator(problem, spec, mode, p, T, schedule, draw, n_samples, seed):
-    """Merge the problem as `_prepare` does, draw n_samples count rows of
-    the merged scenarios from the merged `draw`, de-duplicate them and
-    evaluate the indicator once per distinct row: (merged p, merged draw,
-    distinct rows, multiplicities, indicator)."""
+    """Merge the problem as `_prepare` does, draw the histogram of n_samples
+    count rows of the merged scenarios from the merged `draw` and evaluate
+    the indicator once per distinct row: (merged p, merged draw, distinct
+    rows, multiplicities, indicator)."""
     problem, spec, mode, p, draw = _prepare(problem, spec, mode, p, schedule, draw)
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    C = _sample_count_rows(draw.weights, T, n_samples, seed)
-    uniq, _, mult = _unique_rows(C, T)
+    uniq, mult = _sample_histogram(draw.weights, T, n_samples, seed)
     Q = _normalized_rows(uniq, T)
     ind = _disappointment_indicator(problem, spec, mode, Q, p, speed_ratio(schedule, T))
     return p, draw, uniq, mult, ind
@@ -303,9 +367,14 @@ def disappointment_mc(
 ) -> DisappointmentReport:
     """Plain Monte Carlo frequency estimate with binomial standard error.
 
-    Samples are drawn over the merged scenarios of `disappointment_exact`,
-    so on a problem that merges the random stream differs from an unmerged
-    draw with the same seed; the estimate agrees within its error."""
+    The n_samples count rows are drawn as their histogram: the distinct
+    rows and their multiplicities (`_sample_histogram`), so the predictors
+    run, and memory grows, once per distinct row rather than per sample.
+    The law is that of n_samples independent draws; a seed reproduces its
+    bits, which differ from those of a per-sample draw.  Samples are drawn
+    over the merged scenarios of `disappointment_exact`, so on a problem
+    that merges the random stream differs from an unmerged draw with the
+    same seed; the estimate agrees within its error."""
     *_, mult, ind = _sampled_indicator(
         problem, spec, mode, p, T, schedule, p, n_samples, seed
     )
@@ -329,11 +398,13 @@ def disappointment_importance(
     seed: int,
 ) -> DisappointmentReport:
     """Change-of-measure estimate: sample counts from shift_q, weight each
-    sample by prod_i (p_i/q_i)^counts_i computed in log space.
+    sample by prod_i (p_i/q_i)^counts_i, exponentiated from log space.
 
     Unbiased for the same probability; with a shift near where the
     disappointment mass concentrates, far fewer samples reach the tail.
-    Reports the effective sample size (sum w)^2 / sum w^2.
+    Reports the effective sample size (sum w)^2 / sum w^2.  The samples are
+    drawn as a histogram, as in `disappointment_mc`: weights, indicator
+    and every sum run once per distinct count row, times its multiplicity.
 
     Scenarios are merged as in `disappointment_exact`: both p and shift_q
     are summed over each merged group, counts are drawn over the groups

@@ -30,14 +30,16 @@ def test_exact_ops_match_the_stored_references(monkeypatch, smoke):
     assert [(op.name, op.check(op.run())) for op in ops] == [(op.name, "ok") for op in ops]
 
 
-def test_sampled_ops_pass_their_checks(monkeypatch):
+@pytest.mark.parametrize("smoke", [True, False])
+def test_sampled_ops_pass_their_checks(monkeypatch, smoke):
     # seed 1, as the smoke run; the deep-tail op may only report its
-    # recorded known defect, never a wrong answer
+    # recorded known defect, never a wrong answer; the full size runs the
+    # 1e6-sample ops the benchmark times
     monkeypatch.chdir(ROOT)
     workloads = _workloads(monkeypatch)
     references = workloads.load_references()
     for workload in ("sampled-kl", "sampled-large"):
-        ops = workloads.lab_ops(workload, 1, True, references)
+        ops = workloads.lab_ops(workload, 1, smoke, references)
         assert ops
         results = [(op.name, op.check(op.run())) for op in ops]
         assert [r for r in results if r[1].startswith("fail")] == [], workload

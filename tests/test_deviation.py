@@ -31,7 +31,7 @@ from ddlab import (
     theoretical_rate_saa,
 )
 from ddlab import deviation, simplex
-from ddlab.deviation import _sample_count_rows, _unique_rows
+from ddlab.deviation import _sample_count_rows, _sample_histogram, _unique_rows
 
 
 def make_problem(loss, true_dist=None):
@@ -353,9 +353,44 @@ class TestScenarioMerge:
             got = deviation._prepare(problem, spec, mode, p, SCHED, HALF)
             assert got[0] is problem and got[2] is mode
             assert got[3] is p and got[4] is HALF
-        # a constant row would merge to d' = 1, which is left unmerged too
+        # a constant row folds to two groups, on two scenarios no merge at all
         got = deviation._prepare(COIN, spec, Mode.prediction(0), HALF, SCHED)
         assert got[0] is COIN
+
+    def test_a_single_loss_value_folds_to_two_groups(self, monkeypatch):
+        # newsvendor decision 0 loses 0 in every scenario; a problem of
+        # constant rows cannot tell any scenario apart in prescription mode
+        # either: both walk T + 1 points, not comb(T + 3, 3), and never
+        # disappoint
+        rows = []
+        real = deviation._lattice_counts
+
+        def counting(*args, **kwargs):
+            C = real(*args, **kwargs)
+            rows.append(C.shape[0])
+            return C
+
+        monkeypatch.setattr(deviation, "_lattice_counts", counting)
+        newsvendor = scenario("newsvendor.json")
+        constant = make_problem([[1.0] * 4, [0.5] * 4], newsvendor.true_dist.weights)
+        T = 120
+        for problem, mode in ((newsvendor, Mode.prediction(0)), (constant, Mode.prescription())):
+            for kind in ("saa", "svp"):
+                rows.clear()
+                rep = disappointment_exact(
+                    problem, PredictorSpec(kind), mode, problem.true_dist, T, SCHED
+                )
+                assert sum(rows) == T + 1, (mode, kind)
+                assert rep.probability == 0.0 and rep.mode == mode
+            merged, _, _, p, _ = deviation._prepare(
+                problem, PredictorSpec("saa"), mode, problem.true_dist, SCHED
+            )
+            assert merged.n_scenarios == 2
+            assert p.weights.tolist() == pytest.approx([0.2, 0.8])
+            mc = disappointment_mc(
+                problem, PredictorSpec("svp"), mode, problem.true_dist, T, SCHED, 1_000, 1
+            )
+            assert mc.probability == 0.0
 
     def test_merged_problem_keeps_the_tie_windows(self):
         problem = scenario("newsvendor.json")
@@ -438,13 +473,121 @@ class TestUniqueRows:
         cases = ((1, 4, 200), (2, 3, 200), (12, 4, 5000), (200, 4, 20000), (7, 2, 300))
         for T, d, n in cases:
             assert (T + 1) ** (d - 1) < 2**63
-            self._check(_sample_count_rows(np.full(d, 1.0 / d), T, n, seed=T), T)
+            rows = _sample_count_rows(np.full(d, 1.0 / d), np.full(n, T), simplex._philox(T))
+            self._check(rows, T)
 
     def test_fallback_path_beyond_int64_keys(self):
         T, d = 10, 25
         assert (T + 1) ** (d - 1) >= 2**63
         w = np.random.default_rng(0).dirichlet(np.full(d, 0.3))
-        self._check(_sample_count_rows(w, T, 3000, seed=4), T)
+        self._check(_sample_count_rows(w, np.full(3000, T), simplex._philox(4)), T)
+
+
+
+class TestSampleHistogram:
+    """The histogram sampler draws the distinct rows and multiplicities of
+    n i.i.d. multinomial rows; its law is checked against the pmf."""
+
+    @staticmethod
+    def _tally(w, T, n, seeds):
+        # multiplicity per lattice point, summed over seeds; rows are
+        # matched to the lattice by their radix-(T + 1) keys
+        d = len(w)
+        lattice = simplex._lattice_counts(T, d)
+        radix = (T + 1) ** np.arange(d - 1, -1, -1)
+        order = np.argsort(lattice @ radix)
+        sorted_keys = (lattice @ radix)[order]
+        total = np.zeros(len(lattice))
+        for seed in seeds:
+            uniq, mult = _sample_histogram(np.asarray(w), T, n, seed)
+            assert mult.sum() == n and (mult > 0).all()
+            assert (uniq.sum(axis=1) == T).all()
+            keys = uniq @ radix
+            assert (np.diff(keys) > 0).all()  # distinct, lexicographic
+            np.add.at(total, order[np.searchsorted(sorted_keys, keys)], mult)
+        return lattice, total
+
+    @staticmethod
+    def _count_per_sample_draws(monkeypatch):
+        # (cells, samples) of every per-sample draw
+        calls = []
+        real = deviation._sample_count_rows
+
+        def counting(weights, totals, rng):
+            calls.append((len(weights), len(totals)))
+            return real(weights, totals, rng)
+
+        monkeypatch.setattr(deviation, "_sample_count_rows", counting)
+        return calls
+
+    @pytest.mark.parametrize("w, T, n", [
+        ((0.3, 0.7), 24, 100),
+        ((0.5, 0.3, 0.2), 8, 200),
+        ((0.6, 0.4, 0.0), 8, 200),  # a trailing zero weight
+        ((0.2, 0.0, 0.5, 0.3), 5, 300),  # an inner zero weight
+        ((0.1, 0.2, 0.3, 0.4), 6, 400),
+    ])
+    def test_mean_multiplicities_match_the_multinomial_pmf(self, w, T, n):
+        from scipy.stats import chi2
+
+        seeds = range(2_000)
+        assert (T + 1) ** (len(w) - 1) <= n  # every level is a histogram level
+        lattice, observed = self._tally(w, T, n, seeds)
+        expected = len(seeds) * n * np.exp(
+            simplex._log_pmf_rows(lattice, Distribution(w), T)
+        )
+        assert observed[expected == 0.0].sum() == 0  # nothing off support(p)
+        big = expected >= 5.0  # pool the sparse cells into one
+        O = np.append(observed[big], observed[~big].sum())
+        E = np.append(expected[big], expected[~big].sum())
+        keep = E > 0.0
+        stat = float(((O[keep] - E[keep]) ** 2 / E[keep]).sum())
+        dof = int(keep.sum()) - 1
+        assert stat <= chi2.ppf(1.0 - 1e-6, dof), (stat, dof)
+
+    def test_switches_to_per_sample_draws_when_a_level_outgrows_n(self, monkeypatch):
+        # T = 300, d = 3, n = 5,000: the first cell is a histogram level
+        # (301 cells), the second would need (distinct prefixes) x 301 cells
+        # and is drawn per sample; the answer stays within 4 sigma of exact
+        calls = self._count_per_sample_draws(monkeypatch)
+        T, n = 300, 5_000
+        w = np.array([0.5, 0.3, 0.2])
+        uniq, mult = _sample_histogram(w, T, n, 3)
+        assert calls == [(2, n)]
+        assert mult.sum() == n
+        assert np.array_equal(uniq, np.unique(uniq, axis=0))
+
+        problem = make_problem([[0.0, 1.0, 3.0]], true_dist=w)
+        spec, mode, sched = PredictorSpec("saa"), Mode.prediction(0), SCHED
+        exact = disappointment_exact(problem, spec, mode, problem.true_dist, T, sched)
+        pe = exact.probability
+        sigma = math.sqrt(pe * (1.0 - pe) / n)
+        assert 0.1 < pe < 0.9
+        for seed in range(3):
+            calls.clear()
+            mc = disappointment_mc(problem, spec, mode, problem.true_dist, T, sched, n, seed)
+            assert calls == [(2, n)]
+            assert abs(mc.probability - pe) <= 4.0 * sigma, (seed, mc.probability, pe)
+
+    def test_draws_per_sample_when_T_reaches_n(self, monkeypatch):
+        calls = self._count_per_sample_draws(monkeypatch)
+        uniq, mult = _sample_histogram(np.array([0.25, 0.75]), 1_000, 1_000, 9)
+        assert calls == [(2, 1_000)] and mult.sum() == 1_000
+
+    def test_memory_follows_the_distinct_rows_not_the_samples(self):
+        # 1e6 samples of the newsvendor prescription at T = 200: stacking
+        # the count rows alone takes 32 MB
+        problem = scenario("newsvendor.json")
+        tracemalloc.start()
+        try:
+            disappointment_mc(
+                problem, PredictorSpec("svp"), Mode.prescription(),
+                problem.true_dist, 200, ExponentialRate(0.02), 1_000_000, 5,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, peak
 
 
 class TestImportance:
