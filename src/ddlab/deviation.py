@@ -21,12 +21,13 @@ from .errors import LatticeCapError, ValidationError
 from .predictors import (
     PredictorSpec,
     RegimeSchedule,
-    predictor_value_matrix,
     predictor_value_rows,
+    predictor_values_and_moments,
     speed_ratio,
     svp_direction,
-    variance_matrix,
 )
+# perfbench/tracing.py wraps these names in this module; nothing here calls them
+from .predictors import predictor_value_matrix, variance_matrix  # noqa: F401
 from .prescriptors import select_decisions
 from .simplex import (
     DEFAULT_LATTICE_CAP,
@@ -102,27 +103,29 @@ def _normalized_rows(C: np.ndarray, T: int) -> np.ndarray:
     return Q
 
 
+def _true_costs(problem: Problem, p: Distribution) -> np.ndarray:
+    """(n_decisions,) expected losses under p, as decisions.cost gives them."""
+    return _moments(problem.loss.values, p.weights[None, :])[0][0]
+
+
 def _disappointment_indicator(
     problem: Problem,
     spec: PredictorSpec,
     mode: Mode,
     Q: np.ndarray,
-    p: Distribution,
+    true_costs: np.ndarray,
     ratio: Optional[float],
 ) -> np.ndarray:
     # a true cost that ties the prediction (within the tie window, as at
     # lattice symmetry points) is no disappointment
     tie = problem.loss.tie_window
-    true_costs = _moments(problem.loss.values, p.weights[None, :])[0][0]
     if mode.kind == "prediction":
         x = _check_decision(problem, mode.decision)
         vals = predictor_value_rows(problem, x, spec, Q, ratio=ratio)
         return true_costs[x] > vals + tie
-    V = predictor_value_matrix(problem, spec, Q, ratio=ratio)
-    VarM = variance_matrix(problem, Q)
+    V, _, VarM = predictor_values_and_moments(problem, spec, Q, ratio=ratio)
     pick = select_decisions(problem, V, VarM)
-    rows = np.arange(Q.shape[0])
-    v_hat = V[rows, pick]
+    v_hat = V[np.arange(Q.shape[0]), pick]
     return true_costs[pick] > v_hat + tie
 
 
@@ -202,8 +205,12 @@ def disappointment_exact(
     keeping only the disappointing points' log-pmf values in rank order:
     memory is O(B (d' + n_decisions) + d' T) plus 8 bytes per disappointing
     point, not O(lattice).  A row's indicator and log-pmf do not depend on
-    its block, and the kept values meet one `logsumexp`, so the result
-    equals the single-pass reduction bit for bit.
+    its block, and the kept values are reduced in place by `_log_sum_exp`,
+    which gives the bits of `scipy.special.logsumexp` with one boolean mask
+    (1 byte per kept value) as its only temporary, so the result equals the
+    single-pass reduction bit for bit.  Per block, the predictor values and
+    the tie-break variances come from one moments pass; the true costs are
+    formed once per call.
     """
     merged, spec, tested, p, _ = _prepare(problem, spec, mode, p, schedule)
     d = merged.n_scenarios
@@ -211,20 +218,38 @@ def disappointment_exact(
     ratio = speed_ratio(schedule, T)
     below = _rank_tables(T, d)
     log_fact = gammaln(np.arange(T + 1) + 1.0)  # log c! for every count c
+    true_costs = _true_costs(merged, p)
     hits = []
     for lo in range(0, size, _LATTICE_BLOCK):
         C = _lattice_counts(T, d, cap, lo, min(lo + _LATTICE_BLOCK, size), below)
         Q = _normalized_rows(C, T)
-        ind = _disappointment_indicator(merged, spec, tested, Q, p, ratio)
+        ind = _disappointment_indicator(merged, spec, tested, Q, true_costs, ratio)
         hits.append(_log_pmf_rows(C[ind], p, T, log_fact))
-    logpmf = np.concatenate(hits)
-    if logpmf.size == 0:
-        log_p = -math.inf
-    else:
-        log_p = float(logsumexp(logpmf))
-        log_p = min(log_p, 0.0)  # clamp float dust above certainty
+    log_p = _log_sum_exp(np.concatenate(hits))
+    log_p = min(log_p, 0.0)  # clamp float dust above certainty
     prob = math.exp(log_p) if log_p != -math.inf else 0.0
     return _report(prob, log_p, MethodInfo(name="exact"), T, schedule, mode)
+
+
+def _log_sum_exp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D float array, overwriting a: the steps of
+    `scipy.special.logsumexp` (SciPy 1.17) and its bits, without its
+    temporaries of about five times the input.  The k entries equal to the
+    maximum m are kept out of the sum s of exp(a - m) over the others, and
+    the result is log1p(s / k) + log(k) + m; -inf when a is empty or all
+    -inf (counts outside support(p))."""
+    m = a.max(initial=-math.inf)
+    if m == -math.inf:
+        return -math.inf
+    top = a == m
+    k = np.count_nonzero(top)
+    a -= m
+    a[top] = -math.inf
+    np.exp(a, out=a)
+    s = a.sum()
+    if s != 0:
+        s = s / k
+    return float(np.log1p(s) + np.log(k) + m)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +376,9 @@ def _sampled_indicator(problem, spec, mode, p, T, schedule, draw, n_samples, see
         raise ValidationError("n_samples must be >= 1")
     uniq, mult = _sample_histogram(draw.weights, T, n_samples, seed)
     Q = _normalized_rows(uniq, T)
-    ind = _disappointment_indicator(problem, spec, mode, Q, p, speed_ratio(schedule, T))
+    true_costs = _true_costs(problem, p)
+    ratio = speed_ratio(schedule, T)
+    ind = _disappointment_indicator(problem, spec, mode, Q, true_costs, ratio)
     return p, draw, uniq, mult, ind
 
 
@@ -465,9 +492,10 @@ def importance_shift(
     if mode.kind == "prediction":
         x = _check_decision(problem, mode.decision)
     else:
-        W = p.weights[None, :]
-        V = predictor_value_matrix(problem, PredictorSpec("svp"), W, ratio=ratio)
-        x = int(select_decisions(problem, V, variance_matrix(problem, W))[0])
+        V, _, VarM = predictor_values_and_moments(
+            problem, PredictorSpec("svp"), p.weights[None, :], ratio=ratio
+        )
+        x = int(select_decisions(problem, V, VarM)[0])
     q = w = p.weights  # a zero-variance decision has no direction to tilt along
     if variance(problem, x, p) > 0.0:
         q = w - math.sqrt(2.0 * ratio) * svp_direction(problem, x, p)

@@ -548,13 +548,19 @@ def predict_svp(
 
 
 def _predictor_values(
-    spec: PredictorSpec, L: np.ndarray, W: np.ndarray, ratio: Optional[float]
-) -> np.ndarray:
-    """(N, n) predictor values of the loss rows L (n, d) over the weight
-    rows W (N, d).  saa, svp and kl at radius 0 read the centered moments
-    of decisions._moments; for a kl spec with a positive radius, every
-    (weight row, nonconstant loss row) pair goes through one call of the
-    batched dual kernel.  An entry does not depend on the rows beside it."""
+    spec: PredictorSpec,
+    L: np.ndarray,
+    W: np.ndarray,
+    ratio: Optional[float],
+    moments: bool = False,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """(values, mean, var), each (N, n): the predictor values of the loss
+    rows L (n, d) over the weight rows W (N, d), and the centered moments of
+    one decisions._moments call.  saa, svp and kl at radius 0 read those
+    moments; for a kl spec with a positive radius, every (weight row,
+    nonconstant loss row) pair goes through one call of the batched dual
+    kernel.  mean and var are None when neither the kind nor `moments`
+    needs them.  An entry does not depend on the rows beside it."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != L.shape[1]:
         raise ValidationError("W must be (N, %d)" % L.shape[1])
@@ -563,20 +569,23 @@ def _predictor_values(
         raise ValidationError("svp needs ratio = a_T/T")
     if kind == "kl" and r is None:
         raise ValidationError("kl spec must carry a resolved radius")
+    mean = var = None
+    if moments or kind in ("saa", "svp") or (kind == "kl" and r == 0.0):
+        mean, var = _moments(L, W)
     if kind == "robust":
-        return np.tile(L.max(axis=1), (W.shape[0], 1))
-    if kind == "kl" and r > 0.0:
+        values = np.tile(L.max(axis=1), (W.shape[0], 1))
+    elif kind == "kl" and r > 0.0:
         # a constant row costs its value under every distribution
-        out = np.tile(L[:, 0], (W.shape[0], 1))
+        values = np.tile(L[:, 0], (W.shape[0], 1))
         live = np.flatnonzero(L.max(axis=1) > L.min(axis=1))
         pairs = np.tile(L[live], (W.shape[0], 1))
         vals = _kl_dual_solve(pairs, np.repeat(W, live.size, axis=0), float(r))[0]
-        out[:, live] = vals.reshape(W.shape[0], live.size)
-        return out
-    mean, var = _moments(L, W)
-    if kind == "svp":
-        return mean + np.sqrt(2.0 * ratio * var)
-    return mean  # saa, and kl at radius 0
+        values[:, live] = vals.reshape(W.shape[0], live.size)
+    elif kind == "svp":
+        values = mean + np.sqrt(2.0 * ratio * var)
+    else:
+        values = mean  # saa, and kl at radius 0
+    return values, mean, var
 
 
 def predictor_value_rows(
@@ -593,7 +602,7 @@ def predictor_value_rows(
     row gives bit for bit what predict_kl_dual gives for it alone.
     """
     x = _check_decision(problem, x)
-    return _predictor_values(spec, problem.loss.values[x:x + 1], W, ratio)[:, 0]
+    return _predictor_values(spec, problem.loss.values[x:x + 1], W, ratio)[0][:, 0]
 
 
 def predictor_value_matrix(
@@ -604,7 +613,20 @@ def predictor_value_matrix(
 ) -> np.ndarray:
     """(N, n_decisions) matrix of predictor values over weight rows W;
     column x equals predictor_value_rows(..., x, ...) bit for bit."""
-    return _predictor_values(spec, problem.loss.values, W, ratio)
+    return _predictor_values(spec, problem.loss.values, W, ratio)[0]
+
+
+def predictor_values_and_moments(
+    problem: Problem,
+    spec: PredictorSpec,
+    W: np.ndarray,
+    ratio: Optional[float] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, mean, var), each (N, n_decisions): predictor_value_matrix,
+    the saa costs and variance_matrix over the weight rows W, bit for bit,
+    from a single moments pass.  This is what picking a decision needs
+    (select_decisions reads values and var)."""
+    return _predictor_values(spec, problem.loss.values, W, ratio, moments=True)
 
 
 def variance_matrix(problem: Problem, W: np.ndarray) -> np.ndarray:

@@ -18,9 +18,11 @@ from .predictors import (
     RegimeSchedule,
     dro_condition_holds,
     predictor_value_matrix,
+    predictor_values_and_moments,
     speed_ratio,
-    variance_matrix,
 )
+# perfbench/tracing.py wraps this name in this module; nothing here calls it
+from .predictors import variance_matrix  # noqa: F401
 from .simplex import Distribution, EmpiricalDistribution
 
 
@@ -54,8 +56,7 @@ def prescribe(
     ratio = speed_ratio(schedule, T) if schedule is not None else None
     p = emp.distribution
     W = p.weights[None, :]
-    values = predictor_value_matrix(problem, spec, W, ratio=ratio)
-    variances = variance_matrix(problem, W)
+    values, _, variances = predictor_values_and_moments(problem, spec, W, ratio=ratio)
     pick = int(select_decisions(problem, values, variances)[0])
     value = float(values[0, pick])
     gap_lower = gap_upper = None
@@ -87,9 +88,9 @@ def prescription_gap_bound(
         raise ValidationError("gap bound needs an interior distribution")
     ratio = speed_ratio(schedule, T)
     W = p.weights[None, :]
-    values = predictor_value_matrix(problem, PredictorSpec("svp"), W, ratio=ratio)
-    variances = variance_matrix(problem, W)
-    costs = predictor_value_matrix(problem, PredictorSpec("saa"), W)
+    values, costs, variances = predictor_values_and_moments(
+        problem, PredictorSpec("svp"), W, ratio=ratio
+    )
     pick = int(select_decisions(problem, values, variances)[0])
     x_star = int(select_decisions(problem, costs, variances)[0])
     lower = float(values[0, pick] - costs[0, pick])

@@ -273,21 +273,25 @@ def _lattice_counts(
         return np.zeros((0, d), dtype=np.int64)
     if below is None:
         below = _rank_tables(T, d)
-    rows = np.zeros((1, 0), dtype=np.int64)
+    # every prefix has a child in range, so the prefixes never outnumber the
+    # block's rows: the first `rest.size` rows of `out` hold them
+    out = np.empty((stop - start, d), dtype=np.int64)
     rest = np.array([T], dtype=np.int64)
     end = np.array([size], dtype=np.int64)  # one past each prefix's last rank
-    for k in range(d - 1, 0, -1):  # parts left after the one being placed
+    for j, k in enumerate(range(d - 1, 0, -1)):  # k parts left after part j
         cum = below[k]
         # the child with rest sum s covers ranks [end - cum[s + 1], end - cum[s])
         s_lo = np.searchsorted(cum[1:], end - stop, side="right")
         s_hi = np.minimum(np.searchsorted(cum[1:], end - start), rest)
         n = s_hi - s_lo + 1
-        parent = np.repeat(np.arange(rows.shape[0]), n)
+        parent = np.repeat(np.arange(rest.size), n)
         s = s_hi[parent] - (np.arange(parent.size) - (np.cumsum(n) - n)[parent])
-        rows = np.column_stack([rows[parent], rest[parent] - s])
+        out[:parent.size, :j] = out[parent, :j]
+        out[:parent.size, j] = rest[parent] - s
         end = end[parent] - cum[s]
         rest = s
-    return np.column_stack([rows, rest])
+    out[:, d - 1] = rest
+    return out
 
 
 def _log_pmf_rows(

@@ -20,17 +20,21 @@ from ddlab import (
     PredictorSpec,
     Problem,
     ValidationError,
+    cost,
     disappointment_exact,
     disappointment_importance,
     disappointment_mc,
     importance_shift,
     lattice_size,
     load_scenario,
+    predictor_value_matrix,
     rate_curve,
     speed_ratio,
     theoretical_rate_saa,
+    variance_matrix,
 )
-from ddlab import deviation, simplex
+from ddlab import deviation, predictors, simplex
+from ddlab.decisions import select_decisions
 from ddlab.deviation import _sample_count_rows, _sample_histogram, _unique_rows
 
 
@@ -243,6 +247,119 @@ class TestExactStreaming:
             assert peak < 24e6, (kind, peak)
 
 
+class TestExactSinglePass:
+    """Each lattice block takes one moments pass for its predictor values
+    and tie-break variances, the true costs are formed once per call, and
+    the kept log-pmf values are reduced in place."""
+
+    @pytest.mark.parametrize("kind", ["saa", "svp"])
+    def test_one_moments_pass_per_block(self, kind, monkeypatch):
+        problem = scenario("newsvendor.json")
+        blocks, passes, true_costs = [], [], []
+        lattice, block_moments = deviation._lattice_counts, predictors._moments
+        call_moments = deviation._moments
+
+        def counting_lattice(*args):
+            C = lattice(*args)
+            blocks.append(C.shape[0])
+            return C
+
+        def counting_block_moments(L, W):
+            if L.shape == problem.loss.values.shape:
+                passes.append(W.shape[0])
+            return block_moments(L, W)
+
+        def counting_call_moments(L, W):
+            true_costs.append(W.shape[0])
+            return call_moments(L, W)
+
+        monkeypatch.setattr(deviation, "_lattice_counts", counting_lattice)
+        monkeypatch.setattr(predictors, "_moments", counting_block_moments)
+        monkeypatch.setattr(deviation, "_moments", counting_call_moments)
+        disappointment_exact(  # 39,711 points: five blocks
+            problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist,
+            60, SCHED,
+        )
+        assert len(blocks) == 5
+        assert passes == blocks  # one pass per block, over that block's rows
+        assert true_costs == [1]
+
+    @staticmethod
+    def _reference_log_p(problem, spec, p, T, schedule):
+        # the exact prescription composed from the public pieces
+        ratio = speed_ratio(schedule, T)
+        C = simplex._lattice_counts(T, problem.n_scenarios)
+        Q = deviation._normalized_rows(C, T)
+        V = predictor_value_matrix(problem, spec, Q, ratio=ratio)
+        pick = select_decisions(problem, V, variance_matrix(problem, Q))
+        truth = np.array([cost(problem, x, p) for x in range(problem.n_decisions)])
+        hit = truth[pick] > V[np.arange(C.shape[0]), pick] + problem.loss.tie_window
+        if not hit.any():
+            return -math.inf
+        return min(float(logsumexp(simplex._log_pmf_rows(C[hit], p, T))), 0.0)
+
+    @pytest.mark.parametrize("kind", ["saa", "svp", "robust", "kl"])
+    def test_prescription_matches_the_public_composition_bit_for_bit(self, kind):
+        rng = np.random.default_rng(29)
+        schedule = ExponentialRate(0.05)
+        spec = PredictorSpec(kind, 0.05 if kind == "kl" else None)
+        positive = 0
+        for case in range(8):
+            n, d = (int(v) for v in rng.integers(2, 5, size=2))
+            L = rng.integers(-4, 5, size=(n, d)) + rng.normal(scale=0.1, size=(n, d))
+            w = rng.dirichlet(np.ones(d))
+            if case % 2:
+                w[rng.integers(d)] = 0.0  # hits outside support(p) weigh -inf
+            p = Distribution(w / w.sum())
+            problem = Problem(LossMatrix(L), p)
+            assert deviation._merged_columns(L) is None  # every row is distinct
+            T = int(rng.integers(3, 13))
+            rep = disappointment_exact(
+                problem, spec, Mode.prescription(), p, T, schedule
+            )
+            want = self._reference_log_p(problem, spec, p, T, schedule)
+            assert rep.log_probability.hex() == want.hex(), (case, kind)
+            positive += rep.probability > 0.0
+        assert positive >= (0 if kind == "robust" else 3)
+
+    def test_in_place_reduction_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for i in range(600):
+            n = int(rng.integers(1, 4000)) if i % 50 else 200_000
+            a = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n)
+            a -= rng.uniform(0.0, 1000.0)
+            if i % 4 == 1:
+                a = np.round(a)  # integer values, many tied maxima
+            elif i % 4 == 2:
+                a[rng.integers(0, n, size=1 + n // 10)] = a.max()
+            elif i % 4 == 3:
+                a[rng.random(n) < 0.3] = -math.inf
+            want = float(logsumexp(a))
+            assert deviation._log_sum_exp(a.copy()).hex() == want.hex(), i
+
+    def test_in_place_reduction_edges(self):
+        assert deviation._log_sum_exp(np.full(5, -math.inf)) == -math.inf
+        assert deviation._log_sum_exp(np.empty(0)) == -math.inf
+        assert deviation._log_sum_exp(np.array([-3.25])) == -3.25
+        assert deviation._log_sum_exp(np.log(np.full(4, 0.25))) == 0.0
+
+    def test_reduction_adds_no_temporaries(self):
+        # the saa prescription keeps about 170,000 log-pmf values; reduced by
+        # scipy's logsumexp with its temporaries, the call peaks at 10.5 MB
+        problem = scenario("newsvendor.json")
+        tracemalloc.start()
+        try:
+            rep = disappointment_exact(
+                problem, PredictorSpec("saa"), Mode.prescription(),
+                problem.true_dist, 120, ExponentialRate(0.02),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.probability > 0.5
+        assert peak < 6e6, peak
+
+
 class TestIndicatorIsUnitFree:
     @pytest.mark.parametrize("kind", ["saa", "svp", "robust", "kl"])
     def test_exact_indicator_survives_rescaling_shifting_and_permutation(self, kind):
@@ -256,13 +373,18 @@ class TestIndicatorIsUnitFree:
         perm = [2, 0, 3, 1]
         permuted = Problem(LossMatrix(L[:, perm]), Distribution(p.weights[perm]))
         for mode in (Mode.prediction(4), Mode.prescription()):
-            want = deviation._disappointment_indicator(prob, spec, mode, Q, p, 0.02)
+            costs = deviation._true_costs(prob, p)
+            want = deviation._disappointment_indicator(prob, spec, mode, Q, costs, 0.02)
             for a, b in ((1e6, 0.0), (1e-6, 0.0), (1.0, 1e3)):
                 moved = Problem(LossMatrix(a * L + b), p)
-                got = deviation._disappointment_indicator(moved, spec, mode, Q, p, 0.02)
+                costs = deviation._true_costs(moved, p)
+                got = deviation._disappointment_indicator(
+                    moved, spec, mode, Q, costs, 0.02
+                )
                 assert np.array_equal(got, want), (mode, a, b)
+            costs = deviation._true_costs(permuted, permuted.true_dist)
             got = deviation._disappointment_indicator(
-                permuted, spec, mode, Q[:, perm], permuted.true_dist, 0.02
+                permuted, spec, mode, Q[:, perm], costs, 0.02
             )
             assert np.array_equal(got, want), (mode, "permuted")
 
@@ -302,7 +424,8 @@ class TestScenarioMerge:
         C = simplex._lattice_counts(T, problem.n_scenarios)
         ind = deviation._disappointment_indicator(
             problem, spec.resolved(cls.SCHEDULE), mode,
-            deviation._normalized_rows(C, T), p, speed_ratio(cls.SCHEDULE, T),
+            deviation._normalized_rows(C, T), deviation._true_costs(problem, p),
+            speed_ratio(cls.SCHEDULE, T),
         )
         if not ind.any():
             return -math.inf

@@ -22,7 +22,9 @@ from ddlab import (
     prescribe,
     prescription_gap_bound,
     variance,
+    variance_matrix,
 )
+from ddlab import predictors
 from ddlab.prescriptors import select_decisions
 
 
@@ -259,6 +261,47 @@ def equal_cost_instances(n):
 
 def permuted(emp, perm):
     return EmpiricalDistribution(np.asarray(emp.counts)[perm])
+
+
+class TestOneMomentsPass:
+    """prescribe and the gap bound each read values, costs and variances
+    off one moments pass, with the bits of the separate public views."""
+
+    def test_svp_prescription_takes_two_moments_passes(self, monkeypatch):
+        calls = []
+        original = predictors._moments
+
+        def counting(L, W):
+            calls.append(W.shape[0])
+            return original(L, W)
+
+        monkeypatch.setattr(predictors, "_moments", counting)
+        prob = Problem(abs_grid_problem())
+        emp = EmpiricalDistribution((3, 1, 2, 4, 5))
+        res = prescribe(prob, PredictorSpec("svp"), emp, ExponentialRate(0.02))
+        assert res.gap_lower is not None
+        assert calls == [1, 1]  # the prescription, then its gap bound
+
+    def test_gap_bound_matches_the_public_views_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            d, n = (int(v) for v in rng.integers(2, 6, size=2))
+            prob = make_problem(rng.integers(0, 4, (n, d)) / 4.0)
+            w = rng.uniform(0.1, 1.0, d)
+            p = Distribution(w / w.sum())
+            sched = ExponentialRate(float(rng.uniform(0.001, 0.2)))
+            W = p.weights[None, :]
+            svp = PredictorSpec("svp")
+            values = predictor_value_matrix(prob, svp, W, ratio=sched.rate)
+            costs = predictor_value_matrix(prob, PredictorSpec("saa"), W)
+            variances = variance_matrix(prob, W)
+            pick = int(select_decisions(prob, values, variances)[0])
+            x_star = int(select_decisions(prob, costs, variances)[0])
+            want = (
+                float(values[0, pick] - costs[0, pick]),
+                float(values[0, x_star] - costs[0, x_star]),
+            )
+            assert prescription_gap_bound(prob, p, 1, sched) == want
 
 
 class TestTieRuleIsUnitFree:
