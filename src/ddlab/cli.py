@@ -368,6 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None  # built by the first main call
+
+
 _HANDLERS = {
     "predict": cmd_predict,
     "prescribe": cmd_prescribe,
@@ -391,8 +394,13 @@ def _error_record(exc: Exception, exit_code: int) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code.  The parser is built on
+    the first call and reused (parse_args leaves it as it was), so repeated
+    calls in one process pay for it once."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _merged_config(args)
         rows = _HANDLERS[args.command](cfg)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .decisions import Problem, variance, _check_decision, _moments
+from .decisions import Problem, _check_decision, _moments
 from .errors import LatticeCapError, ValidationError
 from .predictors import (
     PredictorSpec,
@@ -24,7 +24,6 @@ from .predictors import (
     predictor_value_rows,
     predictor_values_and_moments,
     speed_ratio,
-    svp_direction,
 )
 # perfbench/tracing.py wraps these names in this module; nothing here calls them
 from .predictors import predictor_value_matrix, variance_matrix  # noqa: F401
@@ -489,16 +488,21 @@ def importance_shift(
     variance-penalized worst case through p.  For prescription mode the
     tested decision is the one prescribed at p itself.
     """
+    w = p.weights
     if mode.kind == "prediction":
         x = _check_decision(problem, mode.decision)
+        M, VarM = _moments(problem.loss.values[x:x + 1], w[None, :])
+        mean, var = float(M[0, 0]), float(VarM[0, 0])
     else:
-        V, _, VarM = predictor_values_and_moments(
-            problem, PredictorSpec("svp"), p.weights[None, :], ratio=ratio
+        V, M, VarM = predictor_values_and_moments(
+            problem, PredictorSpec("svp"), w[None, :], ratio=ratio
         )
         x = int(select_decisions(problem, V, VarM)[0])
-    q = w = p.weights  # a zero-variance decision has no direction to tilt along
-    if variance(problem, x, p) > 0.0:
-        q = w - math.sqrt(2.0 * ratio) * svp_direction(problem, x, p)
+        mean, var = float(M[0, x]), float(VarM[0, x])
+    q = w  # a zero-variance decision has no direction to tilt along
+    if var > 0.0:  # svp_direction(problem, x, p), from the moments above
+        phi = (problem.loss.values[x] - mean) * w / math.sqrt(var)
+        q = w - math.sqrt(2.0 * ratio) * phi
     q = np.maximum(q, 1e-9)
     q = q / q.sum()
     # defensive mixture: keep every p-typical region reachable so weights

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .decisions import LossMatrix, Problem, select_decisions
 from .errors import ValidationError
 from .predictors import (
@@ -116,7 +118,10 @@ def convexity_certificate(
     family is.  midpoint_violations counts grid triples (i, (i+k)/2, k)
     with even spacing whose penalized value at the midpoint exceeds the
     chord by more than 1e-9; only exact grid midpoints are tested, since a
-    rounded midpoint falsely flags piecewise-linear segments.
+    rounded midpoint falsely flags piecewise-linear segments.  Every such
+    triple is tested in one elementwise comparison over index arrays; it
+    runs the float64 operations of a pairwise loop, so the count is the
+    same as that loop's on any input.
     """
     if loss.n_decisions < 3:
         raise ValidationError("decision grid too small: need >= 3 points")
@@ -127,11 +132,8 @@ def convexity_certificate(
     threshold_ok = dro_condition_holds(p, ratio)
     W = p.weights[None, :]
     v = predictor_value_matrix(problem, PredictorSpec("svp"), W, ratio=ratio)[0]
-    n = v.size
-    violations = 0
-    for i in range(n - 2):
-        for k in range(i + 2, n, 2):
-            mid = (i + k) // 2
-            if v[mid] > 0.5 * (v[i] + v[k]) + 1e-9:
-                violations += 1
+    i, k = np.triu_indices(v.size, 2)  # every pair with k - i >= 2
+    even = (k - i) % 2 == 0
+    i, k = i[even], k[even]
+    violations = np.count_nonzero(v[(i + k) // 2] > 0.5 * (v[i] + v[k]) + 1e-9)
     return threshold_ok, int(violations)

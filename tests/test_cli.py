@@ -1,12 +1,24 @@
-"""End-to-end tests of the command-line front end (in-process)."""
+"""End-to-end tests of the command-line front end: in-process through
+`main`, and once per shipped config through `python -m ddlab`."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddlab import Distribution, LossMatrix, Problem, save_scenario
+from ddlab import Distribution, LossMatrix, Problem, cli, save_scenario
 from ddlab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "scenarios" / "configs"  # scenario paths relative to ROOT
+
+
+def golden(config):
+    return (ROOT / "perfbench" / "golden" / (config.stem + ".out")).read_bytes()
 
 PREDICT_COIN_EXPECTED = """\
 schema_version,decision,predictor,value,a_T,condition_ok,worst_case
@@ -396,3 +408,90 @@ class TestConfigPlumbing:
         path.write_text("[1,", encoding="utf-8")
         assert main(["predict", "--config", str(path)]) == 2
         capsys.readouterr()
+
+
+class TestParserCache:
+    """main builds its parser on the first call and reuses it."""
+
+    def test_three_calls_build_one_parser(self, monkeypatch, tmp_path, capsys):
+        builds = []
+        original = cli._build_parser
+
+        def counting():
+            builds.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        cfg = predict_coin_config(tmp_path)
+        for _ in range(3):
+            assert main(["predict", "--config", cfg]) == 0
+            assert capsys.readouterr().out == PREDICT_COIN_EXPECTED
+        assert builds == [1]
+
+    def test_flags_do_not_leak_into_the_next_call(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        config = CONFIG_DIR / "predict_coin.json"
+        assert main(["predict", "--config", str(config), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)
+        assert main(["predict", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.encode() == golden(config)
+        config = CONFIG_DIR / "disappoint_coin.json"
+        assert main(["disappoint", "--config", str(config), "--cap", "1"]) == 1
+        assert "LatticeCapError" in capsys.readouterr().err
+        assert main(["disappoint", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.encode() == golden(config)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["predict", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command"),
+            (["predict", "--format", "xml"], "invalid choice: 'xml'"),
+        ],
+    )
+    def test_bad_arguments_exit_2_with_usage_on_every_call(
+        self, monkeypatch, tmp_path, capsys, argv, message
+    ):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        for _ in range(2):  # the call that builds the parser, then a reuse
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            assert exc.value.code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("usage: ddlab")
+            assert message in captured.err
+        assert main(["predict", "--config", predict_coin_config(tmp_path)]) == 0
+        assert capsys.readouterr().out == PREDICT_COIN_EXPECTED
+
+    @pytest.mark.parametrize("argv", [["--help"], ["convexity", "--help"]])
+    def test_help_matches_a_fresh_parser(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(argv)
+        fresh = capsys.readouterr().out
+        if argv == ["--help"]:
+            assert fresh == cli._build_parser().format_help()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == fresh
+
+
+@pytest.mark.parametrize(
+    "config", sorted(CONFIG_DIR.glob("*.json")), ids=lambda path: path.stem
+)
+def test_module_entry_point_prints_the_golden_output(config):
+    # a fresh interpreter: python -m ddlab, with the output on stdout
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    command = config.stem.split("_")[0]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddlab", command, "--config", str(config)],
+        cwd=ROOT, env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden(config)

@@ -30,10 +30,12 @@ from ddlab import (
     predictor_value_matrix,
     rate_curve,
     speed_ratio,
+    svp_direction,
     theoretical_rate_saa,
+    variance,
     variance_matrix,
 )
-from ddlab import deviation, predictors, simplex
+from ddlab import decisions, deviation, predictors, simplex
 from ddlab.decisions import select_decisions
 from ddlab.deviation import _sample_count_rows, _sample_histogram, _unique_rows
 
@@ -804,6 +806,68 @@ class TestImportanceShift:
         q = importance_shift(COIN, Mode.prediction(1), p, 0.1)
         assert q.is_interior
         assert q.weights.min() >= 0.05 * p.weights.min() * 0.99
+
+
+def shift_from_public_views(problem, mode, p, ratio):
+    """importance_shift composed from the public views, one moments pass
+    each: the pick from the svp values and variances, then the tilt from
+    variance and svp_direction."""
+    w = p.weights
+    x = mode.decision
+    if mode.kind == "prescription":
+        W = w[None, :]
+        values = predictor_value_matrix(problem, PredictorSpec("svp"), W, ratio=ratio)
+        x = int(select_decisions(problem, values, variance_matrix(problem, W))[0])
+    q = w
+    if variance(problem, x, p) > 0.0:
+        q = w - math.sqrt(2.0 * ratio) * svp_direction(problem, x, p)
+    q = np.maximum(q, 1e-9)
+    q = q / q.sum()
+    q = np.maximum(0.95 * q + 0.05 * w, 1e-12)
+    return Distribution(q / q.sum()).weights
+
+
+class TestImportanceShiftMoments:
+    """The shift reads the picked decision's mean and variance off the
+    moments pass that picks it, with the bits of the public views."""
+
+    @pytest.mark.parametrize(
+        "mode", [Mode.prediction(3), Mode.prescription()], ids=["prediction", "prescription"]
+    )
+    def test_one_moments_pass_per_shift(self, monkeypatch, mode):
+        calls = []
+        original = decisions._moments
+
+        def counting(L, W):
+            calls.append(L.shape[0])
+            return original(L, W)
+
+        for module in (decisions, predictors, deviation):
+            monkeypatch.setattr(module, "_moments", counting)
+        problem = scenario("newsvendor.json")
+        q = importance_shift(problem, mode, problem.true_dist, 0.02)
+        assert q != problem.true_dist  # the picked decision has a direction
+        assert len(calls) == 1
+
+    def test_bits_match_the_public_views(self):
+        rng = np.random.default_rng(5)
+        problems = [COIN, scenario("newsvendor.json"), scenario("absolute_loss_grid.json")]
+        cases = 0
+        for problem in problems:
+            d, n = problem.loss.n_scenarios, problem.n_decisions
+            decisions_tested = range(n) if n < 20 else range(0, n, 10)
+            modes = [Mode.prediction(x) for x in decisions_tested] + [Mode.prescription()]
+            for alpha in (0.3, 1.0, 5.0, 50.0):
+                p = Distribution(rng.dirichlet(np.full(d, alpha)))
+                for mode in modes:
+                    for ratio in (0.0005, 0.02, 0.1):
+                        got = importance_shift(problem, mode, p, ratio).weights
+                        want = shift_from_public_views(problem, mode, p, ratio)
+                        assert [float(v).hex() for v in got] == [
+                            float(v).hex() for v in want
+                        ], (mode, ratio)
+                        cases += 1
+        assert cases == 4 * 3 * (3 + 10 + 12)
 
 
 class TestRateCurve:

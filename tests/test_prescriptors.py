@@ -21,6 +21,7 @@ from ddlab import (
     predictor_value_matrix,
     prescribe,
     prescription_gap_bound,
+    speed_ratio,
     variance,
     variance_matrix,
 )
@@ -440,6 +441,66 @@ class TestConvexityCertificate:
             loss, emp, CustomTable(((5, 0.0005 * 5),))
         )
         assert violations == 0
+
+
+def loop_midpoint_violations(v):
+    """The pairwise loop the certificate's one comparison replaced: the
+    oracle for its count."""
+    n = v.size
+    violations = 0
+    for i in range(n - 2):
+        for k in range(i + 2, n, 2):
+            if v[(i + k) // 2] > 0.5 * (v[i] + v[k]) + 1e-9:
+                violations += 1
+    return violations
+
+
+class TestMidpointCountMatchesTheLoop:
+    def certificate_and_loop(self, loss, emp, ratio):
+        T = emp.sample_size
+        sched = CustomTable(((T, ratio * T),))
+        W = emp.distribution.weights[None, :]
+        v = predictor_value_matrix(
+            Problem(loss), PredictorSpec("svp"), W, ratio=speed_ratio(sched, T)
+        )[0]
+        return convexity_certificate(loss, emp, sched)[1], loop_midpoint_violations(v)
+
+    def test_random_grids_odd_and_even(self):
+        rng = np.random.default_rng(23)
+        counts = set()
+        for n in range(3, 61):
+            d = int(rng.integers(2, 6))
+            if n % 2:  # noisy losses: many violations
+                L = rng.uniform(-1.0, 1.0, (n, d))
+            else:  # |x - xi| on a random grid: convex up to the penalty
+                xs = np.linspace(-3.0, 3.0, n)
+                L = np.abs(xs[:, None] - rng.uniform(-2.0, 2.0, d)[None, :])
+            loss = LossMatrix(L)
+            emp = EmpiricalDistribution(rng.integers(0, 6, d) + (np.arange(d) == 0))
+            for ratio in (0.0005, 0.02, 0.5, 2.0):
+                got, want = self.certificate_and_loop(loss, emp, ratio)
+                assert got == want, (n, ratio)
+                counts.add(got > 0)
+        assert counts == {False, True}  # both outcomes are exercised
+
+    def test_midpoint_exactly_at_chord_plus_tolerance_is_no_violation(self):
+        # constant rows make the svp values exactly the row constants; on a
+        # line of quarter steps every chord midpoint is exact, so a bump of
+        # 1e-9 puts the midpoint on the threshold and one ulp more over it
+        n = 11
+        emp = EmpiricalDistribution((1, 1))
+        for slope in (0.25, -0.5, 0.0):
+            line = slope * np.arange(n)
+            for m in range(1, n - 1):
+                for bump, want in (
+                    (line[m] + 1e-9, 0),
+                    (np.nextafter(line[m] + 1e-9, np.inf), min(m, n - 1 - m)),
+                ):
+                    v = line.copy()
+                    v[m] = bump
+                    loss = LossMatrix(np.column_stack([v, v]))
+                    got, oracle = self.certificate_and_loop(loss, emp, 0.02)
+                    assert got == oracle == want, (slope, m)
 
 
 class TestBatchConsistency:
