@@ -394,13 +394,18 @@ def _error_record(exc: Exception, exit_code: int) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand and return its exit code.  The parser is built on
-    the first call and reused (parse_args leaves it as it was), so repeated
-    calls in one process pay for it once."""
+    """Run one subcommand and return its exit code, without raising
+    `SystemExit`: 2 for bad arguments (argparse's usage text on stderr) and
+    for invalid input, 1 for runtime failures, 0 on success and for
+    `--help`.  The parser is built on the first call and reused (parse_args
+    leaves it as it was), so repeated calls in one process pay for it once."""
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse exits after usage errors and --help
+        return exc.code
     try:
         cfg = _merged_config(args)
         rows = _HANDLERS[args.command](cfg)

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ScenarioFormatError, ValidationError
-from .simplex import Distribution
+from .simplex import Distribution, _scratch
 
 SCHEMA_VERSION = 1
 
@@ -123,19 +123,26 @@ def cost(problem: Problem, x: int, p: Distribution) -> float:
     return float(_moments(problem.loss.values[x:x + 1], p.weights[None, :])[0][0, 0])
 
 
-def _moments(L: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _moments(
+    L: np.ndarray, W: np.ndarray, work: Optional[dict] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """(mean, var), each (N, n), of the loss rows L (n, d) under the weight
     rows W (N, d): two-pass sums about the mean of D = L - L[:, :1] (Chan,
     Golub & LeVeque 1983), so a constant row has variance exactly 0 and a
     shift of the losses moves the mean up to rounding.  Sums run left to
-    right over a weight row's own entries: no entry depends on its batch."""
+    right over a weight row's own entries: no entry depends on its batch.
+    mean and var are transposed views of (n, N) arrays from
+    `_scratch(work, ...)`."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != L.shape[1]:
         raise ValidationError("W must be (N, %d)" % L.shape[1])
     D = L - L[:, :1]
-    WT = np.ascontiguousarray(W.T)  # (d, N): one scenario's weights per row
-    M = np.multiply.outer(D[:, 0], WT[0])
-    V, t = np.zeros_like(M), np.empty_like(M)
+    WT = _scratch(work, "W^T", W.shape[::-1])  # one scenario's weights per row
+    np.copyto(WT, W.T)
+    n, N = D.shape[0], W.shape[0]
+    M = np.multiply(D[:, :1], WT[0], out=_scratch(work, "mean", (n, N)))
+    V, t = _scratch(work, "var", (n, N)), _scratch(work, "t", (n, N))
+    V.fill(0.0)
     for i in range(1, L.shape[1]):  # in place: fresh temporaries cost 3x here
         M += np.multiply(D[:, i, None], WT[i], out=t)
     for i in range(L.shape[1]):

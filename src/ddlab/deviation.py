@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .decisions import Problem, _check_decision, _moments
 from .errors import LatticeCapError, ValidationError
 from .predictors import (
     PredictorSpec,
     RegimeSchedule,
+    _predictor_values,
     predictor_value_rows,
     predictor_values_and_moments,
     speed_ratio,
@@ -34,9 +34,11 @@ from .simplex import (
     _LATTICE_BLOCK,
     _capped_size,
     _lattice_counts,
+    _log_factorials,
     _log_pmf_rows,
     _philox,
     _rank_tables,
+    _scratch,
 )
 
 
@@ -94,12 +96,11 @@ def _report(prob, log_p, method, T, schedule, mode) -> DisappointmentReport:
 # shared evaluation pieces
 
 
-def _normalized_rows(C: np.ndarray, T: int) -> np.ndarray:
+def _normalized_rows(C: np.ndarray, T: int, work: Optional[dict] = None) -> np.ndarray:
     # Mirrors Distribution construction bit for bit: divide counts by T,
     # then renormalize each row by its own sum.
-    Q = C / T
-    Q = Q / Q.sum(axis=1, keepdims=True)
-    return Q
+    Q = np.divide(C, T, out=_scratch(work, "Q", C.shape))
+    return np.divide(Q, Q.sum(axis=1, keepdims=True), out=Q)
 
 
 def _true_costs(problem: Problem, p: Distribution) -> np.ndarray:
@@ -114,15 +115,19 @@ def _disappointment_indicator(
     Q: np.ndarray,
     true_costs: np.ndarray,
     ratio: Optional[float],
+    work: Optional[dict] = None,
 ) -> np.ndarray:
     # a true cost that ties the prediction (within the tie window, as at
-    # lattice symmetry points) is no disappointment
+    # lattice symmetry points) is no disappointment; the prescription
+    # branch forms its (N, n_decisions) arrays in `_scratch(work, ...)`
     tie = problem.loss.tie_window
     if mode.kind == "prediction":
         x = _check_decision(problem, mode.decision)
         vals = predictor_value_rows(problem, x, spec, Q, ratio=ratio)
         return true_costs[x] > vals + tie
-    V, _, VarM = predictor_values_and_moments(problem, spec, Q, ratio=ratio)
+    V, _, VarM = _predictor_values(
+        spec, problem.loss.values, Q, ratio, moments=True, work=work
+    )
     pick = select_decisions(problem, V, VarM)
     v_hat = V[np.arange(Q.shape[0]), pick]
     return true_costs[pick] > v_hat + tie
@@ -209,21 +214,30 @@ def disappointment_exact(
     (1 byte per kept value) as its only temporary, so the result equals the
     single-pass reduction bit for bit.  Per block, the predictor values and
     the tie-break variances come from one moments pass; the true costs are
-    formed once per call.
+    formed once per call, and the log-factorials are read from the
+    process's cached table (`simplex._log_factorials`).  The block-shaped
+    arrays (counts, Q, moments, values, hit rows, log-pmf terms) live in
+    one workspace per call that every block reuses (`simplex._scratch`):
+    nothing of block size is allocated or freed inside the loop, so the
+    time does not depend on whether the allocator hands freed blocks back
+    to the system and faults them in again.
     """
     merged, spec, tested, p, _ = _prepare(problem, spec, mode, p, schedule)
     d = merged.n_scenarios
     size = _capped_size(T, d, cap)  # raises LatticeCapError when too big
     ratio = speed_ratio(schedule, T)
     below = _rank_tables(T, d)
-    log_fact = gammaln(np.arange(T + 1) + 1.0)  # log c! for every count c
     true_costs = _true_costs(merged, p)
-    hits = []
+    hits, work = [], {}
     for lo in range(0, size, _LATTICE_BLOCK):
-        C = _lattice_counts(T, d, cap, lo, min(lo + _LATTICE_BLOCK, size), below)
-        Q = _normalized_rows(C, T)
-        ind = _disappointment_indicator(merged, spec, tested, Q, true_costs, ratio)
-        hits.append(_log_pmf_rows(C[ind], p, T, log_fact))
+        C = _lattice_counts(T, d, cap, lo, min(lo + _LATTICE_BLOCK, size), below, work)
+        Q = _normalized_rows(C, T, work)
+        ind = _disappointment_indicator(merged, spec, tested, Q, true_costs, ratio, work)
+        rows = np.flatnonzero(ind)
+        hit = _scratch(work, "hit counts", (rows.size, d), np.int64)
+        np.take(C, rows, axis=0, out=hit, mode="clip")
+        hits.append(_log_pmf_rows(hit, p, T, work))
+    work.clear()  # before the kept values are copied into one buffer
     log_p = _log_sum_exp(np.concatenate(hits))
     log_p = min(log_p, 0.0)  # clamp float dust above certainty
     prob = math.exp(log_p) if log_p != -math.inf else 0.0
@@ -232,11 +246,13 @@ def disappointment_exact(
 
 def _log_sum_exp(a: np.ndarray) -> float:
     """log(sum(exp(a))) of a 1-D float array, overwriting a: the steps of
-    `scipy.special.logsumexp` (SciPy 1.17) and its bits, without its
-    temporaries of about five times the input.  The k entries equal to the
-    maximum m are kept out of the sum s of exp(a - m) over the others, and
-    the result is log1p(s / k) + log(k) + m; -inf when a is empty or all
-    -inf (counts outside support(p))."""
+    `scipy.special.logsumexp` (SciPy 1.17) and its bits, without importing
+    SciPy and without its temporaries of about five times the input.  The
+    k entries equal to the maximum m are kept out of the sum s of
+    exp(a - m) over the others, and the result is log1p(s / k) + log(k) + m;
+    -inf when a is empty or all -inf (counts outside support(p)).  It
+    reduces the exact engine's hits and `theoretical_rate_saa`'s log moment
+    generating function."""
     m = a.max(initial=-math.inf)
     if m == -math.inf:
         return -math.inf
@@ -263,11 +279,12 @@ def _sample_count_rows(
     return rng.multinomial(totals, p_weights)
 
 
-def _binomial_pmf_rows(t: np.ndarray, w: float, rest: float, log_fact: np.ndarray):
+def _binomial_pmf_rows(t: np.ndarray, w: float, rest: float):
     """(len(t), max(t) + 1) rows: the pmf of Binomial(t_i, w / (w + rest))
-    over 0..max(t), from the log-factorial table as in `_log_pmf_rows`.
+    over 0..max(t), from the log-factorial table of `_log_pmf_rows`.
     rest > 0; w may be 0."""
     c = np.arange(t.max() + 1)
+    log_fact = _log_factorials(int(c[-1]))
     k = t[:, None] - c  # draws left to the later cells
     # c log(pi) + k log(1 - pi) = t log(rest / (w + rest)) + c log(w / rest)
     log_odds = (math.log(w) if w > 0.0 else -math.inf) - math.log(rest)
@@ -314,8 +331,6 @@ def _sample_histogram(
     rows = np.zeros((1, 0), dtype=np.int64)
     left = np.array([T], dtype=np.int64)
     mult = np.array([n_samples], dtype=np.int64)
-    # histogram levels run only while T < n_samples, so the table stays small
-    log_fact = gammaln(np.arange(min(T, n_samples) + 1) + 1.0)
     for j in range(last):
         if rows.shape[0] * (T + 1) > n_samples:
             C = np.empty((n_samples, d), dtype=np.int64)
@@ -323,9 +338,11 @@ def _sample_histogram(
             C[:, j:] = _sample_count_rows(w[j:] / tail[j], np.repeat(left, mult), rng)
             uniq, _, mult = _unique_rows(C, T)
             return uniq, mult
-        # the pmf depends on a prefix only through t: one row per distinct t
+        # the pmf depends on a prefix only through t: one row per distinct t;
+        # levels run only while T < n_samples, which bounds the log-factorial
+        # table they grow
         t, t_row = np.unique(left, return_inverse=True)
-        pmf = _binomial_pmf_rows(t, w[j], tail[j + 1], log_fact)
+        pmf = _binomial_pmf_rows(t, w[j], tail[j + 1])
         children = rng.multinomial(mult, pmf[t_row])
         parent, c = np.nonzero(children)
         mult = children[parent, c]
@@ -591,7 +608,7 @@ def theoretical_rate_saa(
         return float((ls * e).sum() / e.sum())
 
     def objective(lam: float) -> float:
-        return lam * m - float(logsumexp(lam * ls + logws))
+        return lam * m - _log_sum_exp(lam * ls + logws)
 
     # h'(lam) = m - tilted_mean(lam) is decreasing; root-bracket then bisect
     if m < mean:

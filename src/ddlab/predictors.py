@@ -32,7 +32,7 @@ from .errors import (
     EllipsoidConditionError,
     ValidationError,
 )
-from .simplex import Distribution, EmpiricalDistribution
+from .simplex import Distribution, EmpiricalDistribution, _scratch
 
 # ---------------------------------------------------------------------------
 # guarantee-speed schedules
@@ -553,6 +553,7 @@ def _predictor_values(
     W: np.ndarray,
     ratio: Optional[float],
     moments: bool = False,
+    work: Optional[dict] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """(values, mean, var), each (N, n): the predictor values of the loss
     rows L (n, d) over the weight rows W (N, d), and the centered moments of
@@ -560,7 +561,8 @@ def _predictor_values(
     moments; for a kl spec with a positive radius, every (weight row,
     nonconstant loss row) pair goes through one call of the batched dual
     kernel.  mean and var are None when neither the kind nor `moments`
-    needs them.  An entry does not depend on the rows beside it."""
+    needs them.  An entry does not depend on the rows beside it.  The
+    moments and the svp values are views of `_scratch(work, ...)` arrays."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != L.shape[1]:
         raise ValidationError("W must be (N, %d)" % L.shape[1])
@@ -571,7 +573,7 @@ def _predictor_values(
         raise ValidationError("kl spec must carry a resolved radius")
     mean = var = None
     if moments or kind in ("saa", "svp") or (kind == "kl" and r == 0.0):
-        mean, var = _moments(L, W)
+        mean, var = _moments(L, W, work)
     if kind == "robust":
         values = np.tile(L.max(axis=1), (W.shape[0], 1))
     elif kind == "kl" and r > 0.0:
@@ -581,8 +583,10 @@ def _predictor_values(
         pairs = np.tile(L[live], (W.shape[0], 1))
         vals = _kl_dual_solve(pairs, np.repeat(W, live.size, axis=0), float(r))[0]
         values[:, live] = vals.reshape(W.shape[0], live.size)
-    elif kind == "svp":
-        values = mean + np.sqrt(2.0 * ratio * var)
+    elif kind == "svp":  # mean + sqrt(2 ratio var), laid out as mean
+        values = _scratch(work, "values", var.shape[::-1]).T
+        np.multiply(2.0 * ratio, var, out=values)
+        np.add(mean, np.sqrt(values, out=values), out=values)
     else:
         values = mean  # saa, and kl at radius 0
     return values, mean, var

@@ -7,15 +7,17 @@ exact enumeration of the lattice of empirical distributions, multinomial
 log-probabilities, and reproducible multinomial sampling.
 
 Everything here is immutable after construction and pure given its inputs,
-so values can be shared freely across threads.
+so values can be shared freely across threads.  The one module state is the
+log-factorial table of `_log_factorials`: it only grows, and every table it
+hands out is read-only.
 """
 from __future__ import annotations
 
 import math
+import threading
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import LatticeCapError, ValidationError
 
@@ -235,6 +237,23 @@ def enumerate_lattice(
             yield EmpiricalDistribution(row, T)
 
 
+def _scratch(work: Optional[dict], role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialized C-ordered array of `shape`: a fresh one when work is
+    None, else a view of the flat buffer that the dict `work` keeps under
+    `role`, grown when too small.  A loop that passes one dict to every
+    pass reuses its arrays instead of allocating and freeing them: the
+    exact engine's blocks, whose freed arrays the allocator handed back to
+    the system and faulted in again at the next block.  The view is valid
+    until the next request for the same role."""
+    if work is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = work.get(role)
+    if buf is None or buf.size < size:
+        buf = work[role] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
 def _rank_tables(T: int, d: int) -> list:
     # below[k][s + 1] = comb(s + k, k), the compositions of s into k + 1
     # parts; below[k][0] = 0.  They cost O(d T) and depend on (T, d) only,
@@ -253,6 +272,7 @@ def _lattice_counts(
     start: int = 0,
     stop: Optional[int] = None,
     below: Optional[list] = None,
+    work: Optional[dict] = None,
 ) -> np.ndarray:
     """The compositions of T into d parts with ranks in [start, stop), as
     (N, d) int64 rows in the order of `enumerate_lattice`.
@@ -264,7 +284,7 @@ def _lattice_counts(
     one table lookup.  Children whose range misses [start, stop) are never
     made, so time and memory follow the block, not the lattice, apart from
     the d tables of T + 2 counts from `_rank_tables` (built here unless
-    passed in as `below`).
+    passed in as `below`).  The rows are written into `_scratch(work, ...)`.
     """
     size = _capped_size(T, d, cap)
     stop = size if stop is None else min(stop, size)
@@ -275,7 +295,7 @@ def _lattice_counts(
         below = _rank_tables(T, d)
     # every prefix has a child in range, so the prefixes never outnumber the
     # block's rows: the first `rest.size` rows of `out` hold them
-    out = np.empty((stop - start, d), dtype=np.int64)
+    out = _scratch(work, "counts", (stop - start, d), np.int64)
     rest = np.array([T], dtype=np.int64)
     end = np.array([size], dtype=np.int64)  # one past each prefix's last rank
     for j, k in enumerate(range(d - 1, 0, -1)):  # k parts left after part j
@@ -294,28 +314,110 @@ def _lattice_counts(
     return out
 
 
+# Cephes `lgam` for x >= 13: log(sqrt(2 pi)) and the coefficients of its
+# Stirling series in 1/x^2, highest power first
+_LS2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LOG_FACT = np.zeros(0)  # log c! for c < _LOG_FACT.size; see _log_factorials
+_LOG_FACT_LOCK = threading.Lock()
+
+
+def _log_factorial_entries(c: np.ndarray) -> np.ndarray:
+    """log c! for each count in c: the steps `scipy.special.gammaln(c + 1.0)`
+    (Cephes `lgam`) runs for integer arguments, so the same bits.  For
+    c <= 11 that is the log of the exact product c!; past it, with
+    x = c + 1, (x - 1/2) log x - x + log sqrt(2 pi) plus a Stirling tail:
+    the degree-4 series below x = 1000, a short one up to 1e8, none beyond.
+    log x comes from `math.log` (libm, as in Cephes): `np.log` differs from
+    it in the last bit on a few arguments."""
+    x = c + 1.0
+    log_x = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = np.full_like(p, _STIRLING[0])
+    for coef in _STIRLING[1:]:  # Cephes polevl: Horner, no fused multiply-add
+        series = series * p + coef
+    short = (
+        7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3
+    ) * p + 0.0833333333333333333333
+    out = np.where(x > 1e8, q, q + np.where(x < 1000.0, series, short) / x)
+    for i in np.flatnonzero(c <= 11):
+        out[i] = math.log(float(math.factorial(int(c[i]))))
+    return out
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """The process's read-only table of log c! for c = 0..n at least.  It
+    grows on demand to the largest n asked for, computing only the new
+    entries, so callers index it instead of calling log-gamma; every entry
+    equals `scipy.special.gammaln(c + 1.0)` bit for bit.  The table costs
+    8 bytes per entry for the life of the process, so it serves the exact
+    engine and the histogram sampler, whose arrays are O(n) already, and
+    not one-off callers such as `multinomial_log_prob`."""
+    global _LOG_FACT
+    table = _LOG_FACT
+    if table.size <= n:
+        with _LOG_FACT_LOCK:  # growth only: a table never shrinks
+            table = _LOG_FACT
+            if table.size <= n:
+                grown = np.empty(n + 1)
+                grown[:table.size] = table
+                step = 1 << 16  # entries per slice: bounds the temporaries
+                for lo in range(table.size, n + 1, step):
+                    hi = min(lo + step, n + 1)
+                    grown[lo:hi] = _log_factorial_entries(np.arange(lo, hi))
+                grown.flags.writeable = False
+                _LOG_FACT = table = grown
+    return table
+
+
 def _log_pmf_rows(
-    C: np.ndarray, p: Distribution, T: int, log_fact: Optional[np.ndarray] = None
+    C: np.ndarray, p: Distribution, T: int, work: Optional[dict] = None
 ) -> np.ndarray:
-    # log_fact, when given, is gammaln(arange(T + 1) + 1.0): indexing it
-    # gives the bits gammaln(C + 1.0) would
+    """Multinomial log-pmf of each count row of C (rows sum to T) under p:
+    log T! - sum_i log C_i! + sum_i C_i log p_i, -inf for counts outside
+    support(p).  The log-factorials are read from `_log_factorials`, so the
+    values have the bits of the same sum over `scipy.special.gammaln`.  Its
+    (N, d) terms are written into `_scratch(work, ...)`."""
+    log_fact = _log_factorials(T)
+    terms = _scratch(work, "log-pmf terms", C.shape)
+    np.take(log_fact, C, out=terms, mode="clip")  # 0 <= C <= T
+    return _log_pmf(C, p, log_fact[T], terms)
+
+
+def _log_pmf(
+    C: np.ndarray, p: Distribution, log_fact_T: float, terms: np.ndarray
+) -> np.ndarray:
+    # the sum of `_log_pmf_rows`, given log T! and the array `terms` of the
+    # log C_i!, which it overwrites with the C_i log p_i
     w = p.weights
     logw = np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
-    with np.errstate(invalid="ignore"):
-        contrib = np.where(C > 0, C * logw, 0.0)
-    lf = gammaln(C + 1.0) if log_fact is None else log_fact[C]
-    return gammaln(T + 1) - lf.sum(axis=1) + contrib.sum(axis=1)
+    log_fact_C = terms.sum(axis=1)
+    terms.fill(0.0)  # 0 log 0 = 0, also where p_i = 0
+    np.multiply(C, logw, out=terms, where=C > 0)
+    return log_fact_T - log_fact_C + terms.sum(axis=1)
 
 
 def multinomial_log_prob(e: EmpiricalDistribution, p: Distribution) -> float:
     """log of the multinomial probability of the counts under p.
 
-    Computed through log-gamma; factorials would overflow past T ~ 170.
-    Returns -inf when the counts put mass outside support(p).
+    The d + 1 log-factorials it needs (log c_i! and log T!) are computed
+    by `_log_factorial_entries`, so the value has the bits of the same sum
+    over `scipy.special.gammaln` and equals the row of `_log_pmf_rows`,
+    while time and memory stay O(d) whatever T is; the shared table is
+    neither read nor grown.  Factorials themselves would overflow past
+    T ~ 170.  Returns -inf when the counts put mass outside support(p).
     """
     if e.dim != p.dim:
         raise ValidationError("dimension mismatch")
-    return float(_log_pmf_rows(e.counts[None, :], p, e.sample_size)[0])
+    log_fact = _log_factorial_entries(np.append(e.counts, e.sample_size))
+    return float(_log_pmf(e.counts[None, :], p, log_fact[-1], log_fact[None, :-1])[0])
 
 
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:

@@ -2,7 +2,6 @@
 `main`, and once per shipped config through `python -m ddlab`."""
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -455,10 +454,8 @@ class TestParserCache:
     ):
         monkeypatch.setattr(cli, "_PARSER", None)
         for _ in range(2):  # the call that builds the parser, then a reuse
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
+            assert main(argv) == 2  # returned, not raised as SystemExit
             captured = capsys.readouterr()
-            assert exc.value.code == 2
             assert captured.out == ""
             assert captured.err.startswith("usage: ddlab")
             assert message in captured.err
@@ -466,32 +463,38 @@ class TestParserCache:
         assert capsys.readouterr().out == PREDICT_COIN_EXPECTED
 
     @pytest.mark.parametrize("argv", [["--help"], ["convexity", "--help"]])
-    def test_help_matches_a_fresh_parser(self, capsys, argv):
-        with pytest.raises(SystemExit):
-            cli._build_parser().parse_args(argv)
+    def test_help_matches_a_fresh_parser(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        assert main(argv) == 0  # this call builds a fresh parser
         fresh = capsys.readouterr().out
+        assert fresh.startswith("usage: ddlab")
         if argv == ["--help"]:
             assert fresh == cli._build_parser().format_help()
         for _ in range(2):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 0
+            assert main(argv) == 0
             assert capsys.readouterr().out == fresh
 
 
 @pytest.mark.parametrize(
     "config", sorted(CONFIG_DIR.glob("*.json")), ids=lambda path: path.stem
 )
-def test_module_entry_point_prints_the_golden_output(config):
+def test_module_entry_point_prints_the_golden_output(config, src_env):
     # a fresh interpreter: python -m ddlab, with the output on stdout
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     command = config.stem.split("_")[0]
     proc = subprocess.run(
         [sys.executable, "-m", "ddlab", command, "--config", str(config)],
-        cwd=ROOT, env=env, capture_output=True, timeout=300,
+        cwd=ROOT, env=src_env, capture_output=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == golden(config)
+
+
+def test_module_entry_point_exits_2_on_a_bad_flag(src_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddlab", "predict", "--bogus"],
+        cwd=ROOT, env=src_env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"usage: ddlab")
+    assert b"unrecognized arguments: --bogus" in proc.stderr

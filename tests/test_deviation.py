@@ -216,6 +216,33 @@ class TestExactStreaming:
         assert all(lo < hi for lo, hi in calls)
         assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
 
+    @pytest.mark.parametrize("kind", ["saa", "svp"])
+    def test_blocks_reuse_one_workspace(self, kind, monkeypatch):
+        # the blocks after the first write their block-shaped arrays into the
+        # buffers the first block made: nothing of block size is allocated
+        # or freed inside the loop
+        snapshots = []
+        original = deviation._lattice_counts
+
+        def recording(*args):
+            snapshots.append(dict(args[-1]))  # the workspace, role -> buffer
+            return original(*args)
+
+        problem = scenario("newsvendor.json")
+        monkeypatch.setattr(deviation, "_lattice_counts", recording)
+        disappointment_exact(  # 39,711 points: five blocks
+            problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist,
+            60, SCHED,
+        )
+        assert len(snapshots) == 5 and snapshots[0] == {}
+        roles = {"counts", "Q", "W^T", "mean", "var", "t"}
+        if kind == "svp":
+            roles.add("values")
+        first = snapshots[1]
+        assert roles <= first.keys()
+        for later in snapshots[2:]:
+            assert all(later[role] is first[role] for role in roles)
+
     def test_rank_tables_are_built_once_per_call(self, monkeypatch):
         # they cost O(d T), so one build per block would make a d=2 lattice
         # quadratic in T
@@ -266,10 +293,10 @@ class TestExactSinglePass:
             blocks.append(C.shape[0])
             return C
 
-        def counting_block_moments(L, W):
+        def counting_block_moments(L, W, work=None):
             if L.shape == problem.loss.values.shape:
                 passes.append(W.shape[0])
-            return block_moments(L, W)
+            return block_moments(L, W, work)
 
         def counting_call_moments(L, W):
             true_costs.append(W.shape[0])
@@ -360,6 +387,49 @@ class TestExactSinglePass:
             tracemalloc.stop()
         assert rep.probability > 0.5
         assert peak < 6e6, peak
+
+
+class TestLogFactorialCache:
+    """The exact engine and the histogram sampler index the process's
+    log-factorial table; once it covers T they build nothing."""
+
+    def _count_builds(self, monkeypatch):
+        builds = []
+        original = simplex._log_factorial_entries
+
+        def counting(c):
+            builds.append(c.size)
+            return original(c)
+
+        monkeypatch.setattr(simplex, "_log_factorial_entries", counting)
+        return builds
+
+    def test_exact_builds_nothing_once_covered(self, monkeypatch):
+        problem = scenario("newsvendor.json")
+        args = (problem, PredictorSpec("svp"), Mode.prescription(),
+                problem.true_dist, 40, ExponentialRate(0.02))
+        monkeypatch.setattr(simplex, "_LOG_FACT", np.zeros(0))
+        builds = self._count_builds(monkeypatch)
+        first = disappointment_exact(*args)
+        assert builds == [41]  # one build of log c!, c = 0..T
+        for _ in range(3):
+            again = disappointment_exact(*args)
+            assert again.log_probability.hex() == first.log_probability.hex()
+        disappointment_exact(*args[:4], 25, args[5])  # a smaller T
+        assert builds == [41]
+
+    def test_histogram_builds_nothing_once_covered(self, monkeypatch):
+        w = np.array([0.2, 0.3, 0.3, 0.2])
+        monkeypatch.setattr(simplex, "_LOG_FACT", np.zeros(0))
+        builds = self._count_builds(monkeypatch)
+        first = _sample_histogram(w, 60, 100_000, 5)
+        assert builds == [61]  # grown to T = 60 at the first level
+        builds.clear()
+        for _ in range(3):
+            again = _sample_histogram(w, 60, 100_000, 5)
+            assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        _sample_histogram(w, 30, 100_000, 6)
+        assert builds == []
 
 
 class TestIndicatorIsUnitFree:
@@ -838,9 +908,9 @@ class TestImportanceShiftMoments:
         calls = []
         original = decisions._moments
 
-        def counting(L, W):
+        def counting(L, W, work=None):
             calls.append(L.shape[0])
-            return original(L, W)
+            return original(L, W, work)
 
         for module in (decisions, predictors, deviation):
             monkeypatch.setattr(module, "_moments", counting)
@@ -1004,6 +1074,31 @@ class TestTheoreticalRateSaa:
                 options={"xatol": 1e-12},
             )
             assert got == pytest.approx(-res.fun, abs=1e-8)
+
+    def test_bits_match_the_scipy_logsumexp_reference(self, monkeypatch):
+        # the rate reduces its log moment generating function with
+        # deviation._log_sum_exp; the reference runs the same bisection
+        # with scipy.special.logsumexp
+        rng = np.random.default_rng(21)
+        newsvendor = scenario("newsvendor.json")
+        cases = []
+        for x in range(newsvendor.n_decisions):
+            row = newsvendor.loss.values[x]
+            for u in (0.05, 0.3, 0.6, 0.95):
+                cases.append((newsvendor, x, newsvendor.true_dist,
+                              row.min() + u * (row.max() - row.min())))
+        cases += [(COIN, 1, HALF, m) for m in (0.01, 0.25, 0.49, 0.51, 0.9)]
+        for _ in range(200):
+            d = int(rng.integers(2, 7))
+            row = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=d)
+            p = Distribution(rng.dirichlet(np.ones(d)))
+            m = row.min() + rng.uniform(0.01, 0.99) * (row.max() - row.min())
+            cases.append((make_problem([row]), 0, p, m))
+        got = [theoretical_rate_saa(*case) for case in cases]
+        monkeypatch.setattr(deviation, "_log_sum_exp", lambda a: float(logsumexp(a)))
+        want = [theoretical_rate_saa(*case) for case in cases]
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+        assert sum(0.0 < g < math.inf for g in got) >= 200
 
     def test_monotone_away_from_the_mean(self):
         rates = [

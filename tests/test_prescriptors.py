@@ -272,9 +272,9 @@ class TestOneMomentsPass:
         calls = []
         original = predictors._moments
 
-        def counting(L, W):
+        def counting(L, W, work=None):
             calls.append(W.shape[0])
-            return original(L, W)
+            return original(L, W, work)
 
         monkeypatch.setattr(predictors, "_moments", counting)
         prob = Problem(abs_grid_problem())

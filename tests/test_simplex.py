@@ -1,11 +1,13 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from ddlab import (
     Distribution,
@@ -292,6 +294,110 @@ class TestMultinomialLogProb:
         rows = _log_pmf_rows(_lattice_counts(7, 4), p, 7)
         scalar = [multinomial_log_prob(e, p) for e in enumerate_lattice(7, 4)]
         assert np.array_equal(np.array(scalar), rows)
+
+
+class TestLogFactorialTable:
+    """The cached log c! table has the bits of scipy.special.gammaln(c + 1)."""
+
+    def test_entries_match_gammaln_up_to_200000(self):
+        c = np.arange(200_001)
+        got = simplex._log_factorial_entries(c)
+        assert np.array_equal(got, gammaln(c + 1.0))
+
+    def test_entries_match_gammaln_at_the_branch_edges(self):
+        # c <= 11 is an exact product; the Stirling tail changes at
+        # x = c + 1 = 1000 and stops past 1e8
+        c = np.array([11, 12, 998, 999, 1000] + list(range(10**8 - 2, 10**8 + 2)))
+        assert np.array_equal(simplex._log_factorial_entries(c), gammaln(c + 1.0))
+
+    def test_entries_match_gammaln_on_random_counts(self):
+        c = np.random.default_rng(12).integers(0, 10**13, size=5000)
+        assert np.array_equal(simplex._log_factorial_entries(c), gammaln(c + 1.0))
+
+    def test_grown_table_equals_a_fresh_one(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_LOG_FACT", np.zeros(0))
+        small = simplex._log_factorials(10)
+        assert small.size == 11
+        grown = simplex._log_factorials(5000)
+        assert grown.size == 5001
+        assert np.array_equal(grown, simplex._log_factorial_entries(np.arange(5001)))
+        assert np.array_equal(grown, gammaln(np.arange(5001) + 1.0))
+        assert simplex._log_factorials(10) is grown  # covered: no rebuild
+
+    def test_concurrent_growth_keeps_every_entry(self, monkeypatch):
+        # threads race to grow the table; it must end covering the largest
+        # request, with the bits of a fresh build
+        monkeypatch.setattr(simplex, "_LOG_FACT", np.zeros(0))
+        sizes = np.random.default_rng(4).integers(0, 3000, size=(8, 40))
+        errors = []
+
+        def grow(row):
+            try:
+                for n in row:
+                    table = simplex._log_factorials(int(n))
+                    assert table.size > n and not table.flags.writeable
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(row,)) for row in sizes]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        table = simplex._LOG_FACT
+        assert table.size == sizes.max() + 1
+        assert np.array_equal(table, gammaln(np.arange(table.size) + 1.0))
+
+    def test_growth_runs_in_bounded_slices(self, monkeypatch):
+        # growing by 199,900 entries never computes more than 2**16 at once,
+        # and the grown table has the bits of gammaln
+        monkeypatch.setattr(simplex, "_LOG_FACT", np.zeros(0))
+        simplex._log_factorials(99)
+        sizes = []
+        original = simplex._log_factorial_entries
+
+        def counting(c):
+            sizes.append(c.size)
+            return original(c)
+
+        monkeypatch.setattr(simplex, "_log_factorial_entries", counting)
+        table = simplex._log_factorials(200_000)
+        assert sum(sizes) == 200_001 - 100 and max(sizes) <= 1 << 16
+        assert np.array_equal(table, gammaln(np.arange(200_001) + 1.0))
+
+    def test_log_prob_of_a_huge_sample_leaves_the_table_alone(self, monkeypatch):
+        # multinomial_log_prob needs d + 1 log-factorials, not a table up to T
+        table = simplex._log_factorials(20)
+
+        def refuse(n):
+            raise AssertionError("table asked to cover n = %d" % n)
+
+        monkeypatch.setattr(simplex, "_log_factorials", refuse)
+        p = Distribution([0.5, 0.3, 0.2, 0.0])
+        for counts in ([10**9 - 3, 2, 1, 0], [4 * 10**8, 3 * 10**8, 3 * 10**8, 0],
+                       [7, 0, 5, 0], [10**12, 0, 0, 1]):
+            c = np.array(counts)
+            got = multinomial_log_prob(EmpiricalDistribution(c), p)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logw = np.where(p.weights > 0.0, np.log(p.weights), -np.inf)
+                contrib = np.where(c > 0, c * logw, 0.0)
+            want = (gammaln(c.sum() + 1.0) - gammaln(c + 1.0)[None, :].sum(axis=1)
+                    + contrib[None, :].sum(axis=1))[0]
+            assert got.hex() == float(want).hex(), counts
+        assert simplex._LOG_FACT is table
+
+    def test_table_is_read_only(self):
+        table = simplex._log_factorials(50)
+        with pytest.raises(ValueError):
+            table[3] = 0.0
+        assert table[3] == math.log(6.0)
 
 
 class TestSampling:
