@@ -42,7 +42,7 @@ from .simplex import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mode:
     """What is being tested: one decision's prediction, or the full
     data-driven prescription (whose decision varies with the sample)."""
@@ -67,7 +67,7 @@ class Mode:
         return Mode("prescription")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodInfo:
     name: str  # exact | monte_carlo | importance
     n_samples: Optional[int] = None
@@ -76,7 +76,7 @@ class MethodInfo:
     ess: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisappointmentReport:
     probability: float
     log_probability: float  # -inf when the probability is exactly 0
@@ -117,16 +117,19 @@ def _disappointment_indicator(
     ratio: Optional[float],
     work: Optional[dict] = None,
 ) -> np.ndarray:
-    # a true cost that ties the prediction (within the tie window, as at
-    # lattice symmetry points) is no disappointment; the prescription
-    # branch forms its (N, n_decisions) arrays in `_scratch(work, ...)`
+    """The event per weight row of Q.  A true cost that ties the prediction
+    (within the tie window, as at lattice symmetry points) is no
+    disappointment.  The prescription branch forms its (N, n_decisions)
+    arrays in `_scratch(work, ...)`; for kl it solves the dual only for the
+    decisions the Pinsker screen of `_predictor_values` keeps in reach of
+    the pick, with the same picks and picked values as the full matrix."""
     tie = problem.loss.tie_window
     if mode.kind == "prediction":
         x = _check_decision(problem, mode.decision)
         vals = predictor_value_rows(problem, x, spec, Q, ratio=ratio)
         return true_costs[x] > vals + tie
     V, _, VarM = _predictor_values(
-        spec, problem.loss.values, Q, ratio, moments=True, work=work
+        spec, problem.loss.values, Q, ratio, moments=True, work=work, tie=tie
     )
     pick = select_decisions(problem, V, VarM)
     v_hat = V[np.arange(Q.shape[0]), pick]

@@ -164,7 +164,7 @@ class PredictorSpec:
 # results
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionResult:
     value: float
     worst_case: Optional[Distribution] = None
@@ -554,15 +554,25 @@ def _predictor_values(
     ratio: Optional[float],
     moments: bool = False,
     work: Optional[dict] = None,
+    tie: Optional[float] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """(values, mean, var), each (N, n): the predictor values of the loss
     rows L (n, d) over the weight rows W (N, d), and the centered moments of
     one decisions._moments call.  saa, svp and kl at radius 0 read those
-    moments; for a kl spec with a positive radius, every (weight row,
-    nonconstant loss row) pair goes through one call of the batched dual
+    moments; for a kl spec with a positive radius, the (weight row,
+    nonconstant loss row) pairs go through one call of the batched dual
     kernel.  mean and var are None when neither the kind nor `moments`
     needs them.  An entry does not depend on the rows beside it.  The
-    moments and the svp values are views of `_scratch(work, ...)` arrays."""
+    moments and the svp values are views of `_scratch(work, ...)` arrays.
+
+    Given `moments` and the tie window `tie` (prescriptions), a kl spec
+    solves only the pairs that can come within `tie` of their row's
+    minimum; the others read +inf, so select_decisions makes the same
+    picks at the same values.  The screen bounds a value below by its mean,
+    which the kernel's clamp makes the plug-in bit for bit, and above by
+    min(max l, mean + span*sqrt(r/2)) (Pinsker: TV <= sqrt(KL/2)) plus
+    10*_KL_TOL*span and `tie` for the kernel's error; it skips a pair whose
+    mean exceeds the row's least upper bound plus `tie`."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != L.shape[1]:
         raise ValidationError("W must be (N, %d)" % L.shape[1])
@@ -579,10 +589,16 @@ def _predictor_values(
     elif kind == "kl" and r > 0.0:
         # a constant row costs its value under every distribution
         values = np.tile(L[:, 0], (W.shape[0], 1))
-        live = np.flatnonzero(L.max(axis=1) > L.min(axis=1))
-        pairs = np.tile(L[live], (W.shape[0], 1))
-        vals = _kl_dual_solve(pairs, np.repeat(W, live.size, axis=0), float(r))[0]
-        values[:, live] = vals.reshape(W.shape[0], live.size)
+        span = np.ptp(L, axis=1)
+        solve = np.broadcast_to(span > 0.0, values.shape)
+        if tie is not None:
+            upper = np.minimum(mean + span * math.sqrt(r / 2.0), L.max(axis=1))
+            upper += 10.0 * _KL_TOL * span + tie
+            skip = solve & (mean > upper.min(axis=1, keepdims=True) + tie)
+            values[skip] = np.inf
+            solve = solve & ~skip
+        rows, cols = np.nonzero(solve)
+        values[rows, cols] = _kl_dual_solve(L[cols], W[rows], float(r))[0]
     elif kind == "svp":  # mean + sqrt(2 ratio var), laid out as mean
         values = _scratch(work, "values", var.shape[::-1]).T
         np.multiply(2.0 * ratio, var, out=values)

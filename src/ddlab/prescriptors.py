@@ -18,6 +18,7 @@ from .errors import ValidationError
 from .predictors import (
     PredictorSpec,
     RegimeSchedule,
+    _predictor_values,
     dro_condition_holds,
     predictor_value_matrix,
     predictor_values_and_moments,
@@ -28,7 +29,7 @@ from .predictors import variance_matrix  # noqa: F401
 from .simplex import Distribution, EmpiricalDistribution
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrescriptionResult:
     decision: int
     value: float
@@ -47,9 +48,11 @@ def prescribe(
 
     Values within problem.loss.tie_window of the minimum tie; ties go to
     the decision with the smaller loss variance under emp, then to the
-    lowest index.  For the variance-penalized predictor on an interior
-    empirical distribution the result carries the gap sandwich of
-    prescription_gap_bound.
+    lowest index.  A kl spec solves its dual only for the decisions that a
+    Pinsker bound leaves within the tie window of the minimum (see
+    predictors._predictor_values); the others cannot be picked.  For the
+    variance-penalized predictor on an interior empirical distribution the
+    result carries the gap sandwich of prescription_gap_bound.
     """
     spec = spec.resolved(schedule)
     if spec.kind == "svp" and schedule is None:
@@ -58,7 +61,9 @@ def prescribe(
     ratio = speed_ratio(schedule, T) if schedule is not None else None
     p = emp.distribution
     W = p.weights[None, :]
-    values, _, variances = predictor_values_and_moments(problem, spec, W, ratio=ratio)
+    values, _, variances = _predictor_values(
+        spec, problem.loss.values, W, ratio, moments=True, tie=problem.loss.tie_window
+    )
     pick = int(select_decisions(problem, values, variances)[0])
     value = float(values[0, pick])
     gap_lower = gap_upper = None
