@@ -12,11 +12,10 @@ with
 
     PYTHONPATH=src python tests/test_kl_screen.py --record
 """
-import json
-import sys
 from pathlib import Path
 
 import numpy as np
+from conftest import assert_bits, record_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,10 +119,7 @@ def kl_prescription_bits():
 
 
 def test_kl_prescriptions_reproduce_the_recorded_bits():
-    want = json.loads(GOLDEN.read_text())
-    got = kl_prescription_bits()
-    assert got.keys() == want.keys()
-    assert [k for k in want if got[k] != want[k]] == []
+    assert_bits(GOLDEN, kl_prescription_bits())
 
 
 def _count_kernel_pairs(monkeypatch, run):
@@ -206,8 +202,4 @@ def test_every_skipped_pair_is_out_of_the_tie_window(data, seed, r, scale, offse
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_kl_screen.py --record")
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    bits = json.dumps(kl_prescription_bits(), indent=1, sort_keys=True)
-    GOLDEN.write_text(bits + "\n")
+    record_bits(GOLDEN, kl_prescription_bits)
