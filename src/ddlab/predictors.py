@@ -203,11 +203,12 @@ _KL_MAX_BISECTIONS = 300
 _KL_NEWTON_STEPS = 5
 
 
-def _row_sum(X: np.ndarray) -> np.ndarray:
-    # left to right over a row's own entries, whatever the batch around it
-    acc = X[:, 0].copy()
-    for j in range(1, X.shape[1]):
-        acc += X[:, j]
+def _column_sum(X: np.ndarray) -> np.ndarray:
+    # top to bottom over a column's own entries, whatever the batch around
+    # it: X.sum(axis=0) would sum pairwise when the batch is one column wide
+    acc = X[0].copy()
+    for x in X[1:]:
+        acc += x
     return acc
 
 
@@ -229,7 +230,13 @@ def _kl_dual_solve(
     equals the saa value bit for bit.
     All of this runs on the row centered on its first loss and divided by
     the power of two nearest its span, so it moves with l -> a l + b.  A row
-    that exceeds a cap raises ConvergenceError with its bracket in loss units.
+    that exceeds a cap raises ConvergenceError with its bracket in loss units;
+    of several, the lowest-index one.
+    Layout: a block of rows is transposed once into contiguous (d, M)
+    arrays, and the k rows the left-edge test leaves are gathered once into
+    (d, k) arrays.  Each step evaluates f' on all k columns and masks say
+    which it moves; a rejected Newton step retires its column.  The sums
+    over scenarios loop down the d rows (_column_sum), left to right.
     """
     values, alphas = np.empty(W.shape[0]), np.empty(W.shape[0])
     for s in range(0, W.shape[0], _KL_BLOCK):
@@ -240,73 +247,77 @@ def _kl_dual_solve(
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _kl_dual_block(L, W, r):
-    # in the units _kl_dual_solve describes; results go back to loss units
+    # in the units and layout _kl_dual_solve describes; results in loss units
     ref = L[:, 0]
     sc = np.exp2(np.round(np.log2(L.max(axis=1) - L.min(axis=1))))
-    L = (L - ref[:, None]) / sc[:, None]
-    gamma = L.max(axis=1)
-    span = gamma - L.min(axis=1)
-    plug_in = _row_sum(L * W)
+    L = ((L - ref[:, None]) / sc[:, None]).T.copy()
+    W = W.T.copy()
+    gamma = L.max(axis=0)
+    span = gamma - L.min(axis=0)
+    plug_in = _column_sum(L * W)
     # the sums below run over the support of W only, while a stays above the
     # full-row maximum: a zero weight adds exactly zero once its loss is
     # parked below the row minimum, where every log stays finite
-    L = np.where(W > 0.0, L, (gamma - 2.0 * span)[:, None])
+    L = np.where(W > 0.0, L, gamma - 2.0 * span)
 
-    def sums(a, rows, second=False):
+    def sums(a, L, W, second=False):
         # exp(-r + sum_i w_i log(a - l_i)), sum_i w_i / (a - l_i) and, when
-        # `second`, sum_i w_i / (a - l_i)^2 on the given rows
-        gap = a[:, None] - L[rows]
-        w = W[rows]
-        e = np.exp(-r + _row_sum(w * np.log(gap)))
+        # `second`, sum_i w_i / (a - l_i)^2, per column
+        gap = a - L
+        e = np.exp(-r + _column_sum(W * np.log(gap)))
         if not second:
-            return e, _row_sum(w / gap)
-        return e, _row_sum(w / gap), _row_sum(w / gap**2)
+            return e, _column_sum(W / gap)
+        return e, _column_sum(W / gap), _column_sum(W / gap**2)
 
-    def g(a, rows):  # f'(a) on the given rows
-        e, D = sums(a, rows)
-        return 1.0 - e * D
-
-    lo, hi = gamma + 1e-12 * span, gamma + span
-
-    def fail(message, i):  # row i's error, its bracket back in loss units
-        lo_i, hi_i = (float(a[i] * sc[i] + ref[i]) for a in (lo, hi))
-        return ConvergenceError(message, bracket=(lo_i, hi_i))
-
+    alpha = gamma + 1e-12 * span
+    e, D = sums(alpha, L, W)
     # the minimum is pinned at the left edge when the max-loss scenario
     # carries no empirical weight, or when r is huge
-    rows = np.flatnonzero(~(g(lo, slice(None)) >= 0.0))
-    live = rows
+    rows = np.flatnonzero(~(1.0 - e * D >= 0.0))
+    Ls, Ws, top = L.take(rows, axis=1), W.take(rows, axis=1), gamma[rows]
+    lo, hi = alpha[rows], top + span[rows]
+
+    def g(a):  # f'(a) on the solved rows
+        e, D = sums(a, Ls, Ws)
+        return 1.0 - e * D
+
+    def fail(message, j):  # solved row j's error, its bracket back in loss units
+        i = rows[j]
+        lo_i, hi_i = (float(a[j] * sc[i] + ref[i]) for a in (lo, hi))
+        return ConvergenceError(message, bracket=(lo_i, hi_i))
+
+    live = np.ones(rows.size, dtype=bool)
     for _ in range(_KL_MAX_DOUBLINGS + 1):
-        live = live[g(hi[live], live) < 0.0]
-        if live.size == 0:
+        live &= g(hi) < 0.0
+        if not live.any():
             break
-        hi[live] = gamma[live] + 2.0 * (hi[live] - gamma[live])
+        hi = np.where(live, top + 2.0 * (hi - top), hi)
     else:
-        raise fail("no sign change while expanding the dual bracket", live[0])
+        raise fail("no sign change while expanding the dual bracket", np.argmax(live))
     goal = np.maximum(_KL_TOL, 1e-12 * (1.0 + np.abs(hi)))
-    live = rows
+    live[:] = True
     for _ in range(_KL_MAX_BISECTIONS + 1):
-        live = live[hi[live] - lo[live] > goal[live]]
-        if live.size == 0:
+        live &= hi - lo > goal
+        if not live.any():
             break
-        mid = 0.5 * (lo[live] + hi[live])
-        neg = g(mid, live) < 0.0
-        lo[live[neg]] = mid[neg]
-        hi[live[~neg]] = mid[~neg]
+        mid = 0.5 * (lo + hi)
+        neg = g(mid) < 0.0
+        lo = np.where(live & neg, mid, lo)
+        hi = np.where(live & ~neg, mid, hi)
     else:
-        i = live[0]
-        width = float(goal[i] * sc[i])
-        raise fail("dual bisection failed to reach width %r" % width, i)
-    alpha = lo.copy()
-    alpha[rows] = 0.5 * (lo[rows] + hi[rows])
+        j = np.argmax(live)
+        width = float(goal[j] * sc[rows[j]])
+        raise fail("dual bisection failed to reach width %r" % width, j)
+    a = 0.5 * (lo + hi)
+    live[:] = True
     for _ in range(_KL_NEWTON_STEPS):  # g is increasing and smooth here
-        e, D, D2 = sums(alpha[rows], rows, second=True)
-        gp = e * (D2 - D * D)
-        nxt = alpha[rows] - (1.0 - e * D) / gp
-        ok = (gp > 0.0) & (lo[rows] <= nxt) & (nxt <= hi[rows])
-        rows = rows[ok]
-        alpha[rows] = nxt[ok]
-    e, _ = sums(alpha, slice(None))
+        ea, Da, D2 = sums(a, Ls, Ws, second=True)
+        gp = ea * (D2 - Da * Da)
+        nxt = a - (1.0 - ea * Da) / gp
+        live &= (gp > 0.0) & (lo <= nxt) & (nxt <= hi)
+        a = np.where(live, nxt, a)
+    alpha[rows] = a
+    e[rows] = sums(a, Ls, Ws)[0]
     # alpha grows like sqrt(Var/r) for tiny r and the subtraction then loses
     # ulps; the true supremum always lies between the plug-in cost and gamma
     value = np.minimum(np.maximum(alpha - e, plug_in), gamma)

@@ -385,6 +385,8 @@ class TestKlKernel:
         edges = [(r, w) for r, w, _ in _edge_cases() if len(r) == 3 and max(r) > min(r)]
         L3, W3 = (np.array(col) for col in zip(*edges))
         batches = [_random_rows(rng, 40, 5), _random_rows(rng, 40, 9), (L3, W3)]
+        # a one-row batch whose d scenarios NumPy would sum pairwise
+        batches += [_random_rows(rng, 40, 8), _random_rows(rng, 40, 11)]
         for L, W in batches:
             vals, alphas = predictors._kl_dual_solve(L, W, 0.07)
             for i in range(L.shape[0]):
@@ -421,6 +423,24 @@ class TestKlKernel:
         assert 101.0 < lo <= alpha <= hi <= 102.0
         # the cap allows 3 halvings of the width-1 bracket; the 4th raises
         assert hi - lo == pytest.approx(1.0 / 16.0, rel=1e-6)
+
+    def test_bisection_cap_reports_the_lowest_failing_row(self, monkeypatch):
+        # at this cap rows 0 and 2 both fail and row 1 converges; the error
+        # carries row 0's bracket, which lies 100 below row 2's
+        L = np.array([[0.0, 1.0], [10.0, 11.0], [100.0, 101.0]])
+        W = np.array([[0.5, 0.5], [0.99, 0.01], [0.5, 0.5]])
+        _, alphas = predictors._kl_dual_solve(L, W, 0.001)
+        monkeypatch.setattr(predictors, "_KL_MAX_BISECTIONS", 36)
+        for i in range(3):
+            if i == 1:
+                predictors._kl_dual_solve(L[i:i + 1], W[i:i + 1], 0.001)
+                continue
+            with pytest.raises(ConvergenceError):
+                predictors._kl_dual_solve(L[i:i + 1], W[i:i + 1], 0.001)
+        with pytest.raises(ConvergenceError) as info:
+            predictors._kl_dual_solve(L, W, 0.001)
+        lo, hi = info.value.bracket
+        assert 1.0 < lo <= alphas[0] <= hi < 100.0
 
     def test_bisection_cap_reports_the_bracket_in_loss_units_at_1e6(self, monkeypatch):
         # the rows above shifted by 1e6: the kernel solves them centered, and
