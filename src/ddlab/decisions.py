@@ -13,12 +13,12 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ScenarioFormatError, ValidationError
-from .simplex import Distribution, _scratch
+from .simplex import Distribution, _Frozen, _scratch
 
 SCHEMA_VERSION = 1
 
 
-class LossMatrix:
+class LossMatrix(_Frozen):
     """Losses l(x, i): rows are decisions, columns are scenarios."""
 
     __slots__ = ("values", "decision_labels", "scenario_labels", "k_half",
@@ -63,9 +63,6 @@ class LossMatrix:
         # variances closer than this are equal; a shift does not move a span
         object.__setattr__(self, "var_window", 1e-12 * float(v.max() - v.min()) ** 2)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LossMatrix is immutable")
-
     def _merged(self, values) -> "LossMatrix":
         """The loss matrix `values` of some of this one's rows over its
         merged scenarios, with this one's tie windows: ties stay in the
@@ -84,7 +81,7 @@ class LossMatrix:
         return self.values.shape[1]
 
 
-class Problem:
+class Problem(_Frozen):
     """A loss matrix plus, in experiment mode, the true distribution."""
 
     __slots__ = ("loss", "true_dist")
@@ -97,9 +94,6 @@ class Problem:
             )
         object.__setattr__(self, "loss", loss)
         object.__setattr__(self, "true_dist", true_dist)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Problem is immutable")
 
     @property
     def n_decisions(self) -> int:

@@ -35,7 +35,27 @@ _MAX_RANK = 2**63 - 1  # ranks are int64
 _LATTICE_BLOCK = 1 << 13
 
 
-class Distribution:
+class _Frozen:
+    """Base of the immutable slotted types.  Pickling and copying set the
+    slots back as they were, without rebuilding the object: a merged
+    LossMatrix keeps the tie windows of the matrix it came from."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+
+class Distribution(_Frozen):
     """A point of the probability simplex over d scenarios.
 
     Weights are validated to be nonnegative and to sum to 1 within
@@ -62,9 +82,6 @@ class Distribution:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Distribution is immutable")
-
     @property
     def dim(self) -> int:
         return self.weights.size
@@ -86,7 +103,7 @@ class Distribution:
         return "Distribution(%s)" % np.array2string(self.weights, separator=", ")
 
 
-class EmpiricalDistribution:
+class EmpiricalDistribution(_Frozen):
     """Scenario counts from T i.i.d. samples; the lattice point counts/T."""
 
     __slots__ = ("counts", "sample_size")
@@ -114,9 +131,6 @@ class EmpiricalDistribution:
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "sample_size", int(sample_size))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EmpiricalDistribution is immutable")
-
     @property
     def dim(self) -> int:
         return self.counts.size
@@ -140,7 +154,7 @@ class EmpiricalDistribution:
         )
 
 
-class SimplexDelta:
+class SimplexDelta(_Frozen):
     """A signed difference of two distributions: components sum to 0."""
 
     __slots__ = ("components",)
@@ -156,9 +170,6 @@ class SimplexDelta:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "components", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplexDelta is immutable")
 
     @property
     def dim(self) -> int:

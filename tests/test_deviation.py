@@ -123,6 +123,56 @@ class TestSlottedReports:
                 assert copy_ == obj and type(copy_) is type(obj)
 
 
+class TestValueTypesRoundTrip:
+    """Pickling and deepcopy set the slots of the immutable value types back
+    as they were: a copy equals the original and stays immutable, and a
+    merged LossMatrix keeps the tie windows of the matrix it came from,
+    which rebuilding it from its values would recompute."""
+
+    @staticmethod
+    def _copies(obj):
+        return copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))
+
+    def test_merged_loss_matrix_keeps_its_tie_windows(self):
+        full = LossMatrix([[0.0, 1.0, 100.0], [2.0, 3.0, 4.0]])
+        merged = full._merged(np.array([[0.0, 1.0]]))
+        assert merged.tie_window != LossMatrix(merged.values).tie_window
+        for c in self._copies(merged):
+            assert np.array_equal(c.values, merged.values)
+            assert not c.values.flags.writeable
+            for name in ("decision_labels", "scenario_labels", "k_half",
+                         "tie_window", "var_window"):
+                assert getattr(c, name) == getattr(merged, name), name
+            with pytest.raises(AttributeError):
+                c.tie_window = 0.0
+
+    def test_problem_and_distributions(self):
+        problem = scenario("newsvendor.json")
+        for c in self._copies(problem):
+            assert np.array_equal(c.loss.values, problem.loss.values)
+            assert c.loss.tie_window == problem.loss.tie_window
+            assert c.true_dist == problem.true_dist
+            assert not c.true_dist.weights.flags.writeable
+        emp = EmpiricalDistribution([3, 0, 2])
+        assert all(c == emp for c in self._copies(emp))
+
+    def test_importance_report(self):
+        problem = scenario("coin.json")
+        p, mode, spec = problem.true_dist, Mode.prediction(1), PredictorSpec("kl", 0.1)
+        shift = importance_shift(problem, mode, p, 0.1)
+        rep = disappointment_importance(
+            problem, spec, mode, p, 40, ExponentialRate(0.1), shift, 500, 3
+        )
+        assert isinstance(rep.method.shift, Distribution)
+        assert all(c == rep for c in self._copies(rep))
+
+    def test_prediction_with_a_worst_case(self):
+        problem = scenario("coin.json")
+        res = predictors.predict_kl_dual(problem, 1, problem.true_dist, 0.1)
+        assert isinstance(res.worst_case, Distribution)
+        assert all(c == res for c in self._copies(res))
+
+
 class TestExact:
     def test_two_sample_hand_value(self):
         # T=2 over losses (0,1), even truth: only counts (2,0) underestimate
