@@ -46,7 +46,8 @@ def _block(seed, n, d):
     Integer losses make exact ties common and noise on some rows breaks
     them; every row has its own scale in 10^-3 .. 10^3, some are shifted by
     1e6, some weights are zero, and every fourth row puts no weight on its
-    costliest scenario, which pins its minimum at the left edge."""
+    costliest scenario, which (with large radii) pins many minima at the
+    left edge."""
     rng = np.random.default_rng(seed)
     noise = rng.choice([0.0, 0.1], size=(n, 1)) * rng.normal(size=(n, d))
     L = rng.integers(-2, 3, size=(n, d)) + noise
@@ -67,7 +68,7 @@ def _blocks():
     for d in range(2, 13):
         L, W = _block(100 + d, 24, d)
         yield "d=%d|rows=24" % d, L, W
-        for i in (0, 1, 3):  # row 0 is pinned at the left edge
+        for i in (0, 1, 3):  # row 0 has no weight on its costliest scenario
             yield "d=%d|row=%d" % (d, i), L[i:i + 1], W[i:i + 1]
 
 
