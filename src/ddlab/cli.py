@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .decisions import SCHEMA_VERSION, Problem, load_scenario
+from .decisions import SCHEMA_VERSION, Problem, _read_json, load_scenario
 from .deviation import (
     Mode,
     disappointment_exact,
@@ -44,25 +45,6 @@ from .predictors import (
 from .prescriptors import convexity_certificate, prescribe
 from .simplex import DEFAULT_LATTICE_CAP, Distribution, EmpiricalDistribution
 
-_COLUMNS = {
-    "predict": [
-        "schema_version", "decision", "predictor", "value", "a_T",
-        "condition_ok", "worst_case",
-    ],
-    "prescribe": [
-        "schema_version", "predictor", "decision", "value", "gap_lower",
-        "gap_upper", "a_T",
-    ],
-    "disappoint": [
-        "schema_version", "T", "a_T", "predictor", "probability", "rate",
-        "method", "std_err",
-    ],
-    "convexity": [
-        "schema_version", "ratio", "a_T", "threshold_ok",
-        "midpoint_violations",
-    ],
-}
-
 _DEFAULT_PREDICTORS = (
     {"kind": "saa"}, {"kind": "robust"}, {"kind": "kl"}, {"kind": "svp"},
 )
@@ -73,11 +55,7 @@ _DEFAULT_PREDICTORS = (
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError("config %s: invalid JSON (%s)" % (path, exc)) from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError("config %s: top level must be an object" % path)
     version = doc.get("schema_version")
@@ -160,6 +138,8 @@ def _empirical_from(cfg: dict) -> EmpiricalDistribution:
 # ---------------------------------------------------------------------------
 # serialization
 
+_INF = {math.inf: "inf", -math.inf: "-inf"}  # the sentinels of both formats
+
 
 def _csv_cell(v) -> str:
     if v is None:
@@ -169,11 +149,7 @@ def _csv_cell(v) -> str:
     if isinstance(v, Distribution):
         return ";".join(repr(float(w)) for w in v.weights)
     if isinstance(v, float):
-        if v == float("inf"):
-            return "inf"
-        if v == float("-inf"):
-            return "-inf"
-        return repr(float(v))
+        return _INF.get(v, repr(float(v)))
     return str(v)
 
 
@@ -181,11 +157,7 @@ def _json_cell(v):
     if isinstance(v, Distribution):
         return [float(w) for w in v.weights]
     if isinstance(v, float):
-        if v == float("inf"):
-            return "inf"
-        if v == float("-inf"):
-            return "-inf"
-        return float(v)
+        return _INF.get(v, float(v))
     return v
 
 
@@ -193,7 +165,7 @@ def _emit(command: str, rows: List[dict], cfg: dict) -> None:
     fmt = cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ValidationError("format must be csv or json")
-    cols = _COLUMNS[command]
+    cols = _COMMANDS[command][2]
     if fmt == "csv":
         lines = [",".join(cols)]
         for row in rows:
@@ -340,6 +312,22 @@ def cmd_convexity(cfg: dict) -> List[dict]:
     return rows
 
 
+# name: (handler, help text, output columns), for the parser and _emit
+_COMMANDS = {
+    "predict": (cmd_predict, "tabulate every predictor at every decision", [
+        "schema_version", "decision", "predictor", "value", "a_T",
+        "condition_ok", "worst_case"]),
+    "prescribe": (cmd_prescribe, "argmin each predictor over the decision set", [
+        "schema_version", "predictor", "decision", "value", "gap_lower",
+        "gap_upper", "a_T"]),
+    "disappoint": (cmd_disappoint, "measure disappointment probabilities over T", [
+        "schema_version", "T", "a_T", "predictor", "probability", "rate",
+        "method", "std_err"]),
+    "convexity": (cmd_convexity, "sweep the convexity certificate over ratios", [
+        "schema_version", "ratio", "a_T", "threshold_ok", "midpoint_violations"]),
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -351,12 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "disappointment laboratory over finite scenario sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("predict", "tabulate every predictor at every decision"),
-        ("prescribe", "argmin each predictor over the decision set"),
-        ("disappoint", "measure disappointment probabilities over T"),
-        ("convexity", "sweep the convexity certificate over ratios"),
-    ):
+    for name, (_, helptext, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--scenario", help="scenario JSON path")
         p.add_argument("--config", help="experiment config JSON path")
@@ -369,14 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER: Optional[argparse.ArgumentParser] = None  # built by the first main call
-
-
-_HANDLERS = {
-    "predict": cmd_predict,
-    "prescribe": cmd_prescribe,
-    "disappoint": cmd_disappoint,
-    "convexity": cmd_convexity,
-}
 
 
 def _error_record(exc: Exception, exit_code: int) -> str:
@@ -408,10 +383,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code
     try:
         cfg = _merged_config(args)
-        rows = _HANDLERS[args.command](cfg)
+        rows = _COMMANDS[args.command][0](cfg)
         _emit(args.command, rows, cfg)
         return 0
-    except ValidationError as exc:
+    except (ValueError, TypeError, LookupError) as exc:  # any malformed value
         sys.stderr.write(_error_record(exc, 2) + "\n")
         return 2
     except Exception as exc:  # runtime failures: cap, convergence, IO

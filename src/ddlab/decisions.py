@@ -233,16 +233,12 @@ def _problem_from_dict(doc: dict, where: str) -> Problem:
         raise ScenarioFormatError("%s: %s" % (where, exc)) from exc
 
 
-def load_scenario(path: str) -> Problem:
-    """Load and validate a scenario JSON file.
-
-    Schema (version 1): an object with `schema_version`, `scenario_labels`,
-    `decision_labels`, `loss` (row-major, decisions x scenarios), and an
-    optional `true_dist` over the scenarios.
-    """
+def _read_json(path: str):
+    """The JSON document at path, or ScenarioFormatError (with the line of
+    a parse error): the one reader of scenario and CLI config files."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ScenarioFormatError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
@@ -251,7 +247,16 @@ def load_scenario(path: str) -> Problem:
             % (path, exc.lineno, exc.colno, exc.msg),
             line=exc.lineno,
         ) from exc
-    return _problem_from_dict(doc, path)
+
+
+def load_scenario(path: str) -> Problem:
+    """Load and validate a scenario JSON file.
+
+    Schema (version 1): an object with `schema_version`, `scenario_labels`,
+    `decision_labels`, `loss` (row-major, decisions x scenarios), and an
+    optional `true_dist` over the scenarios.
+    """
+    return _problem_from_dict(_read_json(path), path)
 
 
 def save_scenario(problem: Problem, path: str) -> None:

@@ -22,7 +22,6 @@ from .predictors import (
     RegimeSchedule,
     _predictor_values,
     predictor_value_rows,
-    predictor_values_and_moments,
     speed_ratio,
 )
 # perfbench/tracing.py wraps these names in this module; nothing here calls them
@@ -128,9 +127,7 @@ def _disappointment_indicator(
         x = _check_decision(problem, mode.decision)
         vals = predictor_value_rows(problem, x, spec, Q, ratio=ratio)
         return true_costs[x] > vals + tie
-    V, _, VarM = _predictor_values(
-        spec, problem.loss.values, Q, ratio, moments=True, work=work, tie=tie
-    )
+    V, _, VarM = _predictor_values(spec, problem.loss.values, Q, ratio, work, tie)
     pick = select_decisions(problem, V, VarM)
     v_hat = V[np.arange(Q.shape[0]), pick]
     return true_costs[pick] > v_hat + tie
@@ -227,8 +224,8 @@ def disappointment_exact(
     """
     merged, spec, tested, p, _ = _prepare(problem, spec, mode, p, schedule)
     d = merged.n_scenarios
+    ratio = speed_ratio(schedule, T)  # raises ValidationError when T < 1
     size = _capped_size(T, d, cap)  # raises LatticeCapError when too big
-    ratio = speed_ratio(schedule, T)
     below = _rank_tables(T, d)
     true_costs = _true_costs(merged, p)
     hits, work = [], {}
@@ -393,10 +390,10 @@ def _sampled_indicator(problem, spec, mode, p, T, schedule, draw, n_samples, see
     problem, spec, mode, p, draw = _prepare(problem, spec, mode, p, schedule, draw)
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
+    ratio = speed_ratio(schedule, T)  # raises ValidationError when T < 1
     uniq, mult = _sample_histogram(draw.weights, T, n_samples, seed)
     Q = _normalized_rows(uniq, T)
     true_costs = _true_costs(problem, p)
-    ratio = speed_ratio(schedule, T)
     ind = _disappointment_indicator(problem, spec, mode, Q, true_costs, ratio)
     return p, draw, uniq, mult, ind
 
@@ -509,16 +506,14 @@ def importance_shift(
     tested decision is the one prescribed at p itself.
     """
     w = p.weights
+    V, M, VarM = _predictor_values(
+        PredictorSpec("svp"), problem.loss.values, w[None, :], ratio
+    )
     if mode.kind == "prediction":
         x = _check_decision(problem, mode.decision)
-        M, VarM = _moments(problem.loss.values[x:x + 1], w[None, :])
-        mean, var = float(M[0, 0]), float(VarM[0, 0])
     else:
-        V, M, VarM = predictor_values_and_moments(
-            problem, PredictorSpec("svp"), w[None, :], ratio=ratio
-        )
         x = int(select_decisions(problem, V, VarM)[0])
-        mean, var = float(M[0, x]), float(VarM[0, x])
+    mean, var = float(M[0, x]), float(VarM[0, x])
     q = w  # a zero-variance decision has no direction to tilt along
     if var > 0.0:  # svp_direction(problem, x, p), from the moments above
         phi = (problem.loss.values[x] - mean) * w / math.sqrt(var)

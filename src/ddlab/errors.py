@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: input problems (bad files,
-bad configs, violated schema invariants) are ValidationError subclasses and
-exit with status 2; everything else that goes wrong at run time exits 1.
+bad configs, violated schema invariants: ValidationError, or any ValueError,
+TypeError or LookupError a malformed value raises) exit with status 2; the
+deliberate run-time failures are RuntimeError subclasses and exit 1.
 """
 
 

@@ -113,7 +113,10 @@ RegimeSchedule = Union[ExponentialRate, PowerLaw, Logarithmic, CustomTable]
 
 
 def speed_ratio(schedule: RegimeSchedule, T: int) -> float:
-    """a_T / T for the given schedule."""
+    """a_T / T for the given schedule.  A sample size T < 1 is rejected
+    here, before any lattice or sampling work of the laboratory."""
+    if not T >= 1:
+        raise ValidationError("sample size T must be >= 1, got %r" % (T,))
     return schedule.a(T) / T
 
 
@@ -563,7 +566,6 @@ def _predictor_values(
     L: np.ndarray,
     W: np.ndarray,
     ratio: Optional[float],
-    moments: bool = False,
     work: Optional[dict] = None,
     tie: Optional[float] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
@@ -572,11 +574,11 @@ def _predictor_values(
     one decisions._moments call.  saa, svp and kl at radius 0 read those
     moments; for a kl spec with a positive radius, the (weight row,
     nonconstant loss row) pairs go through one call of the batched dual
-    kernel.  mean and var are None when neither the kind nor `moments`
-    needs them.  An entry does not depend on the rows beside it.  The
-    moments and the svp values are views of `_scratch(work, ...)` arrays.
+    kernel.  mean and var are None unless the kind reads them or the tie
+    window `tie` is given.  An entry does not depend on the rows beside it.
+    The moments and the svp values are views of `_scratch(work, ...)` arrays.
 
-    Given `moments` and the tie window `tie` (prescriptions), a kl spec
+    Given `tie` (every prescription: it breaks ties by variance), a kl spec
     solves only the pairs that can come within `tie` of their row's
     minimum; the others read +inf, so select_decisions makes the same
     picks at the same values.  The screen bounds a value below by its mean,
@@ -593,7 +595,7 @@ def _predictor_values(
     if kind == "kl" and r is None:
         raise ValidationError("kl spec must carry a resolved radius")
     mean = var = None
-    if moments or kind in ("saa", "svp") or (kind == "kl" and r == 0.0):
+    if tie is not None or kind in ("saa", "svp") or (kind == "kl" and r == 0.0):
         mean, var = _moments(L, W, work)
     if kind == "robust":
         values = np.tile(L.max(axis=1), (W.shape[0], 1))
@@ -645,19 +647,6 @@ def predictor_value_matrix(
     """(N, n_decisions) matrix of predictor values over weight rows W;
     column x equals predictor_value_rows(..., x, ...) bit for bit."""
     return _predictor_values(spec, problem.loss.values, W, ratio)[0]
-
-
-def predictor_values_and_moments(
-    problem: Problem,
-    spec: PredictorSpec,
-    W: np.ndarray,
-    ratio: Optional[float] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, mean, var), each (N, n_decisions): predictor_value_matrix,
-    the saa costs and variance_matrix over the weight rows W, bit for bit,
-    from a single moments pass.  This is what picking a decision needs
-    (select_decisions reads values and var)."""
-    return _predictor_values(spec, problem.loss.values, W, ratio, moments=True)
 
 
 def variance_matrix(problem: Problem, W: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from .predictors import (
     _predictor_values,
     dro_condition_holds,
     predictor_value_matrix,
-    predictor_values_and_moments,
     speed_ratio,
 )
 # perfbench/tracing.py wraps this name in this module; nothing here calls it
@@ -62,7 +61,7 @@ def prescribe(
     p = emp.distribution
     W = p.weights[None, :]
     values, _, variances = _predictor_values(
-        spec, problem.loss.values, W, ratio, moments=True, tie=problem.loss.tie_window
+        spec, problem.loss.values, W, ratio, tie=problem.loss.tie_window
     )
     pick = int(select_decisions(problem, values, variances)[0])
     value = float(values[0, pick])
@@ -94,9 +93,8 @@ def prescription_gap_bound(
     if not p.is_interior:
         raise ValidationError("gap bound needs an interior distribution")
     ratio = speed_ratio(schedule, T)
-    W = p.weights[None, :]
-    values, costs, variances = predictor_values_and_moments(
-        problem, PredictorSpec("svp"), W, ratio=ratio
+    values, costs, variances = _predictor_values(
+        PredictorSpec("svp"), problem.loss.values, p.weights[None, :], ratio
     )
     pick = int(select_decisions(problem, values, variances)[0])
     x_star = int(select_decisions(problem, costs, variances)[0])

@@ -409,6 +409,42 @@ class TestConfigPlumbing:
         capsys.readouterr()
 
 
+def disappoint_coin_config(tmp_path, **extra):
+    return TestDisappoint().base_config(tmp_path, **extra)
+
+
+class TestMalformedInputExits2:
+    """A bad value anywhere in a config is an input error: exit 2 and one
+    JSON error record on stderr, whichever exception the value raises."""
+
+    @pytest.mark.parametrize(
+        "command, make",
+        [
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, predictors=[{"kind": "kl", "radius": "abc"}])),
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, schedule={"kind": "exponential", "rate": "fast"})),
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, schedule={"kind": "table", "points": 5})),
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, mode={"kind": "prediction", "decision": 7})),
+            ("predict", lambda tmp: str(tmp / "missing.json")),
+            ("disappoint", lambda tmp: disappoint_coin_config(tmp, T_list=[0])),
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, T_list=[0], method="importance", seed=1)),
+        ],
+        ids=["radius", "rate", "table-points", "decision", "missing-config",
+             "T-0-exact", "T-0-importance"],
+    )
+    def test_exit_2_with_one_error_record(self, tmp_path, capsys, command, make):
+        assert main([command, "--config", make(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["exit_code"] == 2
+
+
 class TestParserCache:
     """main builds its parser on the first call and reuses it."""
 

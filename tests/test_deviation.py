@@ -1133,6 +1133,35 @@ class TestRateCurve:
         assert -1.0 < want.rate < 0.0
 
 
+class TestSampleSizeCheck:
+    """T < 1 is rejected as invalid input before any lattice or sampling
+    work, on every path of the laboratory."""
+
+    RUNS = {
+        "exact": lambda mode, T: disappointment_exact(
+            COIN, PredictorSpec("saa"), mode, HALF, T, SCHED),
+        "mc": lambda mode, T: disappointment_mc(
+            COIN, PredictorSpec("saa"), mode, HALF, T, SCHED, 100, 1),
+        "importance": lambda mode, T: disappointment_importance(
+            COIN, PredictorSpec("saa"), mode, HALF, T, SCHED, HALF, 100, 1),
+        "rate_curve": lambda mode, T: rate_curve(
+            COIN, PredictorSpec("saa"), mode, HALF, SCHED, [10, T], seed=1),
+    }
+
+    @pytest.mark.parametrize("T", [0, -3])
+    @pytest.mark.parametrize("mode", [Mode.prediction(1), Mode.prescription()],
+                             ids=["prediction", "prescription"])
+    @pytest.mark.parametrize("path", sorted(RUNS))
+    def test_rejects_T_below_one_before_any_work(self, path, mode, T, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("lattice or sampling work at T < 1")
+
+        for name in ("_capped_size", "_lattice_counts", "_sample_histogram"):
+            monkeypatch.setattr(deviation, name, no_work)
+        with pytest.raises(ValidationError, match="T must be >= 1"):
+            self.RUNS[path](mode, T)
+
+
 class TestTheoreticalRateSaa:
     def test_zero_at_the_mean(self):
         assert theoretical_rate_saa(COIN, 1, HALF) == 0.0

@@ -190,10 +190,8 @@ def test_every_skipped_pair_is_out_of_the_tie_window(data, seed, r, scale, offse
     L = (rng.integers(-2, 3, size=(n, d)) + noise) * scale + offset
     problem = Problem(LossMatrix(L))
     tie, spec = problem.loss.tie_window, PredictorSpec("kl", r)
-    full, _, var = predictors._predictor_values(spec, L, W, None, moments=True)
-    screened, _, _ = predictors._predictor_values(
-        spec, L, W, None, moments=True, tie=tie
-    )
+    full = predictors._predictor_values(spec, L, W, None)[0]
+    screened, _, var = predictors._predictor_values(spec, L, W, None, tie=tie)
     skipped = np.isinf(screened)
     assert np.array_equal(screened[~skipped], full[~skipped])
     assert (full > full.min(axis=1, keepdims=True) + tie)[skipped].all()
