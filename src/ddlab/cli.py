@@ -298,7 +298,7 @@ def cmd_convexity(cfg: dict) -> List[dict]:
     rows = []
     for ratio in ratios:
         ratio = float(ratio)
-        if ratio <= 0:
+        if not ratio > 0:  # NaN fails too
             raise ValidationError("ratios must be > 0")
         schedule = CustomTable(((T, ratio * T),))
         ok, violations = convexity_certificate(problem.loss, emp, schedule)

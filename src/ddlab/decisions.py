@@ -118,33 +118,39 @@ def cost(problem: Problem, x: int, p: Distribution) -> float:
 
 
 def _moments(
-    L: np.ndarray, W: np.ndarray, work: Optional[dict] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+    L: np.ndarray, W: np.ndarray, work: Optional[dict] = None, var: bool = True
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """(mean, var), each (N, n), of the loss rows L (n, d) under the weight
     rows W (N, d): two-pass sums about the mean of D = L - L[:, :1] (Chan,
     Golub & LeVeque 1983), so a constant row has variance exactly 0 and a
     shift of the losses moves the mean up to rounding.  Sums run left to
-    right over a weight row's own entries: no entry depends on its batch.
-    mean and var are transposed views of (n, N) arrays from
+    right over a weight row's own entries (the first mean term, exactly 0,
+    is left out): no entry depends on its batch.  W is read as the rows of
+    W.T, without a copy when W is laid out in columns.  var is None unless
+    `var`.  mean and var are transposed views of (n, N) arrays from
     `_scratch(work, ...)`."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != L.shape[1]:
         raise ValidationError("W must be (N, %d)" % L.shape[1])
     D = L - L[:, :1]
-    WT = _scratch(work, "W^T", W.shape[::-1])  # one scenario's weights per row
-    np.copyto(WT, W.T)
+    WT = W.T  # one scenario's weights per row
     n, N = D.shape[0], W.shape[0]
-    M = np.multiply(D[:, :1], WT[0], out=_scratch(work, "mean", (n, N)))
-    V, t = _scratch(work, "var", (n, N)), _scratch(work, "t", (n, N))
-    V.fill(0.0)
-    for i in range(1, L.shape[1]):  # in place: fresh temporaries cost 3x here
+    M = np.multiply(D[:, 1, None], WT[1], out=_scratch(work, "mean", (n, N)))
+    t = _scratch(work, "t", (n, N))
+    for i in range(2, L.shape[1]):  # in place: fresh temporaries cost 3x here
         M += np.multiply(D[:, i, None], WT[i], out=t)
-    for i in range(L.shape[1]):
-        np.subtract(D[:, i, None], M, out=t)
-        t *= t
-        V += np.multiply(t, WT[i], out=t)
+    V = None
+    if var:
+        V = _scratch(work, "var", (n, N))
+        for i in range(L.shape[1]):
+            u = V if i == 0 else t
+            np.subtract(D[:, i, None], M, out=u)
+            u *= u
+            np.multiply(u, WT[i], out=u)
+            if i:
+                V += t
     M += L[:, :1]
-    return M.T, V.T
+    return M.T, None if V is None else V.T
 
 
 def variance(problem: Problem, x: int, p: Distribution) -> float:
@@ -165,12 +171,14 @@ def covariance(problem: Problem, x1: int, x2: int, p: Distribution) -> float:
 def select_decisions(
     problem: Problem, values: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
-    """Row-wise argmin with the prescriptor tie-break.
+    """Row-wise argmin with the prescriptor tie-break, the package's one.
 
     values, variances: (N, n_decisions).  Within each row, decisions whose
     value is within problem.loss.tie_window of the row minimum are
     candidates; candidates whose variance is within var_window of the least
     one tie, and ties go to the lowest index.  Returns (N,) int indices.
+    A row with one candidate picks it whatever the variances, which
+    `_pick_decisions` forms only for rows with two or more.
     """
     values = np.asarray(values, dtype=float)
     variances = np.asarray(variances, dtype=float)
@@ -182,6 +190,38 @@ def select_decisions(
     # argmax returns the first index where the winning mask is True
     pick = np.argmax(masked_var <= wmin + problem.loss.var_window, axis=1)
     return pick.astype(np.int64)
+
+
+def _pick_decisions(
+    problem: Problem, values: np.ndarray, W: np.ndarray, work: Optional[dict] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(pick, value), each (N,): the `select_decisions` pick of each weight
+    row of W (N, d) and its value, from values (n, N), one decision per row.
+    One pass down the decisions marks each row's candidates (within the tie
+    window of its minimum) and counts the decisions before the first one:
+    its first argmin, the pick of a row with one candidate.  Only rows with
+    two or more go to `select_decisions`, with the variances of those rows
+    alone.  The (N,) arrays come from `_scratch(work, ...)`."""
+    n, N = values.shape
+    best = np.min(values, axis=0, out=_scratch(work, "best", (N,)))
+    window = np.add(best, problem.loss.tie_window, out=_scratch(work, "window", (N,)))
+    inside, both = (_scratch(work, role, (N,), np.bool_) for role in ("inside", "both"))
+    seen, tied = (_scratch(work, role, (N,), np.bool_) for role in ("seen", "tied"))
+    seen[:] = tied[:] = False
+    ahead = _scratch(work, "ahead", (N,), np.min_scalar_type(n))
+    ahead.fill(0)  # the decisions before each row's first candidate
+    for x in range(n):
+        np.less_equal(values[x], window, out=inside)
+        np.logical_or(tied, np.logical_and(inside, seen, out=both), out=tied)
+        np.logical_or(seen, inside, out=seen)
+        np.add(ahead, np.logical_not(seen, out=both).view(np.uint8), out=ahead)
+    pick = np.add(ahead, 0, out=_scratch(work, "pick", (N,), np.int64))
+    tied = np.flatnonzero(tied)
+    if tied.size:
+        var = _moments(problem.loss.values, W[tied])[1]
+        pick[tied] = select_decisions(problem, values[:, tied].T, var)
+        best[tied] = values[pick[tied], tied]
+    return pick, best
 
 
 def min_variance_minimizer(problem: Problem, p: Distribution) -> int:

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .decisions import Problem, _check_decision, _moments
+from .decisions import Problem, _check_decision, _moments, _pick_decisions
 from .errors import LatticeCapError, ValidationError
 from .predictors import (
     PredictorSpec,
@@ -37,6 +37,7 @@ from .simplex import (
     _log_pmf_rows,
     _philox,
     _rank_tables,
+    _row_sums,
     _scratch,
 )
 
@@ -96,10 +97,12 @@ def _report(prob, log_p, method, T, schedule, mode) -> DisappointmentReport:
 
 
 def _normalized_rows(C: np.ndarray, T: int, work: Optional[dict] = None) -> np.ndarray:
-    # Mirrors Distribution construction bit for bit: divide counts by T,
-    # then renormalize each row by its own sum.
-    Q = np.divide(C, T, out=_scratch(work, "Q", C.shape))
-    return np.divide(Q, Q.sum(axis=1, keepdims=True), out=Q)
+    """The weight rows (N, d) of the count rows C, with the bits of
+    Distribution: counts divided by T, then each row by its own sum.  The
+    transposed view of a (d, N) array from `_scratch(work, ...)`."""
+    QT = np.divide(C.T, T, out=_scratch(work, "Q", C.shape[::-1]))
+    QT /= _row_sums(QT)
+    return QT.T
 
 
 def _true_costs(problem: Problem, p: Distribution) -> np.ndarray:
@@ -118,18 +121,16 @@ def _disappointment_indicator(
 ) -> np.ndarray:
     """The event per weight row of Q.  A true cost that ties the prediction
     (within the tie window, as at lattice symmetry points) is no
-    disappointment.  The prescription branch forms its (N, n_decisions)
-    arrays in `_scratch(work, ...)`; for kl it solves the dual only for the
-    decisions the Pinsker screen of `_predictor_values` keeps in reach of
-    the pick, with the same picks and picked values as the full matrix."""
+    disappointment.  The prescription branch picks in one pass over the
+    (n_decisions, N) values (`_pick_decisions`), in `_scratch(work, ...)`;
+    kl solves only the duals the Pinsker screen keeps in reach of the pick."""
     tie = problem.loss.tie_window
     if mode.kind == "prediction":
         x = _check_decision(problem, mode.decision)
         vals = predictor_value_rows(problem, x, spec, Q, ratio=ratio)
         return true_costs[x] > vals + tie
-    V, _, VarM = _predictor_values(spec, problem.loss.values, Q, ratio, work, tie)
-    pick = select_decisions(problem, V, VarM)
-    v_hat = V[np.arange(Q.shape[0]), pick]
+    V = _predictor_values(spec, problem.loss.values, Q, ratio, work, tie)[0]
+    pick, v_hat = _pick_decisions(problem, V.T, Q, work)
     return true_costs[pick] > v_hat + tie
 
 
@@ -212,15 +213,15 @@ def disappointment_exact(
     its block, and the kept values are reduced in place by `_log_sum_exp`,
     which gives the bits of `scipy.special.logsumexp` with one boolean mask
     (1 byte per kept value) as its only temporary, so the result equals the
-    single-pass reduction bit for bit.  Per block, the predictor values and
-    the tie-break variances come from one moments pass; the true costs are
-    formed once per call, and the log-factorials are read from the
-    process's cached table (`simplex._log_factorials`).  The block-shaped
-    arrays (counts, Q, moments, values, hit rows, log-pmf terms) live in
-    one workspace per call that every block reuses (`simplex._scratch`):
-    nothing of block size is allocated or freed inside the loop, so the
+    single-pass reduction bit for bit.  A block is laid out in columns,
+    one scenario or decision per row of N points: counts, weights, one
+    moments pass (variances only where the predictor reads them), values,
+    one pass that picks the decisions (tie-break variances for the tied
+    points alone), hit counts and log-pmf terms.  These live in one
+    workspace per call that every block reuses (`simplex._scratch`), so the
     time does not depend on whether the allocator hands freed blocks back
-    to the system and faults them in again.
+    to the system.  The true costs are formed once per call, and the
+    log-factorials read from the process's table (`_log_factorials`).
     """
     merged, spec, tested, p, _ = _prepare(problem, spec, mode, p, schedule)
     d = merged.n_scenarios
@@ -234,9 +235,9 @@ def disappointment_exact(
         Q = _normalized_rows(C, T, work)
         ind = _disappointment_indicator(merged, spec, tested, Q, true_costs, ratio, work)
         rows = np.flatnonzero(ind)
-        hit = _scratch(work, "hit counts", (rows.size, d), np.int64)
-        np.take(C, rows, axis=0, out=hit, mode="clip")
-        hits.append(_log_pmf_rows(hit, p, T, work))
+        hit = _scratch(work, "hit counts", (d, rows.size), np.int64)
+        np.take(C.T, rows, axis=1, out=hit, mode="clip")
+        hits.append(_log_pmf_rows(hit.T, p, T, work))
     work.clear()  # before the kept values are copied into one buffer
     log_p = _log_sum_exp(np.concatenate(hits))
     log_p = min(log_p, 0.0)  # clamp float dust above certainty

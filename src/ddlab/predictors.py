@@ -95,7 +95,7 @@ class CustomTable:
             raise ValidationError("table must not be empty")
         last = 0.0
         for t, a in pts:
-            if a <= 0:
+            if not a > 0:  # NaN fails too
                 raise ValidationError("a_T must be > 0 (T=%d)" % t)
             if a < last:
                 raise ValidationError("a_T must be nondecreasing (T=%d)" % t)
@@ -140,7 +140,7 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError("unknown predictor kind %r" % (self.kind,))
-        if self.radius is not None and self.radius < 0:
+        if self.radius is not None and not self.radius >= 0:  # NaN fails too
             raise ValidationError("radius must be >= 0")
 
     def resolved(self, schedule: Optional[RegimeSchedule]) -> "PredictorSpec":
@@ -473,7 +473,7 @@ def dro_condition_holds(p: Distribution, ratio: float) -> bool:
     """Interiority condition under which the SVP value is an exact
     worst case over the local ellipsoid of radius ratio = a_T/T:
     sqrt(2*ratio) <= min_i p_i * min_i min(p_i, 1-p_i)."""
-    if ratio < 0:
+    if not ratio >= 0:  # NaN fails too
         raise ValidationError("ratio must be >= 0")
     w = p.weights
     rhs = float(w.min()) * float(np.minimum(w, 1.0 - w).min())
@@ -571,21 +571,24 @@ def _predictor_values(
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """(values, mean, var), each (N, n): the predictor values of the loss
     rows L (n, d) over the weight rows W (N, d), and the centered moments of
-    one decisions._moments call.  saa, svp and kl at radius 0 read those
-    moments; for a kl spec with a positive radius, the (weight row,
-    nonconstant loss row) pairs go through one call of the batched dual
-    kernel.  mean and var are None unless the kind reads them or the tie
-    window `tie` is given.  An entry does not depend on the rows beside it.
-    The moments and the svp values are views of `_scratch(work, ...)` arrays.
+    one decisions._moments call.  saa, svp and kl at radius 0 read the
+    means, svp the variances; for a kl spec with a positive radius, the
+    (weight row, nonconstant loss row) pairs go through one call of the
+    batched dual kernel.  mean is None unless the kind reads it or the tie
+    window `tie` is given, var unless the kind is svp (prescriptions form
+    tie-break variances for tied rows only: decisions._pick_decisions).  An
+    entry does not depend on the rows beside it.  Each array is the
+    transposed view of an (n, N) one; the moments and svp values live in
+    `_scratch(work, ...)`.
 
-    Given `tie` (every prescription: it breaks ties by variance), a kl spec
-    solves only the pairs that can come within `tie` of their row's
-    minimum; the others read +inf, so select_decisions makes the same
-    picks at the same values.  The screen bounds a value below by its mean,
-    which the kernel's clamp makes the plug-in bit for bit, and above by
-    min(max l, mean + span*sqrt(r/2)) (Pinsker: TV <= sqrt(KL/2)) plus
-    10*_KL_TOL*span and `tie` for the kernel's error; it skips a pair whose
-    mean exceeds the row's least upper bound plus `tie`."""
+    Given `tie` (every prescription), a kl spec solves only the pairs that
+    can come within `tie` of their row's minimum; the others read +inf, so
+    select_decisions makes the same picks at the same values.  The screen
+    bounds a value below by its mean, which the kernel's clamp makes the
+    plug-in bit for bit, and above by min(max l, mean + span*sqrt(r/2))
+    (Pinsker: TV <= sqrt(KL/2)) plus 10*_KL_TOL*span and `tie` for the
+    kernel's error; it skips a pair whose mean exceeds the row's least upper
+    bound plus `tie`."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != L.shape[1]:
         raise ValidationError("W must be (N, %d)" % L.shape[1])
@@ -595,23 +598,27 @@ def _predictor_values(
     if kind == "kl" and r is None:
         raise ValidationError("kl spec must carry a resolved radius")
     mean = var = None
-    if tie is not None or kind in ("saa", "svp") or (kind == "kl" and r == 0.0):
+    if kind == "svp":
         mean, var = _moments(L, W, work)
+    elif tie is not None or kind == "saa" or (kind == "kl" and r == 0.0):
+        mean = _moments(L, W, work, var=False)[0]
+    N = W.shape[0]
     if kind == "robust":
-        values = np.tile(L.max(axis=1), (W.shape[0], 1))
+        values = np.repeat(L.max(axis=1)[:, None], N, axis=1).T
     elif kind == "kl" and r > 0.0:
         # a constant row costs its value under every distribution
-        values = np.tile(L[:, 0], (W.shape[0], 1))
-        span = np.ptp(L, axis=1)
+        values = np.repeat(L[:, :1], N, axis=1)
+        span = np.ptp(L, axis=1)[:, None]
         solve = np.broadcast_to(span > 0.0, values.shape)
         if tie is not None:
-            upper = np.minimum(mean + span * math.sqrt(r / 2.0), L.max(axis=1))
+            upper = np.minimum(mean.T + span * math.sqrt(r / 2.0), L.max(axis=1)[:, None])
             upper += 10.0 * _KL_TOL * span + tie
-            skip = solve & (mean > upper.min(axis=1, keepdims=True) + tie)
+            skip = solve & (mean.T > upper.min(axis=0) + tie)
             values[skip] = np.inf
             solve = solve & ~skip
-        rows, cols = np.nonzero(solve)
-        values[rows, cols] = _kl_dual_solve(L[cols], W[rows], float(r))[0]
+        cols, rows = np.nonzero(solve)
+        values[cols, rows] = _kl_dual_solve(L[cols], W[rows], float(r))[0]
+        values = values.T
     elif kind == "svp":  # mean + sqrt(2 ratio var), laid out as mean
         values = _scratch(work, "values", var.shape[::-1]).T
         np.multiply(2.0 * ratio, var, out=values)

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .decisions import LossMatrix, Problem, select_decisions
+from .decisions import LossMatrix, Problem, _pick_decisions, select_decisions
 from .errors import ValidationError
 from .predictors import (
     PredictorSpec,
@@ -60,11 +60,10 @@ def prescribe(
     ratio = speed_ratio(schedule, T) if schedule is not None else None
     p = emp.distribution
     W = p.weights[None, :]
-    values, _, variances = _predictor_values(
+    values = _predictor_values(
         spec, problem.loss.values, W, ratio, tie=problem.loss.tie_window
-    )
-    pick = int(select_decisions(problem, values, variances)[0])
-    value = float(values[0, pick])
+    )[0]
+    pick, value = (v[0].item() for v in _pick_decisions(problem, values.T, W))
     gap_lower = gap_upper = None
     if spec.kind == "svp" and p.is_interior:
         gap_lower, gap_upper = prescription_gap_bound(problem, p, T, schedule)

@@ -265,6 +265,27 @@ def _scratch(work: Optional[dict], role: str, shape: tuple, dtype=np.float64) ->
     return buf[:size].reshape(shape)
 
 
+def _row_sums(XT: np.ndarray) -> np.ndarray:
+    """The row sums of the (N, d) array whose transpose is XT (d, N), with
+    the bits of NumPy's `sum(axis=1)` over C-ordered rows: left to right
+    when d < 8; for 8 <= d <= 128, eight interleaved accumulators combined
+    pairwise, then the last d % 8 entries.  Past 128, a C-ordered copy."""
+    d = XT.shape[0]
+    if d > 128:
+        return np.ascontiguousarray(XT.T).sum(axis=1)
+    if d < 8:
+        return XT.sum(axis=0)  # left to right, whatever N is
+    whole = d - d % 8
+    acc = XT[:8].copy()
+    for i in range(8, whole, 8):
+        acc += XT[i:i + 8]
+    pairs = acc[0::2] + acc[1::2]
+    out = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for x in XT[whole:]:
+        out += x
+    return out
+
+
 def _rank_tables(T: int, d: int) -> list:
     # below[k][s + 1] = comb(s + k, k), the compositions of s into k + 1
     # parts; below[k][0] = 0.  They cost O(d T) and depend on (T, d) only,
@@ -286,7 +307,8 @@ def _lattice_counts(
     work: Optional[dict] = None,
 ) -> np.ndarray:
     """The compositions of T into d parts with ranks in [start, stop), as
-    (N, d) int64 rows in the order of `enumerate_lattice`.
+    (N, d) int64 rows in the order of `enumerate_lattice`, the transposed
+    view of a (d, N) array that the exact engine reads as C.T.
 
     The lattice is built one part at a time.  A prefix whose remaining mass
     is r spawns children in ascending count c, i.e. descending rest sum
@@ -295,7 +317,7 @@ def _lattice_counts(
     one table lookup.  Children whose range misses [start, stop) are never
     made, so time and memory follow the block, not the lattice, apart from
     the d tables of T + 2 counts from `_rank_tables` (built here unless
-    passed in as `below`).  The rows are written into `_scratch(work, ...)`.
+    passed in as `below`).  The parts are written into `_scratch(work, ...)`.
     """
     size = _capped_size(T, d, cap)
     stop = size if stop is None else min(stop, size)
@@ -305,8 +327,8 @@ def _lattice_counts(
     if below is None:
         below = _rank_tables(T, d)
     # every prefix has a child in range, so the prefixes never outnumber the
-    # block's rows: the first `rest.size` rows of `out` hold them
-    out = _scratch(work, "counts", (stop - start, d), np.int64)
+    # block's rows: the first `rest.size` columns of `out` hold them
+    out = _scratch(work, "counts", (d, stop - start), np.int64)
     rest = np.array([T], dtype=np.int64)
     end = np.array([size], dtype=np.int64)  # one past each prefix's last rank
     for j, k in enumerate(range(d - 1, 0, -1)):  # k parts left after part j
@@ -315,14 +337,15 @@ def _lattice_counts(
         s_lo = np.searchsorted(cum[1:], end - stop, side="right")
         s_hi = np.minimum(np.searchsorted(cum[1:], end - start), rest)
         n = s_hi - s_lo + 1
-        parent = np.repeat(np.arange(rest.size), n)
-        s = s_hi[parent] - (np.arange(parent.size) - (np.cumsum(n) - n)[parent])
-        out[:parent.size, :j] = out[parent, :j]
-        out[:parent.size, j] = rest[parent] - s
-        end = end[parent] - cum[s]
+        m = int(n.sum())
+        s = np.repeat(s_hi + (np.cumsum(n) - n), n) - np.arange(m)
+        for i in range(j):
+            out[i, :m] = np.repeat(out[i, :rest.size], n)
+        out[j, :m] = np.repeat(rest, n) - s
+        end = np.repeat(end, n) - cum[s]
         rest = s
-    out[:, d - 1] = rest
-    return out
+    out[d - 1] = rest
+    return out.T
 
 
 # Cephes `lgam` for x >= 13: log(sqrt(2 pi)) and the coefficients of its
@@ -394,25 +417,30 @@ def _log_pmf_rows(
     """Multinomial log-pmf of each count row of C (rows sum to T) under p:
     log T! - sum_i log C_i! + sum_i C_i log p_i, -inf for counts outside
     support(p).  The log-factorials are read from `_log_factorials`, so the
-    values have the bits of the same sum over `scipy.special.gammaln`.  Its
-    (N, d) terms are written into `_scratch(work, ...)`."""
+    values have the bits of the same sum over `scipy.special.gammaln`.  It
+    reads C.T into (d, N) terms from `_scratch(work, ...)`."""
     log_fact = _log_factorials(T)
-    terms = _scratch(work, "log-pmf terms", C.shape)
-    np.take(log_fact, C, out=terms, mode="clip")  # 0 <= C <= T
-    return _log_pmf(C, p, log_fact[T], terms)
+    CT = C.T
+    terms = _scratch(work, "log-pmf terms", CT.shape)
+    np.take(log_fact, CT, out=terms, mode="clip")  # 0 <= C <= T
+    return _log_pmf(CT, p, log_fact[T], terms)
 
 
 def _log_pmf(
-    C: np.ndarray, p: Distribution, log_fact_T: float, terms: np.ndarray
+    CT: np.ndarray, p: Distribution, log_fact_T: float, terms: np.ndarray
 ) -> np.ndarray:
-    # the sum of `_log_pmf_rows`, given log T! and the array `terms` of the
-    # log C_i!, which it overwrites with the C_i log p_i
+    # the sum of `_log_pmf_rows` over the counts CT (d, N), given log T! and
+    # the (d, N) array `terms` of the log C_i!, which it overwrites with the
+    # C_i log p_i.  A zero count gives a zero of either sign: same bits
     w = p.weights
     logw = np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
-    log_fact_C = terms.sum(axis=1)
-    terms.fill(0.0)  # 0 log 0 = 0, also where p_i = 0
-    np.multiply(C, logw, out=terms, where=C > 0)
-    return log_fact_T - log_fact_C + terms.sum(axis=1)
+    log_fact_C = _row_sums(terms)
+    for c, lw, out in zip(CT, logw, terms):
+        if lw > -np.inf:
+            np.multiply(c, lw, out=out)
+        else:  # 0 log 0 = 0; a count outside support(p) weighs -inf
+            np.copyto(out, np.where(c > 0, -np.inf, 0.0))
+    return log_fact_T - log_fact_C + _row_sums(terms)
 
 
 def multinomial_log_prob(e: EmpiricalDistribution, p: Distribution) -> float:
@@ -428,7 +456,7 @@ def multinomial_log_prob(e: EmpiricalDistribution, p: Distribution) -> float:
     if e.dim != p.dim:
         raise ValidationError("dimension mismatch")
     log_fact = _log_factorial_entries(np.append(e.counts, e.sample_size))
-    return float(_log_pmf(e.counts[None, :], p, log_fact[-1], log_fact[None, :-1])[0])
+    return float(_log_pmf(e.counts[:, None], p, log_fact[-1], log_fact[:-1, None])[0])
 
 
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:

@@ -373,18 +373,22 @@ class TestConvexity:
         assert main(["convexity", "--config", cfg]) == 2
         capsys.readouterr()
 
-    def test_nonpositive_ratio(self, tmp_path, capsys):
+    # a NaN ratio exited 0 and printed the row 1,nan,nan,false,0
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_nonpositive_or_nan_ratio(self, tmp_path, capsys, bad):
         cfg = write_config(
             tmp_path,
             "negratio.json",
             {
                 "scenario": write_grid(tmp_path),
                 "counts": [1, 1, 1, 1, 1],
-                "ratios": [0.5, -1.0],
+                "ratios": [0.5, bad],
             },
         )
         assert main(["convexity", "--config", cfg]) == 2
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["message"] == "ratios must be > 0"
 
 
 class TestConfigPlumbing:
@@ -443,6 +447,13 @@ class TestMalformedInputExits2:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["exit_code"] == 2
+
+
+def test_nan_radius_is_blamed_on_the_radius(tmp_path, capsys):
+    # it exited 2 blaming "distribution weights must be finite"
+    cfg = predict_coin_config(tmp_path, predictors=[{"kind": "kl", "radius": math.nan}])
+    assert main(["predict", "--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == "radius must be >= 0"
 
 
 class TestParserCache:

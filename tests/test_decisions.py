@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlab import (
     Distribution,
@@ -16,7 +18,9 @@ from ddlab import (
     min_variance_minimizer,
     save_scenario,
     variance,
+    variance_matrix,
 )
+from ddlab.decisions import _pick_decisions, select_decisions
 
 
 class TestLossMatrix:
@@ -181,3 +185,43 @@ class TestScenarioIO:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ScenarioFormatError):
             load_scenario(str(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    offset=st.sampled_from([0.0, 1e6]),
+)
+def test_pick_is_select_decisions_on_full_variances(data, seed, scale, offset):
+    """The one-pass pick, which forms variances for tied rows only, makes
+    the picks of select_decisions on full variances, at the same values.
+    Values tie exactly, or within or just past the tie window, or read +inf
+    (as kl pairs the Pinsker screen skips); variances tie exactly (a
+    repeated row, a constant row) or within the variance window (a shifted
+    row)."""
+    rng = np.random.default_rng(seed)
+    n, d = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 5))
+    N = data.draw(st.integers(1, 8))
+    L = rng.integers(-2, 3, size=(n, d)) + rng.choice([0.0, 0.1], (n, 1)) * rng.random((n, d))
+    for x in range(1, n):
+        kind = data.draw(st.sampled_from(["free", "repeat", "shift", "constant"]))
+        if kind == "repeat":
+            L[x] = L[0]
+        elif kind == "shift":
+            L[x] = L[0] + 1.0
+        elif kind == "constant":
+            L[x] = L[x, 0]
+    problem = Problem(LossMatrix(L * scale + offset))
+    W = rng.dirichlet(np.ones(d), N)
+    W[rng.random((N, d)) < 0.3] = 0.0
+    W[np.arange(N), rng.integers(d, size=N)] += 0.1  # no empty row
+    W = np.ascontiguousarray((W / W.sum(axis=1, keepdims=True)).T).T  # in columns
+    windows = rng.choice([0.0, 0.5, 1.0, 1.5, 3.0], (N, n))
+    values = (rng.integers(0, 3, (N, n)) * scale + offset) + windows * problem.loss.tie_window
+    values[(rng.random((N, n)) < 0.2) & (values > values.min(axis=1, keepdims=True))] = np.inf
+    want = select_decisions(problem, values, variance_matrix(problem, W))
+    pick, value = _pick_decisions(problem, np.ascontiguousarray(values.T), W)
+    assert np.array_equal(pick, want)
+    assert value.tobytes() == values[np.arange(N), want].tobytes()

@@ -336,9 +336,10 @@ class TestExactStreaming:
             60, SCHED,
         )
         assert len(snapshots) == 5 and snapshots[0] == {}
-        roles = {"counts", "Q", "W^T", "mean", "var", "t"}
+        roles = {"counts", "Q", "mean", "t", "best", "window", "inside", "both", "seen",
+                 "tied", "ahead", "pick"}
         if kind == "svp":
-            roles.add("values")
+            roles |= {"var", "values"}
         first = snapshots[1]
         assert roles <= first.keys()
         for later in snapshots[2:]:
@@ -378,26 +379,31 @@ class TestExactStreaming:
 
 
 class TestExactSinglePass:
-    """Each lattice block takes one moments pass for its predictor values
-    and tie-break variances, the true costs are formed once per call, and
-    the kept log-pmf values are reduced in place."""
+    """Each lattice block takes one moments pass for its predictor values,
+    with variances only where the predictor reads them; tie-break variances
+    are formed for the tied rows alone.  The true costs are formed once per
+    call, and the kept log-pmf values are reduced in place."""
 
     @pytest.mark.parametrize("kind", ["saa", "svp"])
     def test_one_moments_pass_per_block(self, kind, monkeypatch):
         problem = scenario("newsvendor.json")
-        blocks, passes, true_costs = [], [], []
+        blocks, passes, tied, true_costs = [], [], [], []
         lattice, block_moments = deviation._lattice_counts, predictors._moments
-        call_moments = deviation._moments
+        call_moments, tie_moments = deviation._moments, decisions._moments
 
         def counting_lattice(*args):
             C = lattice(*args)
             blocks.append(C.shape[0])
             return C
 
-        def counting_block_moments(L, W, work=None):
+        def counting_block_moments(L, W, work=None, var=True):
             if L.shape == problem.loss.values.shape:
-                passes.append(W.shape[0])
-            return block_moments(L, W, work)
+                passes.append((W.shape[0], var))
+            return block_moments(L, W, work, var)
+
+        def counting_tie_moments(L, W, work=None, var=True):
+            tied.append(W.shape[0])
+            return tie_moments(L, W, work, var)
 
         def counting_call_moments(L, W):
             true_costs.append(W.shape[0])
@@ -405,13 +411,19 @@ class TestExactSinglePass:
 
         monkeypatch.setattr(deviation, "_lattice_counts", counting_lattice)
         monkeypatch.setattr(predictors, "_moments", counting_block_moments)
+        monkeypatch.setattr(decisions, "_moments", counting_tie_moments)
         monkeypatch.setattr(deviation, "_moments", counting_call_moments)
         disappointment_exact(  # 39,711 points: five blocks
             problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist,
             60, SCHED,
         )
         assert len(blocks) == 5
-        assert passes == blocks  # one pass per block, over that block's rows
+        # one pass per block, over that block's rows; variances for svp only
+        assert passes == [(b, kind == "svp") for b in blocks]
+        # tie-break variances: one pass at most per block, over its tied
+        # rows (saa ties at 4.8% of these points, svp at none)
+        assert len(tied) <= 5 and sum(tied) < 0.1 * sum(blocks)
+        assert (sum(tied) > 0) == (kind == "saa")
         assert true_costs == [1]
 
     @staticmethod

@@ -33,6 +33,7 @@ from ddlab import (
     importance_shift,
     load_scenario,
     prescribe,
+    variance_matrix,
 )
 from ddlab import deviation, predictors
 from ddlab.decisions import select_decisions
@@ -191,7 +192,8 @@ def test_every_skipped_pair_is_out_of_the_tie_window(data, seed, r, scale, offse
     problem = Problem(LossMatrix(L))
     tie, spec = problem.loss.tie_window, PredictorSpec("kl", r)
     full = predictors._predictor_values(spec, L, W, None)[0]
-    screened, _, var = predictors._predictor_values(spec, L, W, None, tie=tie)
+    screened = predictors._predictor_values(spec, L, W, None, tie=tie)[0]
+    var = variance_matrix(problem, W)
     skipped = np.isinf(screened)
     assert np.array_equal(screened[~skipped], full[~skipped])
     assert (full > full.min(axis=1, keepdims=True) + tie)[skipped].all()

@@ -104,6 +104,8 @@ class TestSchedules:
             CustomTable(((10, 0.0),))
         with pytest.raises(ValidationError):
             CustomTable(((10, 2.0), (20, 1.0)))  # decreasing
+        with pytest.raises(ValidationError):
+            CustomTable(((10, math.nan),))  # predict_svp read nan from it
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +119,12 @@ class TestPredictorSpec:
         with pytest.raises(ValidationError):
             PredictorSpec("dro")
 
-    def test_negative_radius_rejected(self):
+    @pytest.mark.parametrize("radius", [-0.1, math.nan])
+    def test_negative_or_nan_radius_rejected(self, radius):
+        # a NaN radius raised TypeError in exact prediction and labelled
+        # prescribe's saa pick kl(r=nan)
         with pytest.raises(ValidationError):
-            PredictorSpec("kl", radius=-0.1)
+            PredictorSpec("kl", radius=radius)
 
     def test_labels(self):
         assert PredictorSpec("saa").label == "saa"
@@ -722,6 +727,8 @@ class TestSvpGeometry:
         assert not dro_condition_holds(Distribution((1.0, 0.0)), 0.01)
         with pytest.raises(ValidationError):
             dro_condition_holds(HALF, -0.5)
+        with pytest.raises(ValidationError):
+            dro_condition_holds(HALF, math.nan)
 
 
 # ---------------------------------------------------------------------------

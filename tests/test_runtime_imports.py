@@ -44,3 +44,34 @@ def test_library_and_cli_run_without_scipy(src_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the public names of `ddlab`, which its __all__ collects from its imports
+EXPORTS = {
+    "ConvergenceError", "CustomTable", "DEFAULT_LATTICE_CAP", "DisappointmentReport",
+    "Distribution", "EllipsoidConditionError", "EmpiricalDistribution",
+    "ExponentialRate", "LatticeCapError", "Logarithmic", "LossMatrix", "MethodInfo",
+    "Mode", "PowerLaw", "PredictionResult", "PredictorSpec", "PrescriptionResult",
+    "Problem", "RegimeSchedule", "SCHEMA_VERSION", "ScenarioFormatError",
+    "SimplexDelta", "ValidationError", "__version__", "convexity_certificate",
+    "cost", "covariance", "disappointment_exact", "disappointment_importance",
+    "disappointment_mc", "dro_condition_holds", "ellipsoid_linear_max",
+    "ellipsoid_norm_sq", "enumerate_lattice", "importance_shift", "kl_divergence",
+    "lattice_size", "load_scenario", "min_variance_minimizer", "multinomial_log_prob",
+    "predict_kl_dual", "predict_kl_primal_grid", "predict_robust", "predict_saa",
+    "predict_svp", "predictor_value_matrix", "predictor_value_rows", "prescribe",
+    "prescription_gap_bound", "rate_curve", "sample_empirical", "save_scenario",
+    "speed_ratio", "svp_direction", "svp_worst_case", "theoretical_rate_saa",
+    "variance", "variance_matrix",
+}
+
+
+def test_star_import_gives_the_public_names():
+    import ddlab
+
+    assert len(EXPORTS) == 58
+    assert len(ddlab.__all__) == len(set(ddlab.__all__))
+    assert set(ddlab.__all__) == EXPORTS
+    namespace = {}
+    exec("from ddlab import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == EXPORTS

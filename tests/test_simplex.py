@@ -418,3 +418,14 @@ class TestSampling:
         e = sample_empirical(p, 37, seed=0)
         assert int(e.counts.sum()) == 37
         assert e.sample_size == 37
+
+
+def test_row_sums_have_the_bits_of_numpy_row_sums():
+    # left to right below 8 entries, eight interleaved accumulators up to
+    # 128, NumPy's own sum past that
+    rng = np.random.default_rng(8)
+    for d in range(2, 131):
+        for N in (1, 300):
+            X = rng.random((N, d)) * 10.0 ** rng.uniform(-8, 8, (N, d))
+            got = simplex._row_sums(np.ascontiguousarray(X.T))
+            assert got.tobytes() == X.sum(axis=1).tobytes(), (d, N)
