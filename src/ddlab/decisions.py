@@ -143,13 +143,13 @@ def _moments(
     if var:
         V = _scratch(work, "var", (n, N))
         for i in range(L.shape[1]):
-            u = V if i == 0 else t
+            u = V if i == 0 else t  # the first term goes straight into V
             np.subtract(D[:, i, None], M, out=u)
             u *= u
             np.multiply(u, WT[i], out=u)
             if i:
                 V += t
-    M += L[:, :1]
+    M += L[:, :1] + 0.0  # a first loss of -0.0 adds as the dropped +0.0 term did
     return M.T, None if V is None else V.T
 
 

@@ -62,6 +62,12 @@ class TestCostAndVariance:
         assert cost(self.problem, 0, self.p) == 0.75
         assert cost(self.problem, 1, self.p) == 0.5
 
+    def test_a_zero_mean_keeps_its_sign_bit(self):
+        # the moments pass skips the first term, D[:, 0] w_0 = +0.0; a first
+        # loss of -0.0 under all the weight still gives a mean of +0.0
+        problem = Problem(LossMatrix([[-0.0, -1.0, -2.0]]))
+        assert cost(problem, 0, Distribution([1.0, 0.0, 0.0])).hex() == "0x0.0p+0"
+
     def test_variance_bernoulli(self):
         assert abs(variance(self.problem, 0, self.p) - 0.1875) <= 1e-15
 
