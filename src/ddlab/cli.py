@@ -252,7 +252,7 @@ def cmd_disappoint(cfg: dict) -> List[dict]:
         raise ValidationError("T_list must be a nonempty list")
     method = cfg.get("method", "exact")
     cap = int(cfg.get("cap", DEFAULT_LATTICE_CAP))
-    n_samples = int(cfg.get("n_samples", 100_000))
+    n_samples = cfg.get("n_samples", 100_000)
     seed = cfg.get("seed")
     if method in ("mc", "importance") and seed is None:
         raise ValidationError("stochastic methods need a seed")

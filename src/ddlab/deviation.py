@@ -314,15 +314,17 @@ def _sample_histogram(
     multiplicity m with t draws left, c_j ~ Binomial(t, w_j / sum_{k>=j}
     w_k) for each of its m samples, so its children's multiplicities are
     one Multinomial(m, that pmf) draw; children of multiplicity 0 are
-    dropped.  A level runs one 2-D `Generator.multinomial` call over
-    prefixes x (T + 1) cells while that is at most n_samples; past that
-    (always when T >= n_samples) the remaining cells are drawn once per
-    sample by `_sample_count_rows` and merged by `_unique_rows`.  Where the
-    histogram runs to the last cell, memory is the distinct rows plus at
-    most n_samples cells per level, not n_samples rows.  One counter-based
-    stream keyed by seed feeds
-    every level: reproducible, with the law of n_samples independent draws
-    but not the bits of a per-sample draw.
+    dropped.  A level draws its prefixes x (T + 1) cells while that is at
+    most n_samples, in 2-D `Generator.multinomial` calls over consecutive
+    runs of prefixes of at most `_LATTICE_BLOCK` cells (one prefix at
+    least).  The generator draws the rows of a call one after another, so
+    the runs give the bits of one call over the level.  Past that (always
+    when T >= n_samples) the remaining cells are drawn once per sample by
+    `_sample_count_rows` and merged by `_unique_rows`.  Where the histogram
+    runs to the last cell, memory is the distinct rows, one run of cells
+    and a pmf row per distinct t, not n_samples rows.  One counter-based
+    stream keyed by seed feeds every level: reproducible, with the law of
+    n_samples independent draws but not the bits of a per-sample draw.
     """
     w = np.asarray(weights, dtype=float)
     d = w.size
@@ -344,9 +346,13 @@ def _sample_histogram(
         # table they grow
         t, t_row = np.unique(left, return_inverse=True)
         pmf = _binomial_pmf_rows(t, w[j], tail[j + 1])
-        children = rng.multinomial(mult, pmf[t_row])
-        parent, c = np.nonzero(children)
-        mult = children[parent, c]
+        step = max(1, _LATTICE_BLOCK // pmf.shape[1])  # prefixes per call
+        runs = []
+        for lo in range(0, mult.size, step):
+            children = rng.multinomial(mult[lo : lo + step], pmf[t_row[lo : lo + step]])
+            parent, c = np.nonzero(children)
+            runs.append((parent + lo, c, children[parent, c]))
+        parent, c, mult = (np.concatenate(parts) for parts in zip(*runs))
         rows = np.column_stack([rows[parent], c])
         left = left[parent] - c
     uniq = np.zeros((rows.shape[0], d), dtype=np.int64)
@@ -383,19 +389,34 @@ def _unique_rows(C: np.ndarray, T: int):
     return uniq, inverse.reshape(-1), mult
 
 
+def _sample_size(n_samples) -> int:
+    """n_samples as an int >= 1: an int, a NumPy int or an integral float
+    such as 1e5; a bool or a fractional value is a ValidationError."""
+    n = n_samples
+    if isinstance(n, (float, np.floating)) and float(n).is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError("n_samples must be an integer >= 1, not %r" % (n_samples,))
+    return int(n)
+
+
 def _sampled_indicator(problem, spec, mode, p, T, schedule, draw, n_samples, seed):
     """Merge the problem as `_prepare` does, draw the histogram of n_samples
     count rows of the merged scenarios from the merged `draw` and evaluate
     the indicator once per distinct row: (merged p, merged draw, distinct
-    rows, multiplicities, indicator)."""
+    rows, multiplicities, indicator), the rows evaluated in slices of
+    `_LATTICE_BLOCK` through one reused workspace, as the exact blocks."""
     problem, spec, mode, p, draw = _prepare(problem, spec, mode, p, schedule, draw)
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
     ratio = speed_ratio(schedule, T)  # raises ValidationError when T < 1
     uniq, mult = _sample_histogram(draw.weights, T, n_samples, seed)
-    Q = _normalized_rows(uniq, T)
     true_costs = _true_costs(problem, p)
-    ind = _disappointment_indicator(problem, spec, mode, Q, true_costs, ratio)
+    ind, work = np.empty(mult.size, dtype=bool), {}
+    for lo in range(0, mult.size, _LATTICE_BLOCK):
+        Q = _normalized_rows(uniq[lo : lo + _LATTICE_BLOCK], T, work)
+        ind[lo : lo + _LATTICE_BLOCK] = _disappointment_indicator(
+            problem, spec, mode, Q, true_costs, ratio, work
+        )
+    work.clear()
     return p, draw, uniq, mult, ind
 
 
@@ -413,12 +434,15 @@ def disappointment_mc(
 
     The n_samples count rows are drawn as their histogram: the distinct
     rows and their multiplicities (`_sample_histogram`), so the predictors
-    run, and memory grows, once per distinct row rather than per sample.
-    The law is that of n_samples independent draws; a seed reproduces its
-    bits, which differ from those of a per-sample draw.  Samples are drawn
-    over the merged scenarios of `disappointment_exact`, so on a problem
-    that merges the random stream differs from an unmerged draw with the
-    same seed; the estimate agrees within its error."""
+    run once per distinct row rather than per sample, and memory follows
+    the distinct rows: levels are drawn and rows evaluated in blocks of
+    `_LATTICE_BLOCK` cells or rows, as the exact engine's.  The law is
+    that of n_samples independent draws; a seed reproduces its bits, which
+    differ from those of a per-sample draw.  Samples are drawn over the
+    merged scenarios of `disappointment_exact`, so on a problem that merges
+    the random stream differs from an unmerged draw with the same seed; the
+    estimate agrees within its error."""
+    n_samples = _sample_size(n_samples)
     *_, mult, ind = _sampled_indicator(
         problem, spec, mode, p, T, schedule, p, n_samples, seed
     )
@@ -460,6 +484,7 @@ def disappointment_importance(
         raise ValidationError("dimension mismatch")
     if not shift_q.is_interior:
         raise ValidationError("shift distribution must have full support")
+    n_samples = _sample_size(n_samples)
     p_m, q_m, uniq, mult, ind = _sampled_indicator(
         problem, spec, mode, p, T, schedule, shift_q, n_samples, seed
     )

@@ -436,9 +436,13 @@ class TestMalformedInputExits2:
             ("disappoint", lambda tmp: disappoint_coin_config(tmp, T_list=[0])),
             ("disappoint", lambda tmp: disappoint_coin_config(
                 tmp, T_list=[0], method="importance", seed=1)),
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, method="mc", seed=1, n_samples=1000.7)),
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, method="importance", seed=1, n_samples=True)),
         ],
         ids=["radius", "rate", "table-points", "decision", "missing-config",
-             "T-0-exact", "T-0-importance"],
+             "T-0-exact", "T-0-importance", "fractional-n-samples", "bool-n-samples"],
     )
     def test_exit_2_with_one_error_record(self, tmp_path, capsys, command, make):
         assert main([command, "--config", make(tmp_path)]) == 2

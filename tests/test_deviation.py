@@ -764,6 +764,31 @@ class TestMonteCarlo:
                 n_samples=0, seed=1,
             )
 
+    RUNS = {
+        "mc": lambda n: disappointment_mc(
+            COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, 5, SCHED, n, 1),
+        "importance": lambda n: disappointment_importance(
+            COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, 5, SCHED, HALF, n, 1),
+    }
+
+    @pytest.mark.parametrize("n", [1000.7, 0.5, True, np.bool_(True), math.nan, "1000"])
+    @pytest.mark.parametrize("path", sorted(RUNS))
+    def test_rejects_a_sample_size_that_is_not_an_integer(self, path, n, monkeypatch):
+        # 1000.7 drew 1,000 samples and divided their hits by 1000.7
+        def no_work(*args, **kwargs):
+            raise AssertionError("sampling work with a bad n_samples")
+
+        monkeypatch.setattr(deviation, "_sample_histogram", no_work)
+        with pytest.raises(ValidationError, match="n_samples"):
+            self.RUNS[path](n)
+
+    @pytest.mark.parametrize("n", [np.int32(2_000), 2e3, np.float64(2_000.0)])
+    @pytest.mark.parametrize("path", sorted(RUNS))
+    def test_integral_sample_sizes_are_ints(self, path, n):
+        rep = self.RUNS[path](n)
+        assert rep == self.RUNS[path](2_000)
+        assert type(rep.method.n_samples) is int
+
 
 class TestUniqueRows:
     """Keyed de-duplication returns exactly what np.unique over rows does."""
@@ -896,6 +921,117 @@ class TestSampleHistogram:
         finally:
             tracemalloc.stop()
         assert peak < 24e6, peak
+
+
+class TestSampledStreaming:
+    """Monte Carlo and importance sampling draw each histogram level in runs
+    of at most `_LATTICE_BLOCK` cells and evaluate the distinct rows in
+    slices of `_LATTICE_BLOCK`; no report may depend on the block size."""
+
+    # (T, n_samples) per patched block size: the distinct rows, and the
+    # cells of some level, outnumber the block
+    SIZES = {1: (8, 2_000), 7: (20, 20_000), 4096: (60, 200_000)}
+
+    @staticmethod
+    def _reports(problem, T, n):
+        sched = ExponentialRate(0.05)
+        out = []
+        for kind in ("saa", "svp", "kl"):
+            for mode in (Mode.prediction(4), Mode.prescription()):
+                spec = PredictorSpec(kind)
+                shift = importance_shift(problem, mode, problem.true_dist, speed_ratio(sched, T))
+                for rep in (
+                    disappointment_mc(problem, spec, mode, problem.true_dist, T, sched, n, 3),
+                    disappointment_importance(
+                        problem, spec, mode, problem.true_dist, T, sched, shift, n, 4
+                    ),
+                ):
+                    m = rep.method
+                    out.append([
+                        float(x).hex() if x is not None else None
+                        for x in (rep.probability, rep.log_probability, m.std_err, m.ess)
+                    ])
+        return out
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_reports_do_not_depend_on_the_block(self, block, monkeypatch):
+        problem = scenario("newsvendor.json")
+        T, n = self.SIZES[block]
+        want = self._reports(problem, T, n)
+        slices, draws = [], []
+        real_rows, real_philox = deviation._normalized_rows, deviation._philox
+
+        class Recording:  # the generator, counting its 2-D multinomial calls
+            def __init__(self, seed):
+                self.rng = real_philox(seed)
+
+            def multinomial(self, totals, pvals):
+                draws.append(np.ndim(pvals) == 2)
+                return self.rng.multinomial(totals, pvals)
+
+        def recording(C, T, work=None):
+            slices.append(C.shape[0])
+            return real_rows(C, T, work)
+
+        monkeypatch.setattr(deviation, "_normalized_rows", recording)
+        monkeypatch.setattr(deviation, "_philox", Recording)
+        monkeypatch.setattr(deviation, "_LATTICE_BLOCK", block)
+        got = self._reports(problem, T, n)
+        monkeypatch.undo()
+        assert got == want
+        # 12 estimates of at most d - 1 = 3 levels: more 2-D calls means
+        # some level was split; more slices means some rows were
+        assert sum(draws) > 12 * 3
+        assert len(slices) > 12 and max(slices) == block
+
+    @pytest.mark.parametrize("kind", ["saa", "svp"])
+    @pytest.mark.parametrize("method", ["mc", "importance"])
+    def test_slices_reuse_one_workspace(self, kind, method, monkeypatch):
+        # as in the exact engine: nothing of block size is allocated or
+        # freed after the first slice
+        snapshots = []
+        original = deviation._normalized_rows
+
+        def recording(C, T, work=None):
+            snapshots.append(dict(work))  # the workspace, role -> buffer
+            return original(C, T, work)
+
+        problem, sched, mode = scenario("newsvendor.json"), ExponentialRate(0.02), Mode.prescription()
+        monkeypatch.setattr(deviation, "_normalized_rows", recording)
+        args = (problem, PredictorSpec(kind), mode, problem.true_dist, 200, sched)
+        if method == "mc":  # 33,412 distinct rows: five slices
+            disappointment_mc(*args, 1_000_000, 5)
+        else:
+            shift = importance_shift(problem, mode, problem.true_dist, speed_ratio(sched, 200))
+            disappointment_importance(*args, shift, 1_000_000, 5)
+        assert len(snapshots) >= 3 and snapshots[0] == {}
+        roles = {"Q", "mean", "t", "best", "window", "inside", "both", "seen", "tied",
+                 "ahead", "pick"}
+        if kind == "svp":
+            roles |= {"var", "values"}
+        first = snapshots[1]
+        assert roles <= first.keys()
+        for later in snapshots[2:]:
+            assert all(later[role] is first[role] for role in roles)
+
+    def test_memory_follows_the_block(self):
+        # the newsvendor svp prescription at T = 200, n = 1e6 (33,412
+        # distinct rows): evaluating them in one pass, and each level in
+        # one multinomial call, peaked near 9 MB
+        problem, sched, mode = scenario("newsvendor.json"), ExponentialRate(0.02), Mode.prescription()
+        args = (problem, PredictorSpec("svp"), mode, problem.true_dist, 200, sched)
+        shift = importance_shift(problem, mode, problem.true_dist, speed_ratio(sched, 200))
+        for run in (
+            lambda: disappointment_mc(*args, 1_000_000, 5),
+            lambda: disappointment_importance(*args, shift, 1_000_000, 5),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6e6, peak
 
 
 class TestImportance:
