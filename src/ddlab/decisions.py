@@ -193,22 +193,23 @@ def select_decisions(
 
 
 def _pick_decisions(
-    problem: Problem, values: np.ndarray, W: np.ndarray, work: Optional[dict] = None
+    problem: Problem, values: np.ndarray, W: np.ndarray, work: Optional[dict] = None,
+    rows=slice(None),
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(pick, value), each (N,): the `select_decisions` pick of each weight
-    row of W (N, d) and its value, from values (n, N), one decision per row.
-    One pass down the decisions marks each row's candidates (within the tie
-    window of its minimum) and counts the decisions before the first one:
-    its first argmin, the pick of a row with one candidate.  Only rows with
-    two or more go to `select_decisions`, with the variances of those rows
-    alone.  The (N,) arrays come from `_scratch(work, ...)`."""
+    """(pick, value), each (N,): the `select_decisions` pick (an index into
+    values) of each weight row of W (N, d) and its value, from values (n, N)
+    of the loss rows `rows`, all by default.  One pass down the decisions
+    marks each row's candidates (within the tie window of its minimum) and
+    counts the decisions before the first one: its first argmin, the pick
+    of a row with one candidate.  Only rows with two or more go to
+    `select_decisions`, with the variances of those rows alone."""
     n, N = values.shape
     best = np.min(values, axis=0, out=_scratch(work, "best", (N,)))
     window = np.add(best, problem.loss.tie_window, out=_scratch(work, "window", (N,)))
     inside, both = (_scratch(work, role, (N,), np.bool_) for role in ("inside", "both"))
     seen, tied = (_scratch(work, role, (N,), np.bool_) for role in ("seen", "tied"))
     seen[:] = tied[:] = False
-    ahead = _scratch(work, "ahead", (N,), np.min_scalar_type(n))
+    ahead = _scratch(work, "ahead", (N,), np.min_scalar_type(problem.n_decisions))
     ahead.fill(0)  # the decisions before each row's first candidate
     for x in range(n):
         np.less_equal(values[x], window, out=inside)
@@ -218,7 +219,7 @@ def _pick_decisions(
     pick = np.add(ahead, 0, out=_scratch(work, "pick", (N,), np.int64))
     tied = np.flatnonzero(tied)
     if tied.size:
-        var = _moments(problem.loss.values, W[tied])[1]
+        var = _moments(problem.loss.values[rows], W[tied])[1]
         pick[tied] = select_decisions(problem, values[:, tied].T, var)
         best[tied] = values[pick[tied], tied]
     return pick, best

@@ -21,6 +21,7 @@ from .predictors import (
     PredictorSpec,
     RegimeSchedule,
     _predictor_values,
+    _value_bounds,
     predictor_value_rows,
     speed_ratio,
 )
@@ -121,17 +122,41 @@ def _disappointment_indicator(
 ) -> np.ndarray:
     """The event per weight row of Q.  A true cost that ties the prediction
     (within the tie window, as at lattice symmetry points) is no
-    disappointment.  The prescription branch picks in one pass over the
-    (n_decisions, N) values (`_pick_decisions`), in `_scratch(work, ...)`;
-    kl solves only the duals the Pinsker screen keeps in reach of the pick."""
+    disappointment.
+
+    A prescription block is screened first: with `_value_bounds` over the
+    box of Q's columnwise min and max and U the least upper bound, only
+    decisions with lower <= U + tie + margin can be picked.  Every row
+    disappoints when each such decision's true cost exceeds U + 2 tie +
+    margin (a pick is within tie of the least value), none when each is at
+    most lower + tie - margin.  Otherwise the kept decisions alone are
+    valued and picked in one pass (`_pick_decisions`, in `_scratch(work,
+    ...)`) in index order, so ties break as over all; kl solves only the
+    duals its Pinsker screen keeps.  margin, 32 (d + 2) ulps of k_half plus
+    the widest bound, exceeds twice the rounding of the normalisation, the
+    moments, svp's penalty and the bounds (each within d ulps of that
+    scale); NaN bounds decide nothing.  The bits are the unscreened ones."""
     tie = problem.loss.tie_window
     if mode.kind == "prediction":
         x = _check_decision(problem, mode.decision)
         vals = predictor_value_rows(problem, x, spec, Q, ratio=ratio)
         return true_costs[x] > vals + tie
-    V = _predictor_values(spec, problem.loss.values, Q, ratio, work, tie)[0]
-    pick, v_hat = _pick_decisions(problem, V.T, Q, work)
-    return true_costs[pick] > v_hat + tie
+    L, QT = problem.loss.values, Q.T
+    lower, upper = _value_bounds(spec, L, QT.min(axis=1), QT.max(axis=1), ratio, tie)
+    U = upper.min()
+    margin = 32 * (L.shape[1] + 2) * np.spacing(problem.loss.k_half + (upper - lower).max())
+    keep = ~(lower > U + tie + margin)
+    if true_costs[keep].min() > U + 2.0 * tie + margin:
+        return np.ones(Q.shape[0], dtype=bool)
+    if (true_costs[keep] <= lower[keep] + tie - margin).all():
+        return np.zeros(Q.shape[0], dtype=bool)
+    if work is not None and "mean" not in work:  # sized for every decision once
+        for role in ("mean", "t") + (("var", "values") if spec.kind == "svp" else ()):
+            _scratch(work, role, (L.shape[0], Q.shape[0]))
+    keep = np.flatnonzero(keep)
+    V = _predictor_values(spec, L[keep], Q, ratio, work, tie)[0]
+    pick, v_hat = _pick_decisions(problem, V.T, Q, work, keep)
+    return true_costs[keep[pick]] > v_hat + tie
 
 
 def _merged_columns(L: np.ndarray):
@@ -214,15 +239,15 @@ def disappointment_exact(
     which gives the bits of `scipy.special.logsumexp` with one boolean mask
     (1 byte per kept value) as its only temporary, so the result equals the
     single-pass reduction bit for bit.  A block is laid out in columns,
-    one scenario or decision per row of N points: counts, weights, one
-    moments pass (variances only where the predictor reads them), values,
-    one pass that picks the decisions (tie-break variances for the tied
-    points alone), hit counts and log-pmf terms.  These live in one
-    workspace per call that every block reuses (`simplex._scratch`), so the
-    time does not depend on whether the allocator hands freed blocks back
-    to the system.  The true costs are formed once per call, and the
-    log-factorials read from the process's table (`_log_factorials`).
-    """
+    one scenario or decision per row of N points: counts, weights, then a
+    prescription's screen, which values only the decisions that can be
+    picked, or none where the block is all hits or has none (see
+    `_disappointment_indicator`); one moments pass (variances only where
+    read), values, one pass that picks (tie-break variances for tied points
+    alone), hit counts and log-pmf terms, in one workspace per call that
+    every block reuses (`simplex._scratch`), so the time does not depend on
+    the allocator.  True costs are formed once per call, log-factorials
+    read from the process's table (`_log_factorials`)."""
     merged, spec, tested, p, _ = _prepare(problem, spec, mode, p, schedule)
     d = merged.n_scenarios
     ratio = speed_ratio(schedule, T)  # raises ValidationError when T < 1

@@ -593,8 +593,8 @@ def _predictor_values(
     if W.ndim != 2 or W.shape[1] != L.shape[1]:
         raise ValidationError("W must be (N, %d)" % L.shape[1])
     kind, r = spec.kind, spec.radius
-    if kind == "svp" and ratio is None:
-        raise ValidationError("svp needs ratio = a_T/T")
+    if kind == "svp" and not (ratio is not None and 0.0 <= ratio < math.inf):  # NaN too
+        raise ValidationError("svp needs a finite ratio a_T/T >= 0, got %r" % (ratio,))
     if kind == "kl" and r is None:
         raise ValidationError("kl spec must carry a resolved radius")
     mean = var = None
@@ -611,8 +611,7 @@ def _predictor_values(
         span = np.ptp(L, axis=1)[:, None]
         solve = np.broadcast_to(span > 0.0, values.shape)
         if tie is not None:
-            upper = np.minimum(mean.T + span * math.sqrt(r / 2.0), L.max(axis=1)[:, None])
-            upper += 10.0 * _KL_TOL * span + tie
+            upper = _kl_upper(mean.T, span, L.max(axis=1)[:, None], r, tie)
             skip = solve & (mean.T > upper.min(axis=0) + tie)
             values[skip] = np.inf
             solve = solve & ~skip
@@ -626,6 +625,41 @@ def _predictor_values(
     else:
         values = mean  # saa, and kl at radius 0
     return values, mean, var
+
+
+def _value_bounds(spec, L, lo, hi, ratio, tie):
+    """(lower, upper), each (n,): bounds, up to rounding, on the
+    `_predictor_values` of the loss rows L (n, d) at any weight row with
+    lo <= w <= hi (d,) and sum 1.  The least and greatest means over that
+    box are exact: the mass left over lo fills the scenarios of a centred
+    row (decisions._moments) cheapest (costliest) first, each up to hi.
+    saa and kl at radius 0 lie between them; svp adds at most sqrt(2 ratio)
+    span/2 to the greatest (Popoviciu: Var <= span^2/4, clear of the 0
+    where sqrt blows rounding up); kl is below `_kl_upper` of the greatest;
+    robust is max l.  ratio must be finite."""
+    top = L.max(axis=1)
+    if spec.kind == "robust":
+        return top, top
+    D = L - L[:, :1]
+    up, S = np.argsort(D, axis=1), np.sort(D, axis=1)
+    order = np.stack([up, up[:, ::-1]])  # cheapest first, costliest first
+    cap = (hi - lo)[order]
+    fill = np.cumsum(cap, axis=2)  # the mass left for each scenario, capped
+    np.subtract(1.0 - lo.sum() + cap, fill, out=fill)
+    np.minimum(np.maximum(fill, 0.0, out=fill), cap, out=fill)
+    fill *= np.stack([S, S[:, ::-1]])
+    lower, upper = fill.sum(axis=2) + (D @ lo + L[:, 0])
+    span = top - L.min(axis=1)
+    if spec.kind == "svp":
+        upper += math.sqrt(2.0 * ratio) * span / 2.0
+    elif spec.kind == "kl" and spec.radius > 0.0:
+        upper = _kl_upper(upper, span, top, spec.radius, tie)
+    return lower, upper
+
+
+def _kl_upper(mean, span, top, r, tie):
+    """min(top, mean + span sqrt(r/2)) (Pinsker) plus the kernel's error."""
+    return np.minimum(mean + span * math.sqrt(r / 2.0), top) + (10.0 * _KL_TOL * span + tie)
 
 
 def predictor_value_rows(

@@ -5,8 +5,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# HYPOTHESIS_PROFILE=ci (the CI workflow) draws the same examples on every
+# run and prints the blob that replays a failure locally
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

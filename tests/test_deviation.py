@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from ddlab import (
@@ -319,31 +321,41 @@ class TestExactStreaming:
 
     @pytest.mark.parametrize("kind", ["saa", "svp"])
     def test_blocks_reuse_one_workspace(self, kind, monkeypatch):
-        # the blocks after the first write their block-shaped arrays into the
-        # buffers the first block made: nothing of block size is allocated
-        # or freed inside the loop
-        snapshots = []
-        original = deviation._lattice_counts
+        # every block writes its counts and weights into the buffers the
+        # first block made, and every evaluating block its moments, values
+        # and pick into those the first evaluating block made, sized for
+        # every decision: nothing of block size is allocated or freed inside
+        # the loop, although later blocks keep more decisions
+        snapshots, kept = [], {}
+        log_pmf, values = deviation._log_pmf_rows, deviation._predictor_values
 
-        def recording(*args):
+        def recording(*args):  # after each block's indicator
             snapshots.append(dict(args[-1]))  # the workspace, role -> buffer
-            return original(*args)
+            return log_pmf(*args)
+
+        def evaluating(spec, L, *args):
+            kept[len(snapshots)] = L.shape[0]
+            return values(spec, L, *args)
 
         problem = scenario("newsvendor.json")
-        monkeypatch.setattr(deviation, "_lattice_counts", recording)
+        monkeypatch.setattr(deviation, "_log_pmf_rows", recording)
+        monkeypatch.setattr(deviation, "_predictor_values", evaluating)
         disappointment_exact(  # 39,711 points: five blocks
             problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist,
             60, SCHED,
         )
-        assert len(snapshots) == 5 and snapshots[0] == {}
-        roles = {"counts", "Q", "mean", "t", "best", "window", "inside", "both", "seen",
-                 "tied", "ahead", "pick"}
+        assert len(snapshots) == 5
+        for later in snapshots[1:]:
+            assert all(later[role] is snapshots[0][role] for role in ("counts", "Q"))
+        first = min(kept)
+        assert len(kept) >= 3 and max(kept.values()) > kept[first]
+        roles = {"mean", "t", "best", "window", "inside", "both", "seen", "tied", "ahead",
+                 "pick"}
         if kind == "svp":
             roles |= {"var", "values"}
-        first = snapshots[1]
-        assert roles <= first.keys()
-        for later in snapshots[2:]:
-            assert all(later[role] is first[role] for role in roles)
+        assert roles <= snapshots[first].keys()
+        for later in snapshots[first + 1:]:
+            assert all(later[role] is snapshots[first][role] for role in roles)
 
     def test_rank_tables_are_built_once_per_call(self, monkeypatch):
         # they cost O(d T), so one build per block would make a d=2 lattice
@@ -387,42 +399,58 @@ class TestExactSinglePass:
     @pytest.mark.parametrize("kind", ["saa", "svp"])
     def test_one_moments_pass_per_block(self, kind, monkeypatch):
         problem = scenario("newsvendor.json")
-        blocks, passes, tied, true_costs = [], [], [], []
+        L = problem.loss.values
+        blocks, passes, tied, true_costs, outcomes = [], [], [], [], []
         lattice, block_moments = deviation._lattice_counts, predictors._moments
         call_moments, tie_moments = deviation._moments, decisions._moments
+        indicator = deviation._disappointment_indicator
 
         def counting_lattice(*args):
             C = lattice(*args)
             blocks.append(C.shape[0])
             return C
 
-        def counting_block_moments(L, W, work=None, var=True):
-            if L.shape == problem.loss.values.shape:
-                passes.append((W.shape[0], var))
-            return block_moments(L, W, work, var)
+        def counting_block_moments(Lk, W, work=None, var=True):
+            rows = [int(np.flatnonzero((L == row).all(axis=1))[0]) for row in Lk]
+            passes.append((len(blocks) - 1, W.shape[0], tuple(rows), var))
+            return block_moments(Lk, W, work, var)
 
-        def counting_tie_moments(L, W, work=None, var=True):
+        def counting_tie_moments(Lk, W, work=None, var=True):
             tied.append(W.shape[0])
-            return tie_moments(L, W, work, var)
+            return tie_moments(Lk, W, work, var)
 
         def counting_call_moments(L, W):
             true_costs.append(W.shape[0])
             return call_moments(L, W)
 
+        def recording_indicator(*args):
+            ind = indicator(*args)
+            outcomes.append("all" if ind.all() else "none" if not ind.any() else "some")
+            return ind
+
         monkeypatch.setattr(deviation, "_lattice_counts", counting_lattice)
         monkeypatch.setattr(predictors, "_moments", counting_block_moments)
         monkeypatch.setattr(decisions, "_moments", counting_tie_moments)
         monkeypatch.setattr(deviation, "_moments", counting_call_moments)
+        monkeypatch.setattr(deviation, "_disappointment_indicator", recording_indicator)
         disappointment_exact(  # 39,711 points: five blocks
             problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist,
-            60, SCHED,
+            60, ExponentialRate(0.02),
         )
         assert len(blocks) == 5
-        # one pass per block, over that block's rows; variances for svp only
-        assert passes == [(b, kind == "svp") for b in blocks]
-        # tie-break variances: one pass at most per block, over its tied
-        # rows (saa ties at 4.8% of these points, svp at none)
-        assert len(tied) <= 5 and sum(tied) < 0.1 * sum(blocks)
+        # at most one pass per block, over that block's rows and the
+        # decisions it keeps, in order; variances for svp only
+        assert len({b for b, *_ in passes}) == len(passes)
+        for b, N, rows, var in passes:
+            assert N == blocks[b] and var == (kind == "svp")
+            assert list(rows) == sorted(set(rows)) and len(rows) < problem.n_decisions
+        # blocks that are all hits or have no hits take none
+        evaluated = {b for b, *_ in passes}
+        assert 0 < len(evaluated) < 5
+        assert all(outcomes[b] != "some" for b in range(5) if b not in evaluated)
+        # tie-break variances: one pass at most per evaluating block, over
+        # its tied rows (saa ties at 3.3% of these points, svp at none)
+        assert len(tied) <= len(evaluated) and sum(tied) < 0.1 * sum(blocks)
         assert (sum(tied) > 0) == (kind == "saa")
         assert true_costs == [1]
 
@@ -572,6 +600,180 @@ class TestIndicatorIsUnitFree:
                 permuted, spec, mode, Q[:, perm], costs, 0.02
             )
             assert np.array_equal(got, want), (mode, "permuted")
+
+
+class TestBlockScreen:
+    """A prescription block is screened before it is evaluated: decisions
+    whose value bound cannot come within the tie window of the least upper
+    bound are not valued, and a block whose outcome the bounds fix is not
+    valued at all.  The indicator must not change."""
+
+    @staticmethod
+    def _indicator(problem, spec, Q, costs, ratio):
+        # the unscreened prescription: every decision valued and picked
+        tie = problem.loss.tie_window
+        V = predictors._predictor_values(spec, problem.loss.values, Q, ratio, None, tie)[0]
+        pick, v_hat = decisions._pick_decisions(problem, np.ascontiguousarray(V.T), Q)
+        return costs[pick] > v_hat + tie
+
+    @pytest.mark.parametrize("kind", ["saa", "svp", "kl", "robust"])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        regime=st.sampled_from(["lattice", "sample", "vertex"]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        offset=st.sampled_from([0.0, 1e6]),
+    )
+    def test_screen_never_changes_an_indicator(self, kind, data, seed, regime, scale, offset):
+        rng = np.random.default_rng(seed)
+        n, d = data.draw(st.integers(1, 9)), data.draw(st.integers(2, 12))
+        if regime == "vertex":  # where rounding of the shift hides a variance
+            scale, offset = 1e-3, 1e6
+        # integer losses tie exactly; some rows repeat another, sit a
+        # fraction of the tie window off it, or are constant
+        L = rng.integers(-3, 4, size=(n, d)) + rng.choice([0.0, 0.1], (n, 1)) * rng.random((n, d))
+        L = L * scale + offset
+        for x in range(1, n):
+            how = data.draw(st.sampled_from(["free", "repeat", "near", "constant"]))
+            if how == "repeat":
+                L[x] = L[0]
+            elif how == "near":
+                L[x] = L[0] + rng.choice([-1.5, -0.5, 0.5, 1.0, 1.5]) * 1e-12 * np.abs(L).max()
+            elif how == "constant":
+                L[x] = L[x, 0]
+        problem = Problem(LossMatrix(L))
+        tie = problem.loss.tie_window
+        # count rows: a rank range of a lattice, or a slice of the sorted
+        # distinct rows of counts drawn at or near the simplex's faces and
+        # vertices, where the sampled weights may have zeros
+        length = data.draw(st.sampled_from([1, 2, 5, 50, 300]))
+        if regime == "lattice":
+            T = data.draw(st.integers(1, 40))
+            size = lattice_size(T, d)
+            start = data.draw(st.integers(0, size - 1))
+            C = simplex._lattice_counts(T, d, size, start, min(size, start + length))
+        else:
+            T = 10**10 if regime == "vertex" else data.draw(st.sampled_from([1, 7, 60, 10**6]))
+            w = rng.dirichlet(np.full(d, data.draw(st.sampled_from([0.02, 0.3, 1.0]))))
+            w[rng.random(d) < 0.3] = 0.0
+            w[rng.integers(d)] += 0.01
+            if regime == "vertex":
+                w = 3e-9 * w / w.sum() + (1.0 - 3e-9) * np.eye(d)[rng.integers(d)]
+            C = np.unique(rng.multinomial(T, w / w.sum(), size=400), axis=0)
+            start = data.draw(st.integers(0, len(C) - 1))
+            C = C[start : start + length]
+        spec = PredictorSpec(kind, data.draw(st.sampled_from([0.0, 0.02, 1.0])) if kind == "kl" else None)
+        ratio = 100.0 if regime == "vertex" else data.draw(st.sampled_from([0.0, 1e-4, 0.02, 3.0]))
+        p = rng.dirichlet(np.ones(d))
+        p[rng.random(d) < 0.3] = 0.0
+        p[rng.integers(d)] += 0.01
+        truth = deviation._true_costs(problem, Distribution(p / p.sum()))
+        ulps = data.draw(st.integers(-1, 1))
+        # blocks: the first rows alone, where a value meets its bound, and
+        # all of them; true costs at p, or for every decision alike on an
+        # edge the screen tests: a value or its lower bound plus tie, or the
+        # least upper bound plus two, give or take an ulp
+        for rows in [slice(i, i + 1) for i in range(min(8, len(C)))] + [slice(None)]:
+            Q = deviation._normalized_rows(C[rows], T)
+            V = predictors._predictor_values(spec, L, Q, ratio, None, tie)[0]
+            lower, upper = predictors._value_bounds(
+                spec, L, Q.min(axis=0), Q.max(axis=0), ratio, tie
+            )
+            for edge in (None, V[rng.integers(len(Q))], lower, np.full(n, upper.min() + tie)):
+                costs = truth
+                if edge is not None:
+                    costs = np.where(np.isinf(edge), truth, edge + tie)
+                    costs = np.nextafter(costs, ulps * math.inf) if ulps else costs
+                want = self._indicator(problem, spec, Q, costs, ratio)
+                got = deviation._disappointment_indicator(
+                    problem, spec, Mode.prescription(), Q, costs, ratio
+                )
+                assert np.array_equal(got, want), (rows, costs)
+
+    @pytest.mark.parametrize("kind, share", [("saa", 0.4), ("svp", 0.2)])
+    def test_screen_decides_blocks_and_keeps_few_decisions(self, kind, share, monkeypatch):
+        # newsvendor at T = 120: 302,621 points in 37 blocks, 9 decisions
+        problem = scenario("newsvendor.json")
+        tie = problem.loss.tie_window
+        blocks, kept, valued = [], [], {}
+        lattice, bounds, values = (
+            deviation._lattice_counts, deviation._value_bounds, deviation._predictor_values
+        )
+
+        def counting_lattice(*args):
+            C = lattice(*args)
+            blocks.append(C.shape[0])
+            return C
+
+        def counting_bounds(*args):
+            lower, upper = bounds(*args)
+            # at least the decisions the screen keeps: its margin is below tie
+            kept.append(np.count_nonzero(lower <= upper.min() + 2.0 * tie))
+            return lower, upper
+
+        def counting_values(spec, L, *args):
+            valued[len(blocks) - 1] = L.shape[0]
+            return values(spec, L, *args)
+
+        monkeypatch.setattr(deviation, "_lattice_counts", counting_lattice)
+        monkeypatch.setattr(deviation, "_value_bounds", counting_bounds)
+        monkeypatch.setattr(deviation, "_predictor_values", counting_values)
+        disappointment_exact(
+            problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist,
+            120, ExponentialRate(0.02),
+        )
+        assert len(blocks) == len(kept) == 37
+        decided = sum(N for b, N in enumerate(blocks) if b not in valued)
+        assert decided >= share * sum(blocks)
+        assert sum(kept) <= 5.5 * len(blocks)
+        assert all(valued[b] <= kept[b] for b in valued)
+
+    def test_robust_prescription_forms_no_moments(self, monkeypatch):
+        passes = []
+        block_moments, tie_moments = predictors._moments, decisions._moments
+
+        def counting(moments):
+            def count(L, W, *args, **kwargs):
+                passes.append(W.shape[0])
+                return moments(L, W, *args, **kwargs)
+            return count
+
+        monkeypatch.setattr(predictors, "_moments", counting(block_moments))
+        monkeypatch.setattr(decisions, "_moments", counting(tie_moments))
+        problem = scenario("newsvendor.json")
+        rep = disappointment_exact(
+            problem, PredictorSpec("robust"), Mode.prescription(), problem.true_dist,
+            60, SCHED,
+        )
+        assert rep.probability == 0.0 and passes == []
+
+    @pytest.mark.parametrize("kind", ["saa", "svp", "kl", "robust"])
+    def test_prediction_mode_is_not_screened(self, kind, monkeypatch):
+        # one predictor_value_rows call per block and one moments pass in
+        # it, over the tested row (saa, svp and kl at radius 0 read it)
+        calls, passes, bounds = [], [], []
+        rows, moments = deviation.predictor_value_rows, predictors._moments
+
+        def counting_rows(problem, x, spec, Q, ratio=None):
+            calls.append((x, Q.shape[0]))
+            return rows(problem, x, spec, Q, ratio=ratio)
+
+        def counting_moments(L, W, *args, **kwargs):
+            passes.append((L.shape[0], W.shape[0]))
+            return moments(L, W, *args, **kwargs)
+
+        monkeypatch.setattr(deviation, "predictor_value_rows", counting_rows)
+        monkeypatch.setattr(predictors, "_moments", counting_moments)
+        monkeypatch.setattr(deviation, "_value_bounds", lambda *a: bounds.append(a))
+        monkeypatch.setattr(deviation, "_LATTICE_BLOCK", 50)
+        problem = scenario("newsvendor.json")
+        spec = PredictorSpec(kind, 0.0 if kind == "kl" else None)
+        disappointment_exact(  # the merged lattice of decision 4: 121 points
+            problem, spec, Mode.prediction(4), problem.true_dist, 120, SCHED
+        )
+        assert calls == [(0, 50), (0, 50), (0, 21)] and bounds == []
+        assert passes == ([] if kind == "robust" else [(1, 50), (1, 50), (1, 21)])
 
 
 class TestScenarioMerge:
@@ -988,31 +1190,40 @@ class TestSampledStreaming:
     @pytest.mark.parametrize("method", ["mc", "importance"])
     def test_slices_reuse_one_workspace(self, kind, method, monkeypatch):
         # as in the exact engine: nothing of block size is allocated or
-        # freed after the first slice
-        snapshots = []
-        original = deviation._normalized_rows
+        # freed after the first slice (weights) or after the first slice
+        # that evaluates (moments, values and pick)
+        snapshots, kept = [], {}
+        indicator, values = deviation._disappointment_indicator, deviation._predictor_values
 
-        def recording(C, T, work=None):
-            snapshots.append(dict(work))  # the workspace, role -> buffer
-            return original(C, T, work)
+        def recording(*args):
+            ind = indicator(*args)
+            snapshots.append(dict(args[-1]))  # the workspace, role -> buffer
+            return ind
+
+        def evaluating(spec, L, *args):
+            kept[len(snapshots)] = L.shape[0]
+            return values(spec, L, *args)
 
         problem, sched, mode = scenario("newsvendor.json"), ExponentialRate(0.02), Mode.prescription()
-        monkeypatch.setattr(deviation, "_normalized_rows", recording)
+        shift = importance_shift(problem, mode, problem.true_dist, speed_ratio(sched, 200))
+        monkeypatch.setattr(deviation, "_disappointment_indicator", recording)
+        monkeypatch.setattr(deviation, "_predictor_values", evaluating)
         args = (problem, PredictorSpec(kind), mode, problem.true_dist, 200, sched)
         if method == "mc":  # 33,412 distinct rows: five slices
             disappointment_mc(*args, 1_000_000, 5)
         else:
-            shift = importance_shift(problem, mode, problem.true_dist, speed_ratio(sched, 200))
             disappointment_importance(*args, shift, 1_000_000, 5)
-        assert len(snapshots) >= 3 and snapshots[0] == {}
-        roles = {"Q", "mean", "t", "best", "window", "inside", "both", "seen", "tied",
-                 "ahead", "pick"}
+        assert len(snapshots) >= 4
+        for later in snapshots[1:]:
+            assert later["Q"] is snapshots[0]["Q"]
+        first = min(kept)
+        roles = {"mean", "t", "best", "window", "inside", "both", "seen", "tied", "ahead",
+                 "pick"}
         if kind == "svp":
             roles |= {"var", "values"}
-        first = snapshots[1]
-        assert roles <= first.keys()
-        for later in snapshots[2:]:
-            assert all(later[role] is first[role] for role in roles)
+        assert roles <= snapshots[first].keys()
+        for later in snapshots[first + 1:]:
+            assert all(later[role] is snapshots[first][role] for role in roles)
 
     def test_memory_follows_the_block(self):
         # the newsvendor svp prescription at T = 200, n = 1e6 (33,412
@@ -1119,6 +1330,13 @@ class TestImportanceShift:
         # shift has nothing to tilt
         q = importance_shift(COIN, Mode.prescription(), HALF, 0.02)
         assert q == HALF
+
+    @pytest.mark.parametrize("ratio", [-1.0, math.nan, math.inf])
+    def test_rejects_a_ratio_that_is_negative_nan_or_infinite(self, ratio):
+        # -1 raised a bare math domain error; NaN was blamed on the weights
+        for mode in (Mode.prediction(1), Mode.prescription()):
+            with pytest.raises(ValidationError, match="ratio"):
+                importance_shift(COIN, mode, HALF, ratio)
 
     def test_extreme_p_keeps_interior_shift(self):
         p = Distribution((0.99, 0.01))

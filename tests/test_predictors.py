@@ -932,6 +932,14 @@ class TestBatchEngine:
                 self.prob, 0, PredictorSpec("saa"), self.W[:, :3]
             )
 
+    @pytest.mark.parametrize("ratio", [-0.5, -1e-300, math.nan, math.inf])
+    def test_svp_rejects_a_ratio_that_is_negative_nan_or_infinite(self, ratio):
+        # each gave NaN (or inf) values instead of an error
+        prob = make_problem([[1.0, 1.0], [0.0, 2.0]])
+        for x in range(2):
+            with pytest.raises(ValidationError, match="ratio"):
+                predictor_value_rows(prob, x, PredictorSpec("svp"), [[0.5, 0.5]], ratio=ratio)
+
 
 # ---------------------------------------------------------------------------
 # cross-predictor properties
