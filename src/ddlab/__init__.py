@@ -43,7 +43,6 @@ from .predictors import (
     dro_condition_holds,
     ellipsoid_linear_max,
     predict_kl_dual,
-    predict_kl_primal_grid,
     predict_robust,
     predict_saa,
     predict_svp,

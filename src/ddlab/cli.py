@@ -69,9 +69,9 @@ def _load_config(path: str) -> dict:
 
 def _merged_config(args: argparse.Namespace) -> dict:
     cfg = _load_config(args.config) if args.config else {"schema_version": 1}
-    for key in ("scenario", "out", "format", "seed", "method", "cap"):
-        if getattr(args, key) is not None:  # flags override file fields
-            cfg[key] = getattr(args, key)
+    for key, value in vars(args).items():  # the parser's flags override file fields
+        if key not in ("command", "config") and value is not None:
+            cfg[key] = value
     return cfg
 
 
@@ -131,8 +131,7 @@ def _mode_from(cfg: dict) -> Mode:
 
 def _empirical_from(cfg: dict) -> EmpiricalDistribution:
     counts = _require(cfg, "counts", "empirical scenario counts")
-    arr = np.asarray(counts)
-    return EmpiricalDistribution(arr)
+    return EmpiricalDistribution(np.asarray(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +160,17 @@ def _json_cell(v):
     return v
 
 
-def _emit(command: str, rows: List[dict], cfg: dict) -> None:
+def _emit(command: str, rows: List[tuple], cfg: dict) -> None:
     fmt = cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ValidationError("format must be csv or json")
     cols = _COMMANDS[command][2]
+    rows = [(SCHEMA_VERSION,) + row for row in rows]
     if fmt == "csv":
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[c]) for c in cols))
+        lines = [",".join(cols)] + [",".join(map(_csv_cell, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        payload = [{c: _json_cell(row[c]) for c in cols} for row in rows]
+        payload = [{c: _json_cell(v) for c, v in zip(cols, row)} for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     out = cfg.get("out")
     if out:
@@ -186,13 +184,12 @@ def _emit(command: str, rows: List[dict], cfg: dict) -> None:
 # subcommands
 
 
-def cmd_predict(cfg: dict) -> List[dict]:
+def cmd_predict(cfg: dict) -> List[tuple]:
     problem = _problem_from(cfg)
     emp = _empirical_from(cfg)
     schedule = _schedule_from(cfg)
     specs = [s.resolved(schedule) for s in _specs_from(cfg)]
-    T = emp.sample_size
-    a_T = schedule.a(T)
+    a_T = schedule.a(emp.sample_size)
     rows = []
     for x in range(problem.n_decisions):
         for spec in specs:
@@ -204,19 +201,11 @@ def cmd_predict(cfg: dict) -> List[dict]:
                 res = predict_kl_dual(problem, x, emp.distribution, spec.radius)
             else:
                 res = predict_svp(problem, x, emp, schedule)
-            rows.append({
-                "schema_version": SCHEMA_VERSION,
-                "decision": x,
-                "predictor": spec.label,
-                "value": res.value,
-                "a_T": a_T,
-                "condition_ok": res.condition_ok,
-                "worst_case": res.worst_case,
-            })
+            rows.append((x, spec.label, res.value, a_T, res.condition_ok, res.worst_case))
     return rows
 
 
-def cmd_prescribe(cfg: dict) -> List[dict]:
+def cmd_prescribe(cfg: dict) -> List[tuple]:
     problem = _problem_from(cfg)
     emp = _empirical_from(cfg)
     schedule = _schedule_from(cfg)
@@ -225,19 +214,13 @@ def cmd_prescribe(cfg: dict) -> List[dict]:
     rows = []
     for spec in specs:
         res = prescribe(problem, spec, emp, schedule)
-        rows.append({
-            "schema_version": SCHEMA_VERSION,
-            "predictor": res.predictor_kind,
-            "decision": res.decision,
-            "value": res.value,
-            "gap_lower": res.gap_lower,
-            "gap_upper": res.gap_upper,
-            "a_T": a_T,
-        })
+        rows.append((
+            res.predictor_kind, res.decision, res.value, res.gap_lower, res.gap_upper, a_T
+        ))
     return rows
 
 
-def cmd_disappoint(cfg: dict) -> List[dict]:
+def cmd_disappoint(cfg: dict) -> List[tuple]:
     problem = _problem_from(cfg)
     if problem.true_dist is None:
         raise ValidationError(
@@ -275,20 +258,14 @@ def cmd_disappoint(cfg: dict) -> List[dict]:
                 )
             else:
                 raise ValidationError("method must be exact, mc, or importance")
-            rows.append({
-                "schema_version": SCHEMA_VERSION,
-                "T": T,
-                "a_T": schedule.a(T),
-                "predictor": spec.label,
-                "probability": rep.probability,
-                "rate": rep.rate,
-                "method": rep.method.name,
-                "std_err": rep.method.std_err,
-            })
+            rows.append((
+                T, schedule.a(T), spec.label, rep.probability, rep.rate,
+                rep.method.name, rep.method.std_err,
+            ))
     return rows
 
 
-def cmd_convexity(cfg: dict) -> List[dict]:
+def cmd_convexity(cfg: dict) -> List[tuple]:
     problem = _problem_from(cfg)
     emp = _empirical_from(cfg)
     ratios = _require(cfg, "ratios", "penalty ratios a_T/T to sweep")
@@ -302,17 +279,12 @@ def cmd_convexity(cfg: dict) -> List[dict]:
             raise ValidationError("ratios must be > 0")
         schedule = CustomTable(((T, ratio * T),))
         ok, violations = convexity_certificate(problem.loss, emp, schedule)
-        rows.append({
-            "schema_version": SCHEMA_VERSION,
-            "ratio": ratio,
-            "a_T": ratio * T,
-            "threshold_ok": ok,
-            "midpoint_violations": violations,
-        })
+        rows.append((ratio, ratio * T, ok, violations))
     return rows
 
 
-# name: (handler, help text, output columns), for the parser and _emit
+# name: (handler, help text, output columns), for the parser and _emit; each
+# handler returns tuples in column order, and _emit prepends schema_version
 _COMMANDS = {
     "predict": (cmd_predict, "tabulate every predictor at every decision", [
         "schema_version", "decision", "predictor", "value", "a_T",

@@ -21,6 +21,7 @@ from .predictors import (
     PredictorSpec,
     RegimeSchedule,
     _predictor_values,
+    _svp_direction,
     _value_bounds,
     predictor_value_rows,
     speed_ratio,
@@ -564,10 +565,9 @@ def importance_shift(
         x = _check_decision(problem, mode.decision)
     else:
         x = int(select_decisions(problem, V, VarM)[0])
-    mean, var = float(M[0, x]), float(VarM[0, x])
     q = w  # a zero-variance decision has no direction to tilt along
-    if var > 0.0:  # svp_direction(problem, x, p), from the moments above
-        phi = (problem.loss.values[x] - mean) * w / math.sqrt(var)
+    if VarM[0, x] > 0.0:  # svp_direction(problem, x, p), from the moments above
+        phi = _svp_direction(problem.loss.values[x], w, M[0, x], VarM[0, x])
         q = w - math.sqrt(2.0 * ratio) * phi
     q = np.maximum(q, 1e-9)
     q = q / q.sum()
@@ -639,6 +639,8 @@ def theoretical_rate_saa(
     if m is None:
         m = mean
     m = float(m)
+    if math.isnan(m):
+        raise ValidationError("level m must not be NaN")
     lmin = float(ls.min())
     lmax = float(ls.max())
     if m < lmin or m > lmax:

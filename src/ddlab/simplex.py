@@ -251,16 +251,16 @@ def enumerate_lattice(
 def _scratch(work: Optional[dict], role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     """An uninitialized C-ordered array of `shape`: a fresh one when work is
     None, else a view of the flat buffer that the dict `work` keeps under
-    `role`, grown when too small.  A loop that passes one dict to every
-    pass reuses its arrays instead of allocating and freeing them: the
-    exact engine's blocks, whose freed arrays the allocator handed back to
-    the system and faulted in again at the next block.  The view is valid
-    until the next request for the same role."""
+    `role`, made anew when too small or of another dtype.  A loop that
+    passes one dict to every pass reuses its arrays instead of allocating
+    and freeing them: the exact engine's blocks, whose freed arrays the
+    allocator handed back to the system and faulted in again at the next
+    block.  The view is valid until the next request for the same role."""
     if work is None:
         return np.empty(shape, dtype)
     size = math.prod(shape)
     buf = work.get(role)
-    if buf is None or buf.size < size:
+    if buf is None or buf.size < size or buf.dtype != dtype:
         buf = work[role] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 

@@ -33,7 +33,6 @@ from ddlab import (
     disappointment_mc,
     multinomial_log_prob,
     predict_kl_dual,
-    predict_kl_primal_grid,
     predict_svp,
     predictor_value_matrix,
     prescribe,
@@ -46,6 +45,7 @@ from ddlab import (
     variance_matrix,
 )
 from ddlab.cli import main as cli_main
+from kl_oracle import predict_kl_primal_grid
 
 COIN = Problem(
     LossMatrix(np.array([[0.5, 0.5], [0.0, 1.0]])), Distribution((0.5, 0.5))

@@ -27,7 +27,6 @@ from ddlab import (
     ellipsoid_norm_sq,
     kl_divergence,
     predict_kl_dual,
-    predict_kl_primal_grid,
     predict_robust,
     predict_saa,
     predict_svp,
@@ -36,10 +35,12 @@ from ddlab import (
     speed_ratio,
     svp_direction,
     svp_worst_case,
+    theoretical_rate_saa,
     variance,
     variance_matrix,
 )
 from ddlab import predictors
+from kl_oracle import predict_kl_primal_grid
 
 
 def make_problem(loss, true_dist=None):
@@ -939,6 +940,38 @@ class TestBatchEngine:
         for x in range(2):
             with pytest.raises(ValidationError, match="ratio"):
                 predictor_value_rows(prob, x, PredictorSpec("svp"), [[0.5, 0.5]], ratio=ratio)
+
+    @pytest.mark.parametrize("x", [0, 1], ids=["constant", "nonconstant"])
+    def test_svp_rejects_a_ratio_whose_double_overflows(self, x):
+        # 2 * 1e308 is inf: the constant row read NaN, the other inf
+        prob = make_problem([[1.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(ValidationError, match="ratio"):
+            predictor_value_rows(prob, x, PredictorSpec("svp"), [[0.5, 0.5]], ratio=1e308)
+        got = predictor_value_rows(prob, x, PredictorSpec("svp"), [[0.5, 0.5]], ratio=1e300)
+        assert got[0] == 1.0 + x * math.sqrt(2e300)
+
+
+# each of these NaN arguments slipped through: a NaN rate, a later error
+# that blamed the weights, an EllipsoidConditionError, the centre cost of
+# the grid oracle, or a bare ValueError
+NAN_ARGUMENTS = {
+    "theoretical_rate_saa-m": (
+        lambda: theoretical_rate_saa(COIN, 1, HALF, m=math.nan), "level m"),
+    "predict_kl_dual-r": (lambda: predict_kl_dual(COIN, 1, HALF, math.nan), "radius"),
+    "svp_worst_case-ratio": (lambda: svp_worst_case(COIN, 1, HALF, math.nan), "ratio"),
+    "ellipsoid_linear_max-radius": (
+        lambda: ellipsoid_linear_max([0.0, 1.0], HALF, np.eye(2), math.nan), "radius"),
+    "grid_oracle-r": (lambda: predict_kl_primal_grid(COIN, 1, HALF, math.nan, 0.01), "r must"),
+    "grid_oracle-grid_step": (
+        lambda: predict_kl_primal_grid(COIN, 1, HALF, 0.1, math.nan), "grid_step"),
+}
+
+
+@pytest.mark.parametrize("call, match", NAN_ARGUMENTS.values(), ids=list(NAN_ARGUMENTS))
+def test_a_nan_argument_is_rejected_up_front(call, match):
+    with pytest.raises(ValidationError, match=match) as info:
+        call()
+    assert type(info.value) is ValidationError
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,8 @@ EXPORTS = {
     "disappointment_mc", "dro_condition_holds", "ellipsoid_linear_max",
     "ellipsoid_norm_sq", "enumerate_lattice", "importance_shift", "kl_divergence",
     "lattice_size", "load_scenario", "min_variance_minimizer", "multinomial_log_prob",
-    "predict_kl_dual", "predict_kl_primal_grid", "predict_robust", "predict_saa",
-    "predict_svp", "predictor_value_matrix", "predictor_value_rows", "prescribe",
+    "predict_kl_dual", "predict_robust", "predict_saa", "predict_svp",
+    "predictor_value_matrix", "predictor_value_rows", "prescribe",
     "prescription_gap_bound", "rate_curve", "sample_empirical", "save_scenario",
     "speed_ratio", "svp_direction", "svp_worst_case", "theoretical_rate_saa",
     "variance", "variance_matrix",
@@ -69,7 +69,7 @@ EXPORTS = {
 def test_star_import_gives_the_public_names():
     import ddlab
 
-    assert len(EXPORTS) == 58
+    assert len(EXPORTS) == 57
     assert len(ddlab.__all__) == len(set(ddlab.__all__))
     assert set(ddlab.__all__) == EXPORTS
     namespace = {}

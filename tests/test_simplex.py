@@ -420,6 +420,17 @@ class TestSampling:
         assert e.sample_size == 37
 
 
+def test_scratch_remakes_a_role_asked_for_another_dtype():
+    # a uint16 request must not get a view of the role's uint8 buffer
+    work = {}
+    first = simplex._scratch(work, "x", (4,), np.uint8)
+    second = simplex._scratch(work, "x", (4,), np.uint16)
+    assert second.dtype == np.uint16 and second.shape == (4,)
+    assert not np.shares_memory(first, second)
+    # a request in the buffer's own dtype still reuses it
+    assert np.shares_memory(simplex._scratch(work, "x", (3,), np.uint16), second)
+
+
 def test_row_sums_have_the_bits_of_numpy_row_sums():
     # left to right below 8 entries, eight interleaved accumulators up to
     # 128, NumPy's own sum past that
