@@ -99,7 +99,7 @@ def _schedule_from(cfg: dict) -> RegimeSchedule:
         if kind == "log":
             return Logarithmic(float(doc["coeff"]))
         if kind == "table":
-            return CustomTable(tuple((int(t), float(a)) for t, a in doc["points"]))
+            return CustomTable(doc["points"])
     except KeyError as exc:
         raise ValidationError("schedule %r missing field %s" % (kind, exc)) from exc
     raise ValidationError("unknown schedule kind %r" % (kind,))
@@ -122,11 +122,7 @@ def _mode_from(cfg: dict) -> Mode:
     doc = _require(cfg, "mode", "prediction(decision) or prescription")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValidationError("mode must be an object with a 'kind'")
-    if doc["kind"] == "prediction":
-        return Mode.prediction(int(_require(doc, "decision", "prediction mode")))
-    if doc["kind"] == "prescription":
-        return Mode.prescription()
-    raise ValidationError("unknown mode kind %r" % (doc["kind"],))
+    return Mode(doc["kind"], doc.get("decision"))
 
 
 def _empirical_from(cfg: dict) -> EmpiricalDistribution:
@@ -234,19 +230,19 @@ def cmd_disappoint(cfg: dict) -> List[tuple]:
     if not isinstance(T_list, list) or not T_list:
         raise ValidationError("T_list must be a nonempty list")
     method = cfg.get("method", "exact")
-    cap = int(cfg.get("cap", DEFAULT_LATTICE_CAP))
+    cap = cfg.get("cap", DEFAULT_LATTICE_CAP)
     n_samples = cfg.get("n_samples", 100_000)
     seed = cfg.get("seed")
     if method in ("mc", "importance") and seed is None:
         raise ValidationError("stochastic methods need a seed")
     rows = []
-    for T in sorted(int(t) for t in T_list):
+    for T in sorted(T_list):
         for spec in specs:
             if method == "exact":
                 rep = disappointment_exact(problem, spec, mode, p, T, schedule, cap=cap)
             elif method == "mc":
                 rep = disappointment_mc(
-                    problem, spec, mode, p, T, schedule, n_samples, int(seed)
+                    problem, spec, mode, p, T, schedule, n_samples, seed
                 )
             elif method == "importance":
                 if cfg.get("shift") is not None:
@@ -254,12 +250,12 @@ def cmd_disappoint(cfg: dict) -> List[tuple]:
                 else:
                     shift = importance_shift(problem, mode, p, speed_ratio(schedule, T))
                 rep = disappointment_importance(
-                    problem, spec, mode, p, T, schedule, shift, n_samples, int(seed)
+                    problem, spec, mode, p, T, schedule, shift, n_samples, seed
                 )
             else:
                 raise ValidationError("method must be exact, mc, or importance")
             rows.append((
-                T, schedule.a(T), spec.label, rep.probability, rep.rate,
+                rep.T, schedule.a(rep.T), spec.label, rep.probability, rep.rate,
                 rep.method.name, rep.method.std_err,
             ))
     return rows

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ScenarioFormatError, ValidationError
-from .simplex import Distribution, _Frozen, _scratch
+from .simplex import Distribution, _Frozen, _scratch, _whole
 
 SCHEMA_VERSION = 1
 
@@ -105,7 +105,7 @@ class Problem(_Frozen):
 
 
 def _check_decision(problem: Problem, x: int) -> int:
-    x = int(x)
+    x = _whole(x, "decision index")
     if not 0 <= x < problem.n_decisions:
         raise IndexError("decision index %d out of range" % x)
     return x

@@ -41,13 +41,15 @@ from .simplex import (
     _rank_tables,
     _row_sums,
     _scratch,
+    _whole,
 )
 
 
 @dataclass(frozen=True, slots=True)
 class Mode:
     """What is being tested: one decision's prediction, or the full
-    data-driven prescription (whose decision varies with the sample)."""
+    data-driven prescription (whose decision varies with the sample).  The
+    decision of a prediction is a whole number, kept as an int."""
 
     kind: str
     decision: Optional[int] = None
@@ -55,14 +57,14 @@ class Mode:
     def __post_init__(self):
         if self.kind not in ("prediction", "prescription"):
             raise ValidationError("mode kind must be prediction or prescription")
-        if self.kind == "prediction" and self.decision is None:
-            raise ValidationError("prediction mode needs a decision index")
-        if self.kind == "prescription" and self.decision is not None:
-            raise ValidationError("prescription mode takes no decision index")
+        if (self.decision is None) != (self.kind == "prescription"):
+            raise ValidationError("a mode takes a decision index iff it is a prediction")
+        if self.decision is not None:
+            object.__setattr__(self, "decision", _whole(self.decision, "decision index"))
 
     @staticmethod
     def prediction(decision: int) -> "Mode":
-        return Mode("prediction", int(decision))
+        return Mode("prediction", decision)
 
     @staticmethod
     def prescription() -> "Mode":
@@ -249,9 +251,10 @@ def disappointment_exact(
     every block reuses (`simplex._scratch`), so the time does not depend on
     the allocator.  True costs are formed once per call, log-factorials
     read from the process's table (`_log_factorials`)."""
+    T = _whole(T, "sample size T", 1)
     merged, spec, tested, p, _ = _prepare(problem, spec, mode, p, schedule)
     d = merged.n_scenarios
-    ratio = speed_ratio(schedule, T)  # raises ValidationError when T < 1
+    ratio = speed_ratio(schedule, T)
     size = _capped_size(T, d, cap)  # raises LatticeCapError when too big
     below = _rank_tables(T, d)
     true_costs = _true_costs(merged, p)
@@ -415,17 +418,6 @@ def _unique_rows(C: np.ndarray, T: int):
     return uniq, inverse.reshape(-1), mult
 
 
-def _sample_size(n_samples) -> int:
-    """n_samples as an int >= 1: an int, a NumPy int or an integral float
-    such as 1e5; a bool or a fractional value is a ValidationError."""
-    n = n_samples
-    if isinstance(n, (float, np.floating)) and float(n).is_integer():
-        n = int(n)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError("n_samples must be an integer >= 1, not %r" % (n_samples,))
-    return int(n)
-
-
 def _sampled_indicator(problem, spec, mode, p, T, schedule, draw, n_samples, seed):
     """Merge the problem as `_prepare` does, draw the histogram of n_samples
     count rows of the merged scenarios from the merged `draw` and evaluate
@@ -433,7 +425,7 @@ def _sampled_indicator(problem, spec, mode, p, T, schedule, draw, n_samples, see
     rows, multiplicities, indicator), the rows evaluated in slices of
     `_LATTICE_BLOCK` through one reused workspace, as the exact blocks."""
     problem, spec, mode, p, draw = _prepare(problem, spec, mode, p, schedule, draw)
-    ratio = speed_ratio(schedule, T)  # raises ValidationError when T < 1
+    ratio = speed_ratio(schedule, T)
     uniq, mult = _sample_histogram(draw.weights, T, n_samples, seed)
     true_costs = _true_costs(problem, p)
     ind, work = np.empty(mult.size, dtype=bool), {}
@@ -468,7 +460,7 @@ def disappointment_mc(
     merged scenarios of `disappointment_exact`, so on a problem that merges
     the random stream differs from an unmerged draw with the same seed; the
     estimate agrees within its error."""
-    n_samples = _sample_size(n_samples)
+    T, n_samples = _whole(T, "sample size T", 1), _whole(n_samples, "n_samples", 1)
     *_, mult, ind = _sampled_indicator(
         problem, spec, mode, p, T, schedule, p, n_samples, seed
     )
@@ -510,7 +502,7 @@ def disappointment_importance(
         raise ValidationError("dimension mismatch")
     if not shift_q.is_interior:
         raise ValidationError("shift distribution must have full support")
-    n_samples = _sample_size(n_samples)
+    T, n_samples = _whole(T, "sample size T", 1), _whole(n_samples, "n_samples", 1)
     p_m, q_m, uniq, mult, ind = _sampled_indicator(
         problem, spec, mode, p, T, schedule, shift_q, n_samples, seed
     )
@@ -598,7 +590,7 @@ def rate_curve(
     -1 + o(1).
     """
     out: List[Tuple[int, float]] = []
-    for T in sorted(int(t) for t in T_list):
+    for T in sorted(_whole(t, "sample size T", 1) for t in T_list):
         try:  # the cap is checked before any enumeration work
             rep = disappointment_exact(problem, spec, mode, p, T, schedule, cap=cap)
         except LatticeCapError:

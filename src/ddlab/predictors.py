@@ -32,7 +32,7 @@ from .errors import (
     EllipsoidConditionError,
     ValidationError,
 )
-from .simplex import Distribution, EmpiricalDistribution, _scratch
+from .simplex import Distribution, EmpiricalDistribution, _scratch, _whole
 
 # ---------------------------------------------------------------------------
 # guarantee-speed schedules
@@ -85,12 +85,12 @@ class Logarithmic:
 
 @dataclass(frozen=True)
 class CustomTable:
-    """Explicit (T, a_T) pairs; must be positive and nondecreasing in T."""
+    """Explicit (T, a_T) pairs: T whole, a_T positive and nondecreasing in T."""
 
     points: Tuple[Tuple[int, float], ...]
 
     def __post_init__(self):
-        pts = tuple(sorted((int(t), float(a)) for t, a in self.points))
+        pts = tuple(sorted((_whole(t, "table T"), float(a)) for t, a in self.points))
         if not pts:
             raise ValidationError("table must not be empty")
         last = 0.0
@@ -113,10 +113,8 @@ RegimeSchedule = Union[ExponentialRate, PowerLaw, Logarithmic, CustomTable]
 
 
 def speed_ratio(schedule: RegimeSchedule, T: int) -> float:
-    """a_T / T for the given schedule.  A sample size T < 1 is rejected
-    here, before any lattice or sampling work of the laboratory."""
-    if not T >= 1:
-        raise ValidationError("sample size T must be >= 1, got %r" % (T,))
+    """a_T / T for the given schedule; T is a whole number >= 1 (`_whole`)."""
+    T = _whole(T, "sample size T", 1)
     return schedule.a(T) / T
 
 
@@ -415,11 +413,15 @@ def svp_worst_case(
     row = problem.loss.values[_check_decision(problem, x)]
     if not p.is_interior:
         raise ValidationError("worst case needs an interior distribution")
-    if not ratio >= 0:  # NaN fails too
-        raise ValidationError("ratio must be >= 0")
-    w = p.weights
-    if row.max() > row.min():  # Var > 0, as p is interior
-        q = w + math.sqrt(2.0 * ratio) * svp_direction(problem, x, p)
+    # _predictor_values checks the ratio and forms the moments
+    V = _predictor_values(PredictorSpec("svp"), row[None, :], p.weights[None, :], ratio)
+    return _svp_worst_case(row, p.weights, ratio, V[1][0, 0], V[2][0, 0])
+
+
+def _svp_worst_case(row, w, ratio, mean, var) -> Distribution:
+    """svp_worst_case from the mean and variance of the loss row under w."""
+    if row.max() > row.min():  # Var > 0, as w is interior
+        q = w + math.sqrt(2.0 * ratio) * _svp_direction(row, w, mean, var)
     else:
         v = math.sqrt(2.0 * w[0] / (1.0 - w[0])) * (np.eye(w.size)[0] - w)
         q = w + math.sqrt(ratio) * v
@@ -446,16 +448,16 @@ def predict_svp(
     """
     ratio = speed_ratio(schedule, emp.sample_size)
     p = emp.distribution
-    W = p.weights[None, :]
-    value = predictor_value_rows(problem, x, PredictorSpec("svp"), W, ratio)[0]
+    row, w = problem.loss.values[_check_decision(problem, x)], p.weights
+    V = _predictor_values(PredictorSpec("svp"), row[None, :], w[None, :], ratio)
     worst: Optional[Distribution] = None
-    if p.is_interior and np.ptp(problem.loss.values[x]) > 0.0:  # then Var > 0
-        try:
-            worst = svp_worst_case(problem, x, p, ratio)
+    if p.is_interior and np.ptp(row) > 0.0:  # then Var > 0
+        try:  # from the moments of the value: one pass
+            worst = _svp_worst_case(row, w, ratio, V[1][0, 0], V[2][0, 0])
         except ValidationError:
             worst = None
     return PredictionResult(
-        value=float(value),
+        value=float(V[0][0, 0]),
         worst_case=worst,
         condition_ok=dro_condition_holds(p, ratio),
     )

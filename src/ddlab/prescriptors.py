@@ -56,17 +56,16 @@ def prescribe(
     spec = spec.resolved(schedule)
     if spec.kind == "svp" and schedule is None:
         raise ValidationError("svp prescription needs a schedule")
-    T = emp.sample_size
-    ratio = speed_ratio(schedule, T) if schedule is not None else None
+    ratio = speed_ratio(schedule, emp.sample_size) if schedule is not None else None
     p = emp.distribution
     W = p.weights[None, :]
-    values = _predictor_values(
+    values, costs, variances = _predictor_values(
         spec, problem.loss.values, W, ratio, tie=problem.loss.tie_window
-    )[0]
+    )
     pick, value = (v[0].item() for v in _pick_decisions(problem, values.T, W))
     gap_lower = gap_upper = None
-    if spec.kind == "svp" and p.is_interior:
-        gap_lower, gap_upper = prescription_gap_bound(problem, p, T, schedule)
+    if spec.kind == "svp" and p.is_interior:  # from the moments of the values
+        gap_lower, gap_upper = _gap_sandwich(problem, values, costs, variances)
     return PrescriptionResult(
         decision=pick,
         value=value,
@@ -92,9 +91,13 @@ def prescription_gap_bound(
     if not p.is_interior:
         raise ValidationError("gap bound needs an interior distribution")
     ratio = speed_ratio(schedule, T)
-    values, costs, variances = _predictor_values(
+    return _gap_sandwich(problem, *_predictor_values(
         PredictorSpec("svp"), problem.loss.values, p.weights[None, :], ratio
-    )
+    ))
+
+
+def _gap_sandwich(problem, values, costs, variances) -> Tuple[float, float]:
+    """prescription_gap_bound from the svp values, costs and variances (1, n)."""
     pick = int(select_decisions(problem, values, variances)[0])
     x_star = int(select_decisions(problem, costs, variances)[0])
     lower = float(values[0, pick] - costs[0, pick])

@@ -35,6 +35,19 @@ _MAX_RANK = 2**63 - 1  # ranks are int64
 _LATTICE_BLOCK = 1 << 13
 
 
+def _whole(value, what: str, least: Optional[int] = None) -> int:
+    """value as an int: an int, a NumPy int or an integral float such as 1e5.
+    A bool, a fraction, another type or a value below `least` is a ValidationError."""
+    if type(value) is not int:  # an exact int costs this one check
+        whole = isinstance(value, (float, np.floating)) and float(value).is_integer()
+        if not (whole or isinstance(value, np.integer)):
+            raise ValidationError("%s must be an integer, got %r" % (what, value))
+        value = int(value)
+    if least is not None and value < least:
+        raise ValidationError("%s must be >= %d, got %r" % (what, least, value))
+    return value
+
+
 class _Frozen:
     """Base of the immutable slotted types.  Pickling and copying set the
     slots back as they were, without rebuilding the object: a merged
@@ -104,7 +117,8 @@ class Distribution(_Frozen):
 
 
 class EmpiricalDistribution(_Frozen):
-    """Scenario counts from T i.i.d. samples; the lattice point counts/T."""
+    """Scenario counts from T i.i.d. samples; the lattice point counts/T.
+    sample_size (default: the counts' sum) is a whole number >= 1."""
 
     __slots__ = ("counts", "sample_size")
 
@@ -119,17 +133,12 @@ class EmpiricalDistribution(_Frozen):
         if c.size < 1 or c.min() < 0:
             raise ValidationError("counts must be nonnegative")
         total = int(c.sum())
-        if sample_size is None:
-            sample_size = total
-        if total != int(sample_size):
-            raise ValidationError(
-                "counts sum to %d, expected sample_size %d" % (total, sample_size)
-            )
-        if sample_size < 1:
-            raise ValidationError("sample_size must be >= 1")
+        T = _whole(total if sample_size is None else sample_size, "sample_size", 1)
+        if total != T:
+            raise ValidationError("counts sum to %d, expected sample_size %d" % (total, T))
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "sample_size", int(sample_size))
+        object.__setattr__(self, "sample_size", T)
 
     @property
     def dim(self) -> int:
@@ -215,7 +224,7 @@ def _capped_size(T: int, d: int, cap: int) -> int:
     # No cap reaches past the int64 ranks: a lattice that big could never
     # be consumed in full anyway.
     size = lattice_size(T, d)
-    cap = min(cap, _MAX_RANK)
+    cap = min(_whole(cap, "cap"), _MAX_RANK)
     if size > cap:
         raise LatticeCapError(size, cap)
     return size
@@ -237,8 +246,7 @@ def enumerate_lattice(
     merge ranges in rank order to stay bit-reproducible.  Rows are built in
     blocks of `_LATTICE_BLOCK` by `_lattice_counts`.
     """
-    if T < 1 or d < 2:
-        raise ValidationError("need T >= 1 and d >= 2")
+    T, d = _whole(T, "sample size T", 1), _whole(d, "d", 2)
     size = _capped_size(T, d, cap)
     stop = size if stop is None else min(stop, size)
     below = _rank_tables(T, d)
@@ -462,7 +470,7 @@ def multinomial_log_prob(e: EmpiricalDistribution, p: Distribution) -> float:
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:
     # Counter-based splittable generator keyed by (seed, stream): distinct
     # streams are independent and any (seed, stream) pair is reproducible.
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) | (int(stream) << 64)
+    key = (_whole(seed, "seed") & 0xFFFFFFFFFFFFFFFF) | (_whole(stream, "stream", 0) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -470,8 +478,7 @@ def sample_empirical(
     p: Distribution, T: int, seed: int, stream: int = 0
 ) -> EmpiricalDistribution:
     """Draw T i.i.d. scenarios from p; deterministic given (seed, stream)."""
-    if T < 1:
-        raise ValidationError("T must be >= 1")
+    T = _whole(T, "sample size T", 1)
     rng = _philox(seed, stream)
     counts = rng.multinomial(T, p.weights)
     return EmpiricalDistribution(counts.astype(np.int64), T)

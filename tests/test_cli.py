@@ -440,9 +440,26 @@ class TestMalformedInputExits2:
                 tmp, method="mc", seed=1, n_samples=1000.7)),
             ("disappoint", lambda tmp: disappoint_coin_config(
                 tmp, method="importance", seed=1, n_samples=True)),
+            # each of these ran with a truncated number and exited 0
+            ("disappoint", lambda tmp: disappoint_coin_config(tmp, T_list=[10.7])),
+            ("disappoint", lambda tmp: disappoint_coin_config(tmp, T_list=[True])),
+            ("disappoint", lambda tmp: disappoint_coin_config(tmp, cap=3.9)),
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, method="mc", seed=1.5, n_samples=100)),
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, mode={"kind": "prediction", "decision": 1.5})),
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, mode={"kind": "prediction", "decision": True})),
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, mode={"kind": "prescription", "decision": 0})),
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, schedule={"kind": "table", "points": [[100.5, 2.0]]})),
         ],
         ids=["radius", "rate", "table-points", "decision", "missing-config",
-             "T-0-exact", "T-0-importance", "fractional-n-samples", "bool-n-samples"],
+             "T-0-exact", "T-0-importance", "fractional-n-samples", "bool-n-samples",
+             "fractional-T", "bool-T", "fractional-cap", "fractional-seed",
+             "fractional-decision", "bool-decision", "prescription-decision",
+             "fractional-table-T"],
     )
     def test_exit_2_with_one_error_record(self, tmp_path, capsys, command, make):
         assert main([command, "--config", make(tmp_path)]) == 2

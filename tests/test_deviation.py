@@ -38,6 +38,7 @@ from ddlab import (
     load_scenario,
     predictor_value_matrix,
     rate_curve,
+    sample_empirical,
     speed_ratio,
     svp_direction,
     theoretical_rate_saa,
@@ -966,30 +967,59 @@ class TestMonteCarlo:
                 n_samples=0, seed=1,
             )
 
+    # Every whole number that enters the library follows one rule.  Per
+    # entry: the argument's name, a call with n in its place, and where the
+    # result keeps n (None where it keeps nothing, or where the type check
+    # would hold without the rule)
     RUNS = {
-        "mc": lambda n: disappointment_mc(
+        "mc": ("n_samples", lambda n: disappointment_mc(
             COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, 5, SCHED, n, 1),
-        "importance": lambda n: disappointment_importance(
+            lambda rep: rep.method.n_samples),
+        "importance": ("n_samples", lambda n: disappointment_importance(
             COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, 5, SCHED, HALF, n, 1),
+            lambda rep: rep.method.n_samples),
+        "T-speed_ratio": ("sample size T", lambda n: speed_ratio(SCHED, n), None),
+        "T-exact": ("sample size T", lambda n: disappointment_exact(
+            COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, n, SCHED),
+            lambda rep: rep.T),
+        "T-mc": ("sample size T", lambda n: disappointment_mc(
+            COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, n, SCHED, 100, 1),
+            lambda rep: rep.T),
+        "T-importance": ("sample size T", lambda n: disappointment_importance(
+            COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, n, SCHED, HALF, 100, 1),
+            lambda rep: rep.T),
+        "T-rate_curve": ("sample size T", lambda n: rate_curve(
+            COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, SCHED, [n]), None),
+        "T-sample_empirical": ("sample size T", lambda n: sample_empirical(HALF, n, 1), None),
+        "T-table": ("table T", lambda n: CustomTable(((n, 1.0),)), None),
+        "sample_size": ("sample_size", lambda n: EmpiricalDistribution((1000, 1000), n), None),
+        "decision-index": ("decision index", lambda n: cost(COIN, n, HALF), None),
+        "decision-mode": ("decision index", lambda n: Mode("prediction", n),
+                          lambda mode: mode.decision),
+        "seed": ("seed", lambda n: sample_empirical(HALF, 5, n), None),
+        "cap": ("cap", lambda n: disappointment_exact(
+            COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, 5, SCHED, cap=n), None),
     }
 
     @pytest.mark.parametrize("n", [1000.7, 0.5, True, np.bool_(True), math.nan, "1000"])
     @pytest.mark.parametrize("path", sorted(RUNS))
     def test_rejects_a_sample_size_that_is_not_an_integer(self, path, n, monkeypatch):
-        # 1000.7 drew 1,000 samples and divided their hits by 1000.7
+        # a truncating int() ran 1000.7 as 1000 and True as 1, with no error
         def no_work(*args, **kwargs):
-            raise AssertionError("sampling work with a bad n_samples")
+            raise AssertionError("sampling work with a bad whole number")
 
         monkeypatch.setattr(deviation, "_sample_histogram", no_work)
-        with pytest.raises(ValidationError, match="n_samples"):
-            self.RUNS[path](n)
+        what, call, _ = self.RUNS[path]
+        with pytest.raises(ValidationError, match="%s must be an integer" % what):
+            call(n)
 
     @pytest.mark.parametrize("n", [np.int32(2_000), 2e3, np.float64(2_000.0)])
-    @pytest.mark.parametrize("path", sorted(RUNS))
+    @pytest.mark.parametrize("path", sorted(k for k, run in RUNS.items() if run[2]))
     def test_integral_sample_sizes_are_ints(self, path, n):
-        rep = self.RUNS[path](n)
-        assert rep == self.RUNS[path](2_000)
-        assert type(rep.method.n_samples) is int
+        _, call, kept = self.RUNS[path]
+        rep = call(n)
+        assert rep == call(2_000)
+        assert type(kept(rep)) is int
 
 
 class TestUniqueRows:

@@ -665,6 +665,22 @@ class TestSvp:
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.worst_case is None
 
+    def test_one_moments_pass_per_call(self, monkeypatch):
+        calls = []
+        original = predictors._moments
+
+        def counting(L, W, work=None, var=True):
+            calls.append(L.shape[0])
+            return original(L, W, work, var)
+
+        monkeypatch.setattr(predictors, "_moments", counting)
+        emp = EmpiricalDistribution((30, 70))
+        res = predict_svp(COIN, 1, emp, ExponentialRate(0.02))
+        assert calls == [1]  # the value and the worst case
+        assert res.worst_case == svp_worst_case(COIN, 1, emp.distribution, 0.02)
+        assert res.value == predictor_value_rows(
+            COIN, 1, PredictorSpec("svp"), emp.distribution.weights[None, :], 0.02)[0]
+
 
 class TestSvpGeometry:
     def test_direction_hand_value(self):
@@ -947,6 +963,9 @@ class TestBatchEngine:
         prob = make_problem([[1.0, 1.0], [0.0, 2.0]])
         with pytest.raises(ValidationError, match="ratio"):
             predictor_value_rows(prob, x, PredictorSpec("svp"), [[0.5, 0.5]], ratio=1e308)
+        for ratio in (1e308, math.inf):  # the worst case left the simplex at -inf
+            with pytest.raises(ValidationError, match="ratio"):
+                svp_worst_case(prob, x, HALF, ratio)
         got = predictor_value_rows(prob, x, PredictorSpec("svp"), [[0.5, 0.5]], ratio=1e300)
         assert got[0] == 1.0 + x * math.sqrt(2e300)
 

@@ -265,10 +265,10 @@ def permuted(emp, perm):
 
 
 class TestOneMomentsPass:
-    """prescribe and the gap bound each read values, costs and variances
+    """prescribe reads its values and its gap bound's costs and variances
     off one moments pass, with the bits of the separate public views."""
 
-    def test_svp_prescription_takes_two_moments_passes(self, monkeypatch):
+    def test_svp_prescription_takes_one_moments_pass(self, monkeypatch):
         calls = []
         original = predictors._moments
 
@@ -281,7 +281,7 @@ class TestOneMomentsPass:
         emp = EmpiricalDistribution((3, 1, 2, 4, 5))
         res = prescribe(prob, PredictorSpec("svp"), emp, ExponentialRate(0.02))
         assert res.gap_lower is not None
-        assert calls == [1, 1]  # the prescription, then its gap bound
+        assert calls == [1]  # the prescription and its gap bound
 
     def test_gap_bound_matches_the_public_views_bit_for_bit(self):
         rng = np.random.default_rng(71)
