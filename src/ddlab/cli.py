@@ -43,7 +43,7 @@ from .predictors import (
     speed_ratio,
 )
 from .prescriptors import convexity_certificate, prescribe
-from .simplex import DEFAULT_LATTICE_CAP, Distribution, EmpiricalDistribution
+from .simplex import DEFAULT_LATTICE_CAP, Distribution, EmpiricalDistribution, _real
 
 _DEFAULT_PREDICTORS = (
     {"kind": "saa"}, {"kind": "robust"}, {"kind": "kl"}, {"kind": "svp"},
@@ -93,11 +93,11 @@ def _schedule_from(cfg: dict) -> RegimeSchedule:
     kind = doc["kind"]
     try:
         if kind == "exponential":
-            return ExponentialRate(float(doc["rate"]))
+            return ExponentialRate(doc["rate"])
         if kind == "power":
-            return PowerLaw(float(doc["coeff"]), float(doc["exponent"]))
+            return PowerLaw(doc["coeff"], doc["exponent"])
         if kind == "log":
-            return Logarithmic(float(doc["coeff"]))
+            return Logarithmic(doc["coeff"])
         if kind == "table":
             return CustomTable(doc["points"])
     except KeyError as exc:
@@ -113,8 +113,7 @@ def _specs_from(cfg: dict) -> List[PredictorSpec]:
     for doc in docs:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValidationError("each predictor needs a 'kind'")
-        radius = doc.get("radius")
-        specs.append(PredictorSpec(doc["kind"], None if radius is None else float(radius)))
+        specs.append(PredictorSpec(doc["kind"], doc.get("radius")))
     return specs
 
 
@@ -127,7 +126,7 @@ def _mode_from(cfg: dict) -> Mode:
 
 def _empirical_from(cfg: dict) -> EmpiricalDistribution:
     counts = _require(cfg, "counts", "empirical scenario counts")
-    return EmpiricalDistribution(np.asarray(counts))
+    return EmpiricalDistribution(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +269,7 @@ def cmd_convexity(cfg: dict) -> List[tuple]:
     T = emp.sample_size
     rows = []
     for ratio in ratios:
-        ratio = float(ratio)
-        if not ratio > 0:  # NaN fails too
-            raise ValidationError("ratios must be > 0")
+        ratio = _real(ratio, "ratios", 0, strict=True)
         schedule = CustomTable(((T, ratio * T),))
         ok, violations = convexity_certificate(problem.loss, emp, schedule)
         rows.append((ratio, ratio * T, ok, violations))

@@ -194,7 +194,7 @@ def select_decisions(
 
 def _pick_decisions(
     problem: Problem, values: np.ndarray, W: np.ndarray, work: Optional[dict] = None,
-    rows=slice(None),
+    rows=slice(None), var: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(pick, value), each (N,): the `select_decisions` pick (an index into
     values) of each weight row of W (N, d) and its value, from values (n, N)
@@ -202,7 +202,8 @@ def _pick_decisions(
     marks each row's candidates (within the tie window of its minimum) and
     counts the decisions before the first one: its first argmin, the pick
     of a row with one candidate.  Only rows with two or more go to
-    `select_decisions`, with the variances of those rows alone."""
+    `select_decisions`, with the variances of those rows alone: read from
+    var (N, n) when the caller formed them (svp), else formed here."""
     n, N = values.shape
     best = np.min(values, axis=0, out=_scratch(work, "best", (N,)))
     window = np.add(best, problem.loss.tie_window, out=_scratch(work, "window", (N,)))
@@ -219,7 +220,7 @@ def _pick_decisions(
     pick = np.add(ahead, 0, out=_scratch(work, "pick", (N,), np.int64))
     tied = np.flatnonzero(tied)
     if tied.size:
-        var = _moments(problem.loss.values[rows], W[tied])[1]
+        var = _moments(problem.loss.values[rows], W[tied])[1] if var is None else var[tied]
         pick[tied] = select_decisions(problem, values[:, tied].T, var)
         best[tied] = values[pick[tied], tied]
     return pick, best

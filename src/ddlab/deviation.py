@@ -40,6 +40,7 @@ from .simplex import (
     _philox,
     _rank_tables,
     _row_sums,
+    _real,
     _scratch,
     _whole,
 )
@@ -157,8 +158,8 @@ def _disappointment_indicator(
         for role in ("mean", "t") + (("var", "values") if spec.kind == "svp" else ()):
             _scratch(work, role, (L.shape[0], Q.shape[0]))
     keep = np.flatnonzero(keep)
-    V = _predictor_values(spec, L[keep], Q, ratio, work, tie)[0]
-    pick, v_hat = _pick_decisions(problem, V.T, Q, work, keep)
+    V, _, Var = _predictor_values(spec, L[keep], Q, ratio, work, tie)
+    pick, v_hat = _pick_decisions(problem, V.T, Q, work, keep, Var)
     return true_costs[keep[pick]] > v_hat + tie
 
 
@@ -628,11 +629,7 @@ def theoretical_rate_saa(
     ws = p.weights[mask]
     logws = np.log(ws)
     mean = float(ls @ ws)
-    if m is None:
-        m = mean
-    m = float(m)
-    if math.isnan(m):
-        raise ValidationError("level m must not be NaN")
+    m = mean if m is None else _real(m, "level m", -math.inf)
     lmin = float(ls.min())
     lmax = float(ls.max())
     if m < lmin or m > lmax:

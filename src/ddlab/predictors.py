@@ -32,10 +32,11 @@ from .errors import (
     EllipsoidConditionError,
     ValidationError,
 )
-from .simplex import Distribution, EmpiricalDistribution, _scratch, _whole
+from .simplex import Distribution, EmpiricalDistribution, _real, _scratch, _whole
 
 # ---------------------------------------------------------------------------
-# guarantee-speed schedules
+# guarantee-speed schedules: each real parameter is stored as the float that
+# simplex._real makes of it, so a bool, a string or NaN is a ValidationError
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,7 @@ class ExponentialRate:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValidationError("rate must be > 0")
+        object.__setattr__(self, "rate", _real(self.rate, "rate", 0, strict=True))
 
     def a(self, T: int) -> float:
         return self.rate * T
@@ -60,9 +60,9 @@ class PowerLaw:
     exponent: float
 
     def __post_init__(self):
-        if not self.coeff > 0:
-            raise ValidationError("coeff must be > 0")
-        if not 0 < self.exponent < 1:
+        object.__setattr__(self, "coeff", _real(self.coeff, "coeff", 0, strict=True))
+        object.__setattr__(self, "exponent", _real(self.exponent, "exponent", 0, strict=True))
+        if not self.exponent < 1:
             raise ValidationError("exponent must lie in (0, 1)")
 
     def a(self, T: int) -> float:
@@ -76,8 +76,7 @@ class Logarithmic:
     coeff: float
 
     def __post_init__(self):
-        if not self.coeff > 0:
-            raise ValidationError("coeff must be > 0")
+        object.__setattr__(self, "coeff", _real(self.coeff, "coeff", 0, strict=True))
 
     def a(self, T: int) -> float:
         return self.coeff * math.log1p(T)
@@ -85,18 +84,17 @@ class Logarithmic:
 
 @dataclass(frozen=True)
 class CustomTable:
-    """Explicit (T, a_T) pairs: T whole, a_T positive and nondecreasing in T."""
+    """Explicit (T, a_T) pairs: T whole, a_T real, > 0 and nondecreasing in T."""
 
     points: Tuple[Tuple[int, float], ...]
 
     def __post_init__(self):
-        pts = tuple(sorted((_whole(t, "table T"), float(a)) for t, a in self.points))
+        pts = tuple(sorted(
+            (_whole(t, "table T"), _real(a, "a_T", 0, strict=True)) for t, a in self.points))
         if not pts:
             raise ValidationError("table must not be empty")
         last = 0.0
         for t, a in pts:
-            if not a > 0:  # NaN fails too
-                raise ValidationError("a_T must be > 0 (T=%d)" % t)
             if a < last:
                 raise ValidationError("a_T must be nondecreasing (T=%d)" % t)
             last = a
@@ -126,7 +124,8 @@ _KINDS = ("saa", "robust", "kl", "svp")
 
 @dataclass(frozen=True)
 class PredictorSpec:
-    """Which predictor to run; `radius` is the KL ball radius.
+    """Which predictor to run; `radius` is the KL ball radius, a real
+    number >= 0 (`simplex._real`) stored as a float.
 
     A KL spec without an explicit radius takes it from an ExponentialRate
     schedule (the matching guarantee speed a_T = r*T).
@@ -138,8 +137,8 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError("unknown predictor kind %r" % (self.kind,))
-        if self.radius is not None and not self.radius >= 0:  # NaN fails too
-            raise ValidationError("radius must be >= 0")
+        if self.radius is not None:
+            object.__setattr__(self, "radius", _real(self.radius, "radius", 0))
 
     def resolved(self, schedule: Optional[RegimeSchedule]) -> "PredictorSpec":
         """This spec with its KL radius pinned down, so its label is
@@ -157,7 +156,7 @@ class PredictorSpec:
     @property
     def label(self) -> str:
         if self.kind == "kl" and self.radius is not None:
-            return "kl(r=%s)" % repr(float(self.radius))
+            return "kl(r=%r)" % self.radius
         return self.kind
 
 
@@ -335,15 +334,15 @@ def predict_kl_dual(
     strictly convex dual, as a one-row call of the batched kernel.
     """
     x = _check_decision(problem, x)
-    PredictorSpec("kl", r)  # rejects a negative or NaN radius
+    r = _real(r, "radius", 0)
     if p.dim != problem.n_scenarios:
         raise ValidationError("dimension mismatch")
     row, W = problem.loss.values[x], p.weights[None, :]
     if r == 0.0 or row.max() == row.min():  # the ball is {p}, or the cost is flat
-        value = predictor_value_rows(problem, x, PredictorSpec("saa"), W)[0]
+        value = _predictor_values(PredictorSpec("kl", r), row[None, :], W, None)[0][0, 0]
         alpha = None if r == 0.0 else float(row[0])
         return PredictionResult(value=float(value), worst_case=p, dual_alpha=alpha)
-    values, alphas = _kl_dual_solve(row[None, :], W, float(r))
+    values, alphas = _kl_dual_solve(row[None, :], W, r)
     alpha = float(alphas[0])  # measured from row[0], so the gaps below are exact
     # attaining distribution: q_i proportional to w_i/(alpha - l_i) on the
     # support; at an edge minimum the leftover mass sits on the worst scenario.
@@ -374,11 +373,9 @@ def dro_condition_holds(p: Distribution, ratio: float) -> bool:
     """Interiority condition under which the SVP value is an exact
     worst case over the local ellipsoid of radius ratio = a_T/T:
     sqrt(2*ratio) <= min_i p_i * min_i min(p_i, 1-p_i)."""
-    if not ratio >= 0:  # NaN fails too
-        raise ValidationError("ratio must be >= 0")
     w = p.weights
     rhs = float(w.min()) * float(np.minimum(w, 1.0 - w).min())
-    return bool(math.sqrt(2.0 * ratio) <= rhs)
+    return bool(math.sqrt(2.0 * _real(ratio, "ratio", 0)) <= rhs)
 
 
 def svp_direction(problem: Problem, x: int, p: Distribution) -> np.ndarray:
@@ -503,9 +500,9 @@ def _predictor_values(
     if W.ndim != 2 or W.shape[1] != L.shape[1]:
         raise ValidationError("W must be (N, %d)" % L.shape[1])
     kind, r = spec.kind, spec.radius
-    # NaN fails too, and a ratio above about 9e307, where 2 ratio overflows
-    if kind == "svp" and not (ratio is not None and 0.0 <= 2.0 * ratio < math.inf):
-        raise ValidationError("svp needs a finite ratio a_T/T >= 0, got %r" % (ratio,))
+    # past _real's None, NaN and < 0: a ratio above about 9e307, where 2 ratio overflows
+    if kind == "svp" and not 2.0 * _real(ratio, "svp ratio a_T/T", 0) < math.inf:
+        raise ValidationError("svp needs a finite ratio a_T/T, got %r" % (ratio,))
     if kind == "kl" and r is None:
         raise ValidationError("kl spec must carry a resolved radius")
     mean = var = None
@@ -517,8 +514,9 @@ def _predictor_values(
     if kind == "robust":
         values = np.repeat(L.max(axis=1)[:, None], N, axis=1).T
     elif kind == "kl" and r > 0.0:
-        # a constant row costs its value under every distribution
-        values = np.repeat(L[:, :1], N, axis=1)
+        # a constant row costs its value under every distribution, a first
+        # loss of -0.0 read as 0.0, as decisions._moments reads it
+        values = np.repeat(L[:, :1] + 0.0, N, axis=1)
         span = np.ptp(L, axis=1)[:, None]
         solve = np.broadcast_to(span > 0.0, values.shape)
         if tie is not None:
@@ -527,7 +525,7 @@ def _predictor_values(
             values[skip] = np.inf
             solve = solve & ~skip
         cols, rows = np.nonzero(solve)
-        values[cols, rows] = _kl_dual_solve(L[cols], W[rows], float(r))[0]
+        values[cols, rows] = _kl_dual_solve(L[cols], W[rows], r)[0]
         values = values.T
     elif kind == "svp":  # mean + sqrt(2 ratio var), laid out as mean
         values = _scratch(work, "values", var.shape[::-1]).T
@@ -627,8 +625,7 @@ def ellipsoid_linear_max(
     eigs = np.linalg.eigvalsh(A)
     if eigs.min() <= 0.0:
         raise ValidationError("a_matrix must be positive definite")
-    if not radius >= 0:  # NaN fails too
-        raise ValidationError("radius must be >= 0")
+    radius = _real(radius, "radius", 0)
     base = float(row @ p.weights)
     if radius == 0.0 or row.max() == row.min():
         return base, p

@@ -62,7 +62,7 @@ def prescribe(
     values, costs, variances = _predictor_values(
         spec, problem.loss.values, W, ratio, tie=problem.loss.tie_window
     )
-    pick, value = (v[0].item() for v in _pick_decisions(problem, values.T, W))
+    pick, value = (v[0].item() for v in _pick_decisions(problem, values.T, W, var=variances))
     gap_lower = gap_upper = None
     if spec.kind == "svp" and p.is_interior:  # from the moments of the values
         gap_lower, gap_upper = _gap_sandwich(problem, values, costs, variances)

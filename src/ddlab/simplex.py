@@ -48,6 +48,17 @@ def _whole(value, what: str, least: Optional[int] = None) -> int:
     return value
 
 
+def _real(value, what: str, low: float, strict: bool = False) -> float:
+    """value as a float: an int, a float, a NumPy int or a NumPy float.  A bool,
+    another type, NaN or a value below `low` (at it when `strict`) is a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError("%s must be a real number, got %r" % (what, value))
+    value = float(value)
+    if not (value > low if strict else value >= low):  # NaN fails too
+        raise ValidationError("%s must be %s %s" % (what, ">" if strict else ">=", low))
+    return value
+
+
 class _Frozen:
     """Base of the immutable slotted types.  Pickling and copying set the
     slots back as they were, without rebuilding the object: a merged
@@ -118,17 +129,20 @@ class Distribution(_Frozen):
 
 class EmpiricalDistribution(_Frozen):
     """Scenario counts from T i.i.d. samples; the lattice point counts/T.
+    Each entry of a list or tuple of counts is a whole number (`_whole`); an
+    array of counts has an int dtype, or a float one with integral entries.
     sample_size (default: the counts' sum) is a whole number >= 1."""
 
     __slots__ = ("counts", "sample_size")
 
     def __init__(self, counts, sample_size: Optional[int] = None) -> None:
+        if isinstance(counts, (list, tuple)):
+            counts = [_whole(n, "count") for n in counts]
         c = np.asarray(counts)
-        if c.dtype.kind not in "iu":
-            cf = np.asarray(counts, dtype=float)
-            if not np.all(cf == np.round(cf)):
-                raise ValidationError("counts must be integers")
-            c = np.round(cf).astype(np.int64)
+        if c.dtype.kind not in "iuf":  # bools, strings and objects
+            raise ValidationError("counts must be integers, got dtype %s" % c.dtype)
+        if c.dtype.kind == "f" and not np.all(c == np.round(c)):
+            raise ValidationError("counts must be integers")
         c = c.astype(np.int64).reshape(-1)
         if c.size < 1 or c.min() < 0:
             raise ValidationError("counts must be nonnegative")
@@ -216,7 +230,9 @@ def ellipsoid_norm_sq(delta: SimplexDelta, p: Distribution) -> float:
 
 
 def lattice_size(T: int, d: int) -> int:
-    """Number of empirical distributions achievable with T samples over d scenarios."""
+    """Number of empirical distributions achievable with T samples over d
+    scenarios; T and d are whole numbers (`_whole`), T >= 0 and d >= 1."""
+    T, d = _whole(T, "sample size T", 0), _whole(d, "d", 1)
     return math.comb(T + d - 1, d - 1)
 
 
@@ -241,16 +257,17 @@ def enumerate_lattice(
 
     The order is deterministic: counts ascend on the first coordinate, then
     recursively on the rest, e.g. (T=2, d=2) gives (0,2), (1,1), (2,0).
-    `start`/`stop` select a contiguous rank range in that order, so disjoint
-    ranges partition the lattice for parallel consumption; reductions must
-    merge ranges in rank order to stay bit-reproducible.  Rows are built in
-    blocks of `_LATTICE_BLOCK` by `_lattice_counts`.
+    `start`/`stop`, whole numbers, select a contiguous rank range in that
+    order, so disjoint ranges partition the lattice for parallel
+    consumption; reductions must merge ranges in rank order to stay
+    bit-reproducible.  Rows are built in blocks of `_LATTICE_BLOCK` by
+    `_lattice_counts`.
     """
     T, d = _whole(T, "sample size T", 1), _whole(d, "d", 2)
     size = _capped_size(T, d, cap)
-    stop = size if stop is None else min(stop, size)
+    stop = size if stop is None else min(_whole(stop, "stop"), size)
     below = _rank_tables(T, d)
-    for lo in range(max(0, start), stop, _LATTICE_BLOCK):
+    for lo in range(max(0, _whole(start, "start")), stop, _LATTICE_BLOCK):
         hi = min(lo + _LATTICE_BLOCK, stop)
         for row in _lattice_counts(T, d, cap, lo, hi, below):
             yield EmpiricalDistribution(row, T)

@@ -454,12 +454,32 @@ class TestMalformedInputExits2:
                 tmp, mode={"kind": "prescription", "decision": 0})),
             ("predict", lambda tmp: predict_coin_config(
                 tmp, schedule={"kind": "table", "points": [[100.5, 2.0]]})),
+            # each of these ran with float() of the value and exited 0, but
+            # for the exponent, whose true read as 1.0 was out of range
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, schedule={"kind": "exponential", "rate": True})),
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, schedule={"kind": "exponential", "rate": "0.02"})),
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, schedule={"kind": "log", "coeff": True})),
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, schedule={"kind": "power", "coeff": 1.0, "exponent": True})),
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, predictors=[{"kind": "kl", "radius": True}])),
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, schedule={"kind": "table", "points": [[100, True]]})),
+            ("convexity", lambda tmp: write_config(tmp, "convexity.json", {
+                "scenario": write_grid(tmp), "counts": [1, 1, 1, 1, 1], "ratios": [True]})),
+            ("predict", lambda tmp: predict_coin_config(tmp, counts=[True, True])),
+            ("predict", lambda tmp: predict_coin_config(tmp, counts=["50", "50"])),
         ],
         ids=["radius", "rate", "table-points", "decision", "missing-config",
              "T-0-exact", "T-0-importance", "fractional-n-samples", "bool-n-samples",
              "fractional-T", "bool-T", "fractional-cap", "fractional-seed",
              "fractional-decision", "bool-decision", "prescription-decision",
-             "fractional-table-T"],
+             "fractional-table-T", "bool-rate", "string-rate", "bool-coeff",
+             "bool-exponent", "bool-radius", "bool-table-a_T", "bool-ratio",
+             "bool-counts", "string-counts"],
     )
     def test_exit_2_with_one_error_record(self, tmp_path, capsys, command, make):
         assert main([command, "--config", make(tmp_path)]) == 2
@@ -475,6 +495,14 @@ def test_nan_radius_is_blamed_on_the_radius(tmp_path, capsys):
     cfg = predict_coin_config(tmp_path, predictors=[{"kind": "kl", "radius": math.nan}])
     assert main(["predict", "--config", cfg]) == 2
     assert json.loads(capsys.readouterr().err)["message"] == "radius must be >= 0"
+
+
+def test_bool_exponent_is_blamed_on_its_type(tmp_path, capsys):
+    # true read as 1.0 and was blamed on the range (0, 1)
+    schedule = {"kind": "power", "coeff": 1.0, "exponent": True}
+    assert main(["predict", "--config", predict_coin_config(tmp_path, schedule=schedule)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message == "exponent must be a real number, got True"
 
 
 class TestParserCache:

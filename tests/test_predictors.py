@@ -32,6 +32,7 @@ from ddlab import (
     predict_svp,
     predictor_value_matrix,
     predictor_value_rows,
+    prescribe,
     speed_ratio,
     svp_direction,
     svp_worst_case,
@@ -379,6 +380,20 @@ class TestKlKernel:
             assert abs(got[0] - want) <= KL_TOL, (row, w, r)
             scalar = predict_kl_dual(prob, 0, Distribution(w), r)
             assert scalar.value == got[0]
+
+    def test_a_constant_row_of_minus_zero_costs_plus_zero_everywhere(self):
+        # predict_kl_dual gave 0.0 while the batch rows and prescribe gave -0.0
+        prob = Problem(LossMatrix([[-0.0, -0.0], [0.0, 1.0]]))
+        emp, spec = EmpiricalDistribution((3, 7)), PredictorSpec("kl", 0.1)
+        W = emp.distribution.weights[None, :]
+        got = [
+            predict_kl_dual(prob, 0, emp.distribution, 0.1).value,
+            predictor_value_rows(prob, 0, spec, W)[0],
+            predictor_value_matrix(prob, spec, W)[0, 0],
+            prescribe(prob, spec, emp).value,
+            cost(prob, 0, emp.distribution),
+        ]
+        assert [math.copysign(1.0, v) for v in got] == [1.0] * 5
 
     def test_left_edge_minimum_stays_at_the_edge(self):
         row, w = np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])
@@ -991,6 +1006,55 @@ def test_a_nan_argument_is_rejected_up_front(call, match):
     with pytest.raises(ValidationError, match=match) as info:
         call()
     assert type(info.value) is ValidationError
+
+
+# every real-number argument the library takes, as a call with the value
+# and the name its ValidationError gives
+REAL_ARGUMENTS = {
+    "ExponentialRate-rate": (lambda v: ExponentialRate(v), "rate"),
+    "PowerLaw-coeff": (lambda v: PowerLaw(v, 0.5), "coeff"),
+    "PowerLaw-exponent": (lambda v: PowerLaw(1.0, v), "exponent"),
+    "Logarithmic-coeff": (lambda v: Logarithmic(v), "coeff"),
+    "CustomTable-a_T": (lambda v: CustomTable(((10, v),)), "a_T"),
+    "PredictorSpec-radius": (lambda v: PredictorSpec("kl", v), "radius"),
+    "theoretical_rate_saa-m": (lambda v: theoretical_rate_saa(COIN, 1, HALF, m=v), "level m"),
+    "predict_kl_dual-r": (lambda v: predict_kl_dual(COIN, 1, HALF, v), "radius"),
+    "svp_worst_case-ratio": (lambda v: svp_worst_case(COIN, 1, HALF, v), "ratio"),
+    "predictor_value_rows-ratio": (
+        lambda v: predictor_value_rows(COIN, 1, PredictorSpec("svp"), [[0.5, 0.5]], v), "ratio"),
+    "dro_condition_holds-ratio": (lambda v: dro_condition_holds(HALF, v), "ratio"),
+    "ellipsoid_linear_max-radius": (
+        lambda v: ellipsoid_linear_max([0.0, 1.0], HALF, np.eye(2), v), "radius"),
+}
+# arguments where None means the default: a radius resolved from the
+# schedule, the level at the true cost
+NONE_IS_THE_DEFAULT = ("PredictorSpec-radius", "theoretical_rate_saa-m")
+
+
+@pytest.mark.parametrize("name", list(REAL_ARGUMENTS))
+def test_a_real_argument_must_be_a_real_number(name):
+    # True ran as 1.0 everywhere; "0.1" and None raised a bare TypeError, or
+    # ran as 0.1 where a float() read them
+    call, match = REAL_ARGUMENTS[name]
+    bad = (True, "0.1", math.nan) + (() if name in NONE_IS_THE_DEFAULT else (None,))
+    for value in bad:
+        with pytest.raises(ValidationError, match=match) as info:
+            call(value)
+        assert type(info.value) is ValidationError, value
+
+
+def test_reals_are_stored_as_floats():
+    # an int rate gave the int a_T 10, and each stored the number it was given
+    assert type(ExponentialRate(1).a(10)) is float and ExponentialRate(1).a(10) == 10.0
+    law, log = PowerLaw(np.int64(2), np.float64(0.5)), Logarithmic(np.float32(0.25))
+    stored = (ExponentialRate(np.int32(3)).rate, law.coeff, law.exponent, log.coeff,
+              PredictorSpec("kl", 0).radius, CustomTable(((10, 1),)).points[0][1])
+    assert stored == (3.0, 2.0, 0.5, 0.25, 0.0, 1.0)
+    assert all(type(v) is float for v in stored)
+    assert PredictorSpec("kl", np.float64(0.1)) == PredictorSpec("kl", 0.1)
+    assert PredictorSpec("kl", np.float64(0.1)).label == "kl(r=0.1)"
+    assert predict_kl_dual(COIN, 1, HALF, np.float64(0.1)) == predict_kl_dual(COIN, 1, HALF, 0.1)
+    assert theoretical_rate_saa(COIN, 1, HALF, m=1) == theoretical_rate_saa(COIN, 1, HALF, m=1.0)
 
 
 # ---------------------------------------------------------------------------

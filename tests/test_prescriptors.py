@@ -25,7 +25,7 @@ from ddlab import (
     variance,
     variance_matrix,
 )
-from ddlab import predictors
+from ddlab import decisions, predictors
 from ddlab.prescriptors import select_decisions
 
 
@@ -282,6 +282,23 @@ class TestOneMomentsPass:
         res = prescribe(prob, PredictorSpec("svp"), emp, ExponentialRate(0.02))
         assert res.gap_lower is not None
         assert calls == [1]  # the prescription and its gap bound
+
+    def test_svp_tie_break_reads_the_variances_of_the_values(self, monkeypatch):
+        # decisions 0 and 1 tie, and their tie-break formed the variances again
+        calls = []
+        original = decisions._moments
+
+        def counting(L, W, work=None, var=True):
+            calls.append(L.shape[0])
+            return original(L, W, work, var)
+
+        monkeypatch.setattr(predictors, "_moments", counting)
+        monkeypatch.setattr(decisions, "_moments", counting)
+        prob = Problem(LossMatrix([[0, 1], [0, 1], [2, 2]]))
+        res = prescribe(prob, PredictorSpec("svp"), EmpiricalDistribution((7, 3)),
+                        ExponentialRate(0.02))
+        assert calls == [3]
+        assert res.decision == 0 and res.gap_lower == res.gap_upper
 
     def test_gap_bound_matches_the_public_views_bit_for_bit(self):
         rng = np.random.default_rng(71)

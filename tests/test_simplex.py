@@ -89,6 +89,8 @@ class TestEmpiricalDistribution:
         e = EmpiricalDistribution([1, 3])
         assert e.sample_size == 4
         assert np.allclose(e.distribution.weights, [0.25, 0.75])
+        for counts in ((1.0, np.int32(3)), [np.float64(1), 3], np.array([1.0, 3.0])):
+            assert EmpiricalDistribution(counts) == e
 
     def test_sample_size_mismatch(self):
         with pytest.raises(ValidationError):
@@ -105,6 +107,16 @@ class TestEmpiricalDistribution:
     def test_equality(self):
         assert EmpiricalDistribution([1, 2]) == EmpiricalDistribution([1, 2])
         assert EmpiricalDistribution([1, 2]) != EmpiricalDistribution([2, 1])
+
+    @pytest.mark.parametrize("counts", [
+        [True, True], (1, True), ["50", "50"],
+        np.array([True, True]), np.array(["50", "50"]), np.array([50, 50], dtype=object),
+    ], ids=["bool-list", "bool-tuple", "string-list", "bool-array", "string-array",
+            "object-array"])
+    def test_rejects_counts_that_are_not_whole_numbers(self, counts):
+        # each read as counts: [True, True] as [1, 1], ["50", "50"] as [50, 50]
+        with pytest.raises(ValidationError, match="count"):
+            EmpiricalDistribution(counts)
 
 
 class TestSimplexDelta:
@@ -167,6 +179,26 @@ class TestLattice:
         assert lattice_size(2, 2) == 3
         assert lattice_size(2, 3) == 6
         assert lattice_size(10, 4) == math.comb(13, 3)
+
+    def test_size_takes_whole_numbers(self):
+        assert lattice_size(0, 2) == 1
+        assert lattice_size(10.0, np.int64(4)) == lattice_size(np.int32(10), 4.0) == math.comb(13, 3)
+        # lattice_size(True, 2) returned 2; a fraction raised a bare TypeError
+        for T, d, what in [(True, 2, "T"), (10.5, 2, "T"), ("3", 2, "T"), (-1, 2, "T"),
+                           (3, True, "d"), (3, 2.5, "d"), (3, 0, "d")]:
+            with pytest.raises(ValidationError, match=what) as info:
+                lattice_size(T, d)
+            assert type(info.value) is ValidationError
+
+    def test_rank_range_takes_whole_numbers(self):
+        full = [tuple(e.counts) for e in enumerate_lattice(4, 3)]
+        got = enumerate_lattice(4, 3, start=np.int64(2), stop=7.0)
+        assert [tuple(e.counts) for e in got] == full[2:7]
+        # a float start or stop raised a bare TypeError, True read as 1
+        for start, stop, what in [(0.5, None, "start"), (True, None, "start"),
+                                  (0, 2.5, "stop"), (0, True, "stop"), ("1", None, "start")]:
+            with pytest.raises(ValidationError, match=what):
+                list(enumerate_lattice(4, 3, start=start, stop=stop))
 
     def test_enumeration_order_d2(self):
         pts = [tuple(e.counts) for e in enumerate_lattice(2, 2)]
