@@ -8,10 +8,8 @@ from .decisions import (
     LossMatrix,
     Problem,
     cost,
-    covariance,
     load_scenario,
     min_variance_minimizer,
-    save_scenario,
     variance,
 )
 from .deviation import (
@@ -50,7 +48,6 @@ from .predictors import (
     predictor_value_rows,
     speed_ratio,
     svp_direction,
-    svp_worst_case,
     variance_matrix,
 )
 from .prescriptors import (
@@ -65,11 +62,7 @@ from .simplex import (
     EmpiricalDistribution,
     SimplexDelta,
     ellipsoid_norm_sq,
-    enumerate_lattice,
-    kl_divergence,
     lattice_size,
-    multinomial_log_prob,
-    sample_empirical,
 )
 
 __version__ = "0.1.0"

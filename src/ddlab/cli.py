@@ -18,8 +18,6 @@ import math
 import sys
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from .decisions import SCHEMA_VERSION, Problem, _read_json, load_scenario
 from .deviation import (
     Mode,
@@ -234,6 +232,8 @@ def cmd_disappoint(cfg: dict) -> List[tuple]:
     seed = cfg.get("seed")
     if method in ("mc", "importance") and seed is None:
         raise ValidationError("stochastic methods need a seed")
+    shift = cfg.get("shift")
+    shift = None if shift is None else Distribution(shift)
     rows = []
     for T in sorted(T_list):
         for spec in specs:
@@ -244,12 +244,10 @@ def cmd_disappoint(cfg: dict) -> List[tuple]:
                     problem, spec, mode, p, T, schedule, n_samples, seed
                 )
             elif method == "importance":
-                if cfg.get("shift") is not None:
-                    shift = Distribution(np.asarray(cfg["shift"], dtype=float))
-                else:
-                    shift = importance_shift(problem, mode, p, speed_ratio(schedule, T))
+                q = shift if shift is not None else importance_shift(
+                    problem, mode, p, speed_ratio(schedule, T))
                 rep = disappointment_importance(
-                    problem, spec, mode, p, T, schedule, shift, n_samples, seed
+                    problem, spec, mode, p, T, schedule, q, n_samples, seed
                 )
             else:
                 raise ValidationError("method must be exact, mc, or importance")

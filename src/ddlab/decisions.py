@@ -2,8 +2,8 @@
 
 A problem is a finite set of decisions (rows) against a finite set of
 scenarios (columns).  The expected cost of a decision under a distribution,
-its variance and covariances, and the minimal-variance cost minimizer are
-the primitives every predictor and prescriptor builds on.
+its variance, and the minimal-variance cost minimizer are the primitives
+every predictor and prescriptor builds on.
 """
 from __future__ import annotations
 
@@ -13,13 +13,14 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ScenarioFormatError, ValidationError
-from .simplex import Distribution, _Frozen, _scratch, _whole
+from .simplex import Distribution, _Frozen, _real_array, _scratch, _whole
 
 SCHEMA_VERSION = 1
 
 
 class LossMatrix(_Frozen):
-    """Losses l(x, i): rows are decisions, columns are scenarios."""
+    """Losses l(x, i): rows are decisions, columns are scenarios.  The
+    losses are real numbers (`simplex._real_array`) and finite."""
 
     __slots__ = ("values", "decision_labels", "scenario_labels", "k_half",
                  "tie_window", "var_window")
@@ -30,7 +31,7 @@ class LossMatrix(_Frozen):
         decision_labels: Optional[Sequence[str]] = None,
         scenario_labels: Optional[Sequence[str]] = None,
     ) -> None:
-        v = np.asarray(values, dtype=float)
+        v = _real_array(values, "loss")
         if v.ndim != 2:
             raise ValidationError("loss matrix must be 2-D")
         n, d = v.shape
@@ -159,15 +160,6 @@ def variance(problem: Problem, x: int, p: Distribution) -> float:
     return float(_moments(problem.loss.values[x:x + 1], p.weights[None, :])[1][0, 0])
 
 
-def covariance(problem: Problem, x1: int, x2: int, p: Distribution) -> float:
-    """Covariance of the losses of two decisions under p, by polarization:
-    (Var(l1 + l2) - Var(l1) - Var(l2)) / 2 with the centered variances."""
-    r1 = problem.loss.values[_check_decision(problem, x1)]
-    r2 = problem.loss.values[_check_decision(problem, x2)]
-    var = _moments(np.array([r1, r2, r1 + r2]), p.weights[None, :])[1][0]
-    return float(var[2] - var[0] - var[1]) / 2.0
-
-
 def select_decisions(
     problem: Problem, values: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
@@ -255,7 +247,7 @@ def _problem_from_dict(doc: dict, where: str) -> Problem:
         )
     try:
         loss = LossMatrix(
-            np.array(loss_rows, dtype=float),
+            loss_rows,
             decision_labels=doc["decision_labels"],
             scenario_labels=doc["scenario_labels"],
         )
@@ -299,19 +291,3 @@ def load_scenario(path: str) -> Problem:
     optional `true_dist` over the scenarios.
     """
     return _problem_from_dict(_read_json(path), path)
-
-
-def save_scenario(problem: Problem, path: str) -> None:
-    """Write a problem to the scenario JSON format (inverse of load_scenario)."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "scenario_labels": list(problem.loss.scenario_labels),
-        "decision_labels": list(problem.loss.decision_labels),
-        "loss": [[float(v) for v in row] for row in problem.loss.values],
-        "true_dist": None
-        if problem.true_dist is None
-        else [float(w) for w in problem.true_dist.weights],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")

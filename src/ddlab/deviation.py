@@ -424,7 +424,9 @@ def _sampled_indicator(problem, spec, mode, p, T, schedule, draw, n_samples, see
     count rows of the merged scenarios from the merged `draw` and evaluate
     the indicator once per distinct row: (merged p, merged draw, distinct
     rows, multiplicities, indicator), the rows evaluated in slices of
-    `_LATTICE_BLOCK` through one reused workspace, as the exact blocks."""
+    `_LATTICE_BLOCK` through one reused workspace, as the exact blocks.
+    The seed is a whole number (`_whole`); its low 64 bits key the stream."""
+    seed = _whole(seed, "seed")
     problem, spec, mode, p, draw = _prepare(problem, spec, mode, p, schedule, draw)
     ratio = speed_ratio(schedule, T)
     uniq, mult = _sample_histogram(draw.weights, T, n_samples, seed)

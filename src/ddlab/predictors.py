@@ -32,7 +32,7 @@ from .errors import (
     EllipsoidConditionError,
     ValidationError,
 )
-from .simplex import Distribution, EmpiricalDistribution, _real, _scratch, _whole
+from .simplex import HARD_REJECT_TOL, Distribution, EmpiricalDistribution, _real, _scratch, _whole
 
 # ---------------------------------------------------------------------------
 # guarantee-speed schedules: each real parameter is stored as the float that
@@ -397,37 +397,13 @@ def _svp_direction(row, w, mean, var) -> np.ndarray:
     return (row - mean) * w / math.sqrt(var)
 
 
-def svp_worst_case(
-    problem: Problem, x: int, p: Distribution, ratio: float
-) -> Distribution:
-    """The distribution on the ellipsoid boundary ||q - p||_p^2 = ratio
-    whose cost equals the SVP prediction.
-
-    For a constant row every feasible point has the same cost; the
-    convention then walks toward the first vertex: q = p + sqrt(ratio) * v
-    with v = sqrt(2 p_1/(1-p_1)) * (e_1 - p), which has ||v||_p^2 = 1.
-    """
-    row = problem.loss.values[_check_decision(problem, x)]
-    if not p.is_interior:
-        raise ValidationError("worst case needs an interior distribution")
-    # _predictor_values checks the ratio and forms the moments
-    V = _predictor_values(PredictorSpec("svp"), row[None, :], p.weights[None, :], ratio)
-    return _svp_worst_case(row, p.weights, ratio, V[1][0, 0], V[2][0, 0])
-
-
-def _svp_worst_case(row, w, ratio, mean, var) -> Distribution:
-    """svp_worst_case from the mean and variance of the loss row under w."""
-    if row.max() > row.min():  # Var > 0, as w is interior
-        q = w + math.sqrt(2.0 * ratio) * _svp_direction(row, w, mean, var)
-    else:
-        v = math.sqrt(2.0 * w[0] / (1.0 - w[0])) * (np.eye(w.size)[0] - w)
-        q = w + math.sqrt(ratio) * v
-    if q.min() < -1e-12:
-        raise ValidationError(
-            "worst case leaves the simplex (component %r); the ellipsoid "
-            "radius is too large for this distribution" % float(q.min())
-        )
-    return Distribution(np.maximum(q, 0.0))
+def _svp_worst_case(row, w, ratio, mean, var) -> Optional[Distribution]:
+    """The point q = w + sqrt(2 ratio) * `svp_direction` of the ellipsoid
+    boundary, whose cost is the svp value, for interior w and Var > 0; None
+    if q is no distribution: off the simplex, or its sum off 1 as sd << |mean|."""
+    q = w + math.sqrt(2.0 * ratio) * _svp_direction(row, w, mean, var)
+    fits = q.min() >= -1e-12 and abs(np.maximum(q, 0.0).sum() - 1.0) <= HARD_REJECT_TOL
+    return Distribution(np.maximum(q, 0.0)) if fits else None
 
 
 def predict_svp(
@@ -440,19 +416,17 @@ def predict_svp(
 
     The formula is always evaluated; condition_ok only reports whether the
     ellipsoid worst-case interpretation is certified at this empirical
-    distribution.  worst_case is filled in when the variance is positive
-    and the attaining point exists inside the simplex.
+    distribution.  worst_case is filled in when that distribution is
+    interior, the variance is positive and the attaining point exists
+    inside the simplex.
     """
     ratio = speed_ratio(schedule, emp.sample_size)
     p = emp.distribution
     row, w = problem.loss.values[_check_decision(problem, x)], p.weights
     V = _predictor_values(PredictorSpec("svp"), row[None, :], w[None, :], ratio)
-    worst: Optional[Distribution] = None
-    if p.is_interior and np.ptp(row) > 0.0:  # then Var > 0
-        try:  # from the moments of the value: one pass
-            worst = _svp_worst_case(row, w, ratio, V[1][0, 0], V[2][0, 0])
-        except ValidationError:
-            worst = None
+    worst = None
+    if p.is_interior and V[2][0, 0] > 0.0:  # from the moments of the value: one pass
+        worst = _svp_worst_case(row, w, ratio, V[1][0, 0], V[2][0, 0])
     return PredictionResult(
         value=float(V[0][0, 0]),
         worst_case=worst,

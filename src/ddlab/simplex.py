@@ -1,10 +1,11 @@
 """Probability-simplex primitives.
 
 Distributions over a finite scenario set, empirical distributions with
-integer counts, signed differences of distributions, the KL divergence with
-its extended-value conventions, the local ellipsoid (chi-squared) norm,
-exact enumeration of the lattice of empirical distributions, multinomial
-log-probabilities, and reproducible multinomial sampling.
+integer counts, signed differences of distributions, the local ellipsoid
+(chi-squared) norm, the size of the lattice of empirical distributions and
+the engine's kernels over it: rank blocks of count rows, batched multinomial
+log-pmfs from a shared log-factorial table, and the counter-based generator
+that the samplers draw from.
 
 Everything here is immutable after construction and pure given its inputs,
 so values can be shared freely across threads.  The one module state is the
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,8 +31,8 @@ HARD_REJECT_TOL = 1e-6
 #: Default ceiling on exact lattice sizes (number of compositions).
 DEFAULT_LATTICE_CAP = 10**8
 _MAX_RANK = 2**63 - 1  # ranks are int64
-# rows per block built by enumerate_lattice and streamed through
-# deviation.disappointment_exact
+# rank rows per block of `_lattice_counts` that deviation.disappointment_exact
+# streams, and the block size of the samplers' draws and evaluations
 _LATTICE_BLOCK = 1 << 13
 
 
@@ -48,15 +49,32 @@ def _whole(value, what: str, least: Optional[int] = None) -> int:
     return value
 
 
-def _real(value, what: str, low: float, strict: bool = False) -> float:
+def _real(value, what: str, low: Optional[float] = None, strict: bool = False) -> float:
     """value as a float: an int, a float, a NumPy int or a NumPy float.  A bool,
-    another type, NaN or a value below `low` (at it when `strict`) is a ValidationError."""
+    another type, an int past the float range, or, when `low` is given, NaN
+    or a value below `low` (at it when `strict`) is a ValidationError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValidationError("%s must be a real number, got %r" % (what, value))
-    value = float(value)
-    if not (value > low if strict else value >= low):  # NaN fails too
+    try:
+        value = float(value)
+    except OverflowError:  # an int past about 1.8e308
+        raise ValidationError("%s is too large for a float" % what) from None
+    if low is not None and not (value > low if strict else value >= low):  # NaN fails too
         raise ValidationError("%s must be %s %s" % (what, ">" if strict else ">=", low))
     return value
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """values as a float array.  Each entry of a list or tuple goes through
+    `_real`, each row in one through this rule: NumPy reads [0.5, True] as
+    floats.  An array has an int or float dtype; NaN and inf pass."""
+    if isinstance(values, (list, tuple)):
+        values = [_real_array(v, what) if isinstance(v, (list, tuple, np.ndarray))
+                  else _real(v, what) for v in values]
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":  # bools, strings and objects
+        raise ValidationError("%s must be real numbers, got dtype %s" % (what, a.dtype))
+    return np.asarray(a, dtype=float)
 
 
 class _Frozen:
@@ -82,14 +100,15 @@ class _Frozen:
 class Distribution(_Frozen):
     """A point of the probability simplex over d scenarios.
 
-    Weights are validated to be nonnegative and to sum to 1 within
-    HARD_REJECT_TOL, then normalized so the sum is 1 within NORMALIZE_TOL.
+    Weights are real numbers (`_real_array`), validated to be nonnegative
+    and to sum to 1 within HARD_REJECT_TOL, then normalized so the sum is 1
+    within NORMALIZE_TOL.
     """
 
     __slots__ = ("weights",)
 
     def __init__(self, weights) -> None:
-        w = np.asarray(weights, dtype=float).reshape(-1)
+        w = _real_array(weights, "weights").reshape(-1)
         if w.size < 1:
             raise ValidationError("distribution needs at least one weight")
         if not np.all(np.isfinite(w)):
@@ -199,23 +218,6 @@ class SimplexDelta(_Frozen):
         return self.components.size
 
 
-def kl_divergence(p: Distribution, q: Distribution) -> float:
-    """Relative entropy sum_i p_i log(p_i/q_i), extended-valued.
-
-    Conventions: 0*log(0/q) = 0 and p*log(p/0) = +inf, so the value is
-    finite iff support(p) is contained in support(q).  Infinity is returned
-    as math.inf rather than raised, because ambiguity-set membership tests
-    compare it against finite radii.
-    """
-    pw, qw = p.weights, q.weights
-    if pw.size != qw.size:
-        raise ValidationError("dimension mismatch: %d vs %d" % (pw.size, qw.size))
-    mask = pw > 0.0
-    if np.any(qw[mask] == 0.0):
-        return math.inf
-    return float(np.sum(pw[mask] * np.log(pw[mask] / qw[mask])))
-
-
 def ellipsoid_norm_sq(delta: SimplexDelta, p: Distribution) -> float:
     """The local ellipsoid norm squared at p: 0.5 * sum_i delta_i^2 / p_i.
 
@@ -244,33 +246,6 @@ def _capped_size(T: int, d: int, cap: int) -> int:
     if size > cap:
         raise LatticeCapError(size, cap)
     return size
-
-
-def enumerate_lattice(
-    T: int,
-    d: int,
-    cap: int = DEFAULT_LATTICE_CAP,
-    start: int = 0,
-    stop: Optional[int] = None,
-) -> Iterator[EmpiricalDistribution]:
-    """Yield every composition of T into d nonnegative counts, exactly once.
-
-    The order is deterministic: counts ascend on the first coordinate, then
-    recursively on the rest, e.g. (T=2, d=2) gives (0,2), (1,1), (2,0).
-    `start`/`stop`, whole numbers, select a contiguous rank range in that
-    order, so disjoint ranges partition the lattice for parallel
-    consumption; reductions must merge ranges in rank order to stay
-    bit-reproducible.  Rows are built in blocks of `_LATTICE_BLOCK` by
-    `_lattice_counts`.
-    """
-    T, d = _whole(T, "sample size T", 1), _whole(d, "d", 2)
-    size = _capped_size(T, d, cap)
-    stop = size if stop is None else min(_whole(stop, "stop"), size)
-    below = _rank_tables(T, d)
-    for lo in range(max(0, _whole(start, "start")), stop, _LATTICE_BLOCK):
-        hi = min(lo + _LATTICE_BLOCK, stop)
-        for row in _lattice_counts(T, d, cap, lo, hi, below):
-            yield EmpiricalDistribution(row, T)
 
 
 def _scratch(work: Optional[dict], role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -332,8 +307,9 @@ def _lattice_counts(
     work: Optional[dict] = None,
 ) -> np.ndarray:
     """The compositions of T into d parts with ranks in [start, stop), as
-    (N, d) int64 rows in the order of `enumerate_lattice`, the transposed
-    view of a (d, N) array that the exact engine reads as C.T.
+    (N, d) int64 rows, the transposed view of a (d, N) array that the exact
+    engine reads as C.T.  Counts ascend on the first part, then recursively
+    on the rest: (T=2, d=2) gives (0,2), (1,1), (2,0).
 
     The lattice is built one part at a time.  A prefix whose remaining mass
     is r spawns children in ascending count c, i.e. descending rest sum
@@ -417,8 +393,7 @@ def _log_factorials(n: int) -> np.ndarray:
     entries, so callers index it instead of calling log-gamma; every entry
     equals `scipy.special.gammaln(c + 1.0)` bit for bit.  The table costs
     8 bytes per entry for the life of the process, so it serves the exact
-    engine and the histogram sampler, whose arrays are O(n) already, and
-    not one-off callers such as `multinomial_log_prob`."""
+    engine and the histogram sampler, whose arrays are O(n) already."""
     global _LOG_FACT
     table = _LOG_FACT
     if table.size <= n:
@@ -448,54 +423,20 @@ def _log_pmf_rows(
     CT = C.T
     terms = _scratch(work, "log-pmf terms", CT.shape)
     np.take(log_fact, CT, out=terms, mode="clip")  # 0 <= C <= T
-    return _log_pmf(CT, p, log_fact[T], terms)
-
-
-def _log_pmf(
-    CT: np.ndarray, p: Distribution, log_fact_T: float, terms: np.ndarray
-) -> np.ndarray:
-    # the sum of `_log_pmf_rows` over the counts CT (d, N), given log T! and
-    # the (d, N) array `terms` of the log C_i!, which it overwrites with the
-    # C_i log p_i.  A zero count gives a zero of either sign: same bits
     w = p.weights
     logw = np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
     log_fact_C = _row_sums(terms)
+    # the terms now take the C_i log p_i; a zero count gives a zero of
+    # either sign: same bits
     for c, lw, out in zip(CT, logw, terms):
         if lw > -np.inf:
             np.multiply(c, lw, out=out)
         else:  # 0 log 0 = 0; a count outside support(p) weighs -inf
             np.copyto(out, np.where(c > 0, -np.inf, 0.0))
-    return log_fact_T - log_fact_C + _row_sums(terms)
+    return log_fact[T] - log_fact_C + _row_sums(terms)
 
 
-def multinomial_log_prob(e: EmpiricalDistribution, p: Distribution) -> float:
-    """log of the multinomial probability of the counts under p.
-
-    The d + 1 log-factorials it needs (log c_i! and log T!) are computed
-    by `_log_factorial_entries`, so the value has the bits of the same sum
-    over `scipy.special.gammaln` and equals the row of `_log_pmf_rows`,
-    while time and memory stay O(d) whatever T is; the shared table is
-    neither read nor grown.  Factorials themselves would overflow past
-    T ~ 170.  Returns -inf when the counts put mass outside support(p).
-    """
-    if e.dim != p.dim:
-        raise ValidationError("dimension mismatch")
-    log_fact = _log_factorial_entries(np.append(e.counts, e.sample_size))
-    return float(_log_pmf(e.counts[:, None], p, log_fact[-1], log_fact[:-1, None])[0])
-
-
-def _philox(seed: int, stream: int = 0) -> np.random.Generator:
-    # Counter-based splittable generator keyed by (seed, stream): distinct
-    # streams are independent and any (seed, stream) pair is reproducible.
-    key = (_whole(seed, "seed") & 0xFFFFFFFFFFFFFFFF) | (_whole(stream, "stream", 0) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_empirical(
-    p: Distribution, T: int, seed: int, stream: int = 0
-) -> EmpiricalDistribution:
-    """Draw T i.i.d. scenarios from p; deterministic given (seed, stream)."""
-    T = _whole(T, "sample size T", 1)
-    rng = _philox(seed, stream)
-    counts = rng.multinomial(T, p.weights)
-    return EmpiricalDistribution(counts.astype(np.int64), T)
+def _philox(seed: int) -> np.random.Generator:
+    # Counter-based generator keyed by the int seed, its low 64 bits: any
+    # seed is reproducible.
+    return np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))

@@ -1,11 +1,29 @@
-"""A grid oracle for the KL-ball predictor, for d <= 3: the tests check
-`ddlab.predict_kl_dual` against it (acceptance criterion 01)."""
+"""Oracles for the KL-ball predictor: the extended-value KL divergence that
+tests membership of the ball, and a grid search for d <= 3 that the tests
+check `ddlab.predict_kl_dual` against (acceptance criterion 01)."""
 import math
 
 import numpy as np
 
 from ddlab import Distribution, Problem, ValidationError, cost
 from ddlab.decisions import _check_decision
+
+
+def kl_divergence(p: Distribution, q: Distribution) -> float:
+    """Relative entropy sum_i p_i log(p_i/q_i), extended-valued.
+
+    Conventions: 0*log(0/q) = 0 and p*log(p/0) = +inf, so the value is
+    finite iff support(p) is contained in support(q).  Infinity is returned
+    as math.inf rather than raised, because ambiguity-set membership tests
+    compare it against finite radii.
+    """
+    pw, qw = p.weights, q.weights
+    if pw.size != qw.size:
+        raise ValidationError("dimension mismatch: %d vs %d" % (pw.size, qw.size))
+    mask = pw > 0.0
+    if np.any(qw[mask] == 0.0):
+        return math.inf
+    return float(np.sum(pw[mask] * np.log(pw[mask] / qw[mask])))
 
 
 def predict_kl_primal_grid(

@@ -27,18 +27,15 @@ from ddlab import (
     convexity_certificate,
     ellipsoid_linear_max,
     ellipsoid_norm_sq,
-    enumerate_lattice,
     importance_shift,
     disappointment_importance,
     disappointment_mc,
-    multinomial_log_prob,
     predict_kl_dual,
     predict_svp,
     predictor_value_matrix,
     prescribe,
     prescription_gap_bound,
     rate_curve,
-    save_scenario,
     speed_ratio,
     svp_direction,
     theoretical_rate_saa,
@@ -46,6 +43,7 @@ from ddlab import (
 )
 from ddlab.cli import main as cli_main
 from kl_oracle import predict_kl_primal_grid
+from oracles import enumerate_lattice, multinomial_log_prob, save_scenario
 
 COIN = Problem(
     LossMatrix(np.array([[0.5, 0.5], [0.0, 1.0]])), Distribution((0.5, 0.5))

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddlab import Distribution, LossMatrix, Problem, cli, save_scenario
+from ddlab import Distribution, LossMatrix, Problem, cli
 from ddlab.cli import main
+from oracles import save_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "scenarios" / "configs"  # scenario paths relative to ROOT
@@ -57,6 +58,15 @@ def write_coin(tmp_path, true_dist=(0.5, 0.5)):
     td = None if true_dist is None else Distribution(true_dist)
     path = tmp_path / "coin.json"
     save_scenario(Problem(loss, td), str(path))
+    return str(path)
+
+
+def write_coin_with(tmp_path, **fields):
+    # the coin scenario with some fields replaced by values written as given
+    doc = json.loads(Path(write_coin(tmp_path)).read_text(encoding="utf-8"))
+    doc.update(fields)
+    path = tmp_path / "coin-edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -137,7 +147,7 @@ class TestPredict:
 
     def test_missing_counts(self, tmp_path, capsys):
         cfg = predict_coin_config(tmp_path)
-        doc = json.loads(open(cfg).read())
+        doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
         del doc["counts"]
         cfg2 = write_config(tmp_path, "nocounts.json", doc)
         rc = main(["predict", "--config", cfg2])
@@ -159,7 +169,7 @@ class TestPredict:
         assert record["line"] == 1
 
     def test_wrong_scenario_schema_version(self, tmp_path, capsys):
-        coin = json.loads(open(write_coin(tmp_path)).read())
+        coin = json.loads(Path(write_coin(tmp_path)).read_text(encoding="utf-8"))
         coin["schema_version"] = 99
         bad = tmp_path / "v99.json"
         bad.write_text(json.dumps(coin), encoding="utf-8")
@@ -472,6 +482,26 @@ class TestMalformedInputExits2:
                 "scenario": write_grid(tmp), "counts": [1, 1, 1, 1, 1], "ratios": [True]})),
             ("predict", lambda tmp: predict_coin_config(tmp, counts=[True, True])),
             ("predict", lambda tmp: predict_coin_config(tmp, counts=["50", "50"])),
+            # a rate of 401 digits exited 1 with an OverflowError
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, schedule={"kind": "exponential", "rate": 10**400})),
+            # NumPy read these strings and bools as floats, and each ran and exited 0
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, scenario=write_coin_with(tmp, loss=[["0.5", 0.5], [0, 1]]))),
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, scenario=write_coin_with(tmp, loss=[[0.5, True], [0, 1]]))),
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, scenario=write_coin_with(tmp, true_dist=["0.5", "0.5"]))),
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, scenario=write_coin_with(tmp, true_dist=[True, False]))),
+            # a loss of 401 digits exited 1 with an OverflowError
+            ("predict", lambda tmp: predict_coin_config(
+                tmp, scenario=write_coin_with(tmp, loss=[[10**400, 0.5], [0, 1]]))),
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, method="importance", seed=1, n_samples=100, shift=["0.5", "0.5"])),
+            # blamed on the support of the shift, not on its type
+            ("disappoint", lambda tmp: disappoint_coin_config(
+                tmp, method="importance", seed=1, n_samples=100, shift=[True, False])),
         ],
         ids=["radius", "rate", "table-points", "decision", "missing-config",
              "T-0-exact", "T-0-importance", "fractional-n-samples", "bool-n-samples",
@@ -479,7 +509,8 @@ class TestMalformedInputExits2:
              "fractional-decision", "bool-decision", "prescription-decision",
              "fractional-table-T", "bool-rate", "string-rate", "bool-coeff",
              "bool-exponent", "bool-radius", "bool-table-a_T", "bool-ratio",
-             "bool-counts", "string-counts"],
+             "bool-counts", "string-counts", "huge-rate", "string-loss", "bool-loss",
+             "string-true_dist", "bool-true_dist", "huge-loss", "string-shift", "bool-shift"],
     )
     def test_exit_2_with_one_error_record(self, tmp_path, capsys, command, make):
         assert main([command, "--config", make(tmp_path)]) == 2

@@ -38,7 +38,6 @@ from ddlab import (
     load_scenario,
     predictor_value_matrix,
     rate_curve,
-    sample_empirical,
     speed_ratio,
     svp_direction,
     theoretical_rate_saa,
@@ -990,13 +989,15 @@ class TestMonteCarlo:
             lambda rep: rep.T),
         "T-rate_curve": ("sample size T", lambda n: rate_curve(
             COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, SCHED, [n]), None),
-        "T-sample_empirical": ("sample size T", lambda n: sample_empirical(HALF, n, 1), None),
         "T-table": ("table T", lambda n: CustomTable(((n, 1.0),)), None),
         "sample_size": ("sample_size", lambda n: EmpiricalDistribution((1000, 1000), n), None),
         "decision-index": ("decision index", lambda n: cost(COIN, n, HALF), None),
         "decision-mode": ("decision index", lambda n: Mode("prediction", n),
                           lambda mode: mode.decision),
-        "seed": ("seed", lambda n: sample_empirical(HALF, 5, n), None),
+        "seed": ("seed", lambda n: disappointment_mc(
+            COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, 5, SCHED, 100, n), None),
+        "seed-importance": ("seed", lambda n: disappointment_importance(
+            COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, 5, SCHED, HALF, 100, n), None),
         "cap": ("cap", lambda n: disappointment_exact(
             COIN, PredictorSpec("saa"), Mode.prediction(1), HALF, 5, SCHED, cap=n), None),
     }

@@ -25,7 +25,6 @@ from ddlab import (
     dro_condition_holds,
     ellipsoid_linear_max,
     ellipsoid_norm_sq,
-    kl_divergence,
     predict_kl_dual,
     predict_robust,
     predict_saa,
@@ -35,13 +34,12 @@ from ddlab import (
     prescribe,
     speed_ratio,
     svp_direction,
-    svp_worst_case,
     theoretical_rate_saa,
     variance,
     variance_matrix,
 )
 from ddlab import predictors
-from kl_oracle import predict_kl_primal_grid
+from kl_oracle import kl_divergence, predict_kl_primal_grid
 
 
 def make_problem(loss, true_dist=None):
@@ -692,7 +690,9 @@ class TestSvp:
         emp = EmpiricalDistribution((30, 70))
         res = predict_svp(COIN, 1, emp, ExponentialRate(0.02))
         assert calls == [1]  # the value and the worst case
-        assert res.worst_case == svp_worst_case(COIN, 1, emp.distribution, 0.02)
+        p = emp.distribution
+        step = math.sqrt(2.0 * 0.02) * svp_direction(COIN, 1, p)
+        assert res.worst_case == Distribution(p.weights + step)
         assert res.value == predictor_value_rows(
             COIN, 1, PredictorSpec("svp"), emp.distribution.weights[None, :], 0.02)[0]
 
@@ -724,7 +724,7 @@ class TestSvpGeometry:
             svp_direction(COIN, 0, HALF)
 
     def test_worst_case_hand_value(self):
-        q = svp_worst_case(COIN, 1, HALF, 0.02)
+        q = predict_svp(COIN, 1, EmpiricalDistribution((50, 50)), ExponentialRate(0.02)).worst_case
         assert np.allclose(q.weights, [0.4, 0.6], atol=1e-12)
 
     def test_worst_case_sits_on_the_ellipsoid_boundary(self):
@@ -732,25 +732,35 @@ class TestSvpGeometry:
         for _ in range(20):
             d = int(rng.integers(2, 5))
             prob = make_problem([rng.uniform(0.0, 1.0, d)])
-            p = Distribution(rng.dirichlet(np.full(d, 3.0)))
+            emp = EmpiricalDistribution(rng.integers(1, 40, d))
+            p = emp.distribution
             ratio = 1e-4
-            q = svp_worst_case(prob, 0, p, ratio)
+            q = predict_svp(prob, 0, emp, ExponentialRate(ratio)).worst_case
             delta = SimplexDelta(q.weights - p.weights)
             assert ellipsoid_norm_sq(delta, p) == pytest.approx(ratio, abs=1e-12)
 
-    def test_zero_variance_convention_walks_to_first_vertex(self):
-        q = svp_worst_case(COIN, 0, HALF, 0.02)
-        assert np.allclose(q.weights, [0.6, 0.4], atol=1e-12)
-        delta = SimplexDelta(q.weights - HALF.weights)
-        assert ellipsoid_norm_sq(delta, HALF) == pytest.approx(0.02, abs=1e-14)
+    def test_constant_row_has_no_worst_case(self):
+        # the variance is 0, so no direction is steepest and no point is named
+        res = predict_svp(COIN, 0, EmpiricalDistribution((50, 50)), ExponentialRate(0.02))
+        assert res.worst_case is None
+        assert res.value == 0.5
+
+    def test_a_sum_the_mean_rounds_off_1_has_no_worst_case(self):
+        # the mean of [1000, 1000 + ulp] rounds to 1000, so the direction is
+        # [0, 1] and q = [0.5, 0.7]; the value is still returned
+        row = [1000.0, float(np.nextafter(1000.0, 2000.0))]
+        res = predict_svp(make_problem([row]), 0, EmpiricalDistribution((1, 1)),
+                          ExponentialRate(0.02))
+        assert res.worst_case is None
+        assert res.value == pytest.approx(1000.0)
 
     def test_worst_case_needs_interior_center(self):
-        with pytest.raises(ValidationError):
-            svp_worst_case(COIN, 1, Distribution((1.0, 0.0)), 0.01)
+        res = predict_svp(COIN, 1, EmpiricalDistribution((10, 0)), ExponentialRate(0.01))
+        assert res.worst_case is None
 
     def test_worst_case_rejects_escaping_radius(self):
-        with pytest.raises(ValidationError):
-            svp_worst_case(COIN, 1, HALF, 2.0)
+        res = predict_svp(COIN, 1, EmpiricalDistribution((50, 50)), ExponentialRate(2.0))
+        assert res.worst_case is None
 
     def test_condition_flag(self):
         # rhs at (1/2, 1/2) is 0.25, so the cutoff ratio is exactly 0.03125
@@ -978,9 +988,9 @@ class TestBatchEngine:
         prob = make_problem([[1.0, 1.0], [0.0, 2.0]])
         with pytest.raises(ValidationError, match="ratio"):
             predictor_value_rows(prob, x, PredictorSpec("svp"), [[0.5, 0.5]], ratio=1e308)
-        for ratio in (1e308, math.inf):  # the worst case left the simplex at -inf
+        for rate in (1e308, math.inf):  # the worst case left the simplex at -inf
             with pytest.raises(ValidationError, match="ratio"):
-                svp_worst_case(prob, x, HALF, ratio)
+                predict_svp(prob, x, EmpiricalDistribution((1, 1)), ExponentialRate(rate))
         got = predictor_value_rows(prob, x, PredictorSpec("svp"), [[0.5, 0.5]], ratio=1e300)
         assert got[0] == 1.0 + x * math.sqrt(2e300)
 
@@ -992,7 +1002,6 @@ NAN_ARGUMENTS = {
     "theoretical_rate_saa-m": (
         lambda: theoretical_rate_saa(COIN, 1, HALF, m=math.nan), "level m"),
     "predict_kl_dual-r": (lambda: predict_kl_dual(COIN, 1, HALF, math.nan), "radius"),
-    "svp_worst_case-ratio": (lambda: svp_worst_case(COIN, 1, HALF, math.nan), "ratio"),
     "ellipsoid_linear_max-radius": (
         lambda: ellipsoid_linear_max([0.0, 1.0], HALF, np.eye(2), math.nan), "radius"),
     "grid_oracle-r": (lambda: predict_kl_primal_grid(COIN, 1, HALF, math.nan, 0.01), "r must"),
@@ -1019,7 +1028,6 @@ REAL_ARGUMENTS = {
     "PredictorSpec-radius": (lambda v: PredictorSpec("kl", v), "radius"),
     "theoretical_rate_saa-m": (lambda v: theoretical_rate_saa(COIN, 1, HALF, m=v), "level m"),
     "predict_kl_dual-r": (lambda v: predict_kl_dual(COIN, 1, HALF, v), "radius"),
-    "svp_worst_case-ratio": (lambda v: svp_worst_case(COIN, 1, HALF, v), "ratio"),
     "predictor_value_rows-ratio": (
         lambda v: predictor_value_rows(COIN, 1, PredictorSpec("svp"), [[0.5, 0.5]], v), "ratio"),
     "dro_condition_holds-ratio": (lambda v: dro_condition_holds(HALF, v), "ratio"),
@@ -1034,9 +1042,9 @@ NONE_IS_THE_DEFAULT = ("PredictorSpec-radius", "theoretical_rate_saa-m")
 @pytest.mark.parametrize("name", list(REAL_ARGUMENTS))
 def test_a_real_argument_must_be_a_real_number(name):
     # True ran as 1.0 everywhere; "0.1" and None raised a bare TypeError, or
-    # ran as 0.1 where a float() read them
+    # ran as 0.1 where a float() read them; 10**400 raised an OverflowError
     call, match = REAL_ARGUMENTS[name]
-    bad = (True, "0.1", math.nan) + (() if name in NONE_IS_THE_DEFAULT else (None,))
+    bad = (True, "0.1", math.nan, 10**400) + (() if name in NONE_IS_THE_DEFAULT else (None,))
     for value in bad:
         with pytest.raises(ValidationError, match=match) as info:
             call(value)

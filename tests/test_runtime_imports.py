@@ -11,9 +11,8 @@ SCRIPT = r"""
 import contextlib, glob, io, sys
 import ddlab, ddlab.cli
 from ddlab import (
-    EmpiricalDistribution, Mode, PredictorSpec, PowerLaw, disappointment_exact,
-    disappointment_importance, disappointment_mc, importance_shift,
-    load_scenario, multinomial_log_prob, rate_curve, theoretical_rate_saa,
+    Mode, PredictorSpec, PowerLaw, disappointment_exact, disappointment_importance,
+    disappointment_mc, importance_shift, load_scenario, rate_curve, theoretical_rate_saa,
 )
 from ddlab.deviation import speed_ratio
 
@@ -28,7 +27,6 @@ disappointment_importance(problem, spec, mode, p, 40, schedule, shift, 2000, see
 rate_curve(problem, spec, Mode.prescription(), p, schedule, [5, 400],
            cap=2000, n_samples=2000, seed=3)
 theoretical_rate_saa(problem, 4, p, m=0.9 * float(problem.loss.values[4] @ p.weights))
-multinomial_log_prob(EmpiricalDistribution([3, 1, 0, 6]), p)
 for config in sorted(glob.glob("scenarios/configs/*.json")):
     command = config.split("/")[-1].split("_")[0]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -54,22 +52,20 @@ EXPORTS = {
     "Mode", "PowerLaw", "PredictionResult", "PredictorSpec", "PrescriptionResult",
     "Problem", "RegimeSchedule", "SCHEMA_VERSION", "ScenarioFormatError",
     "SimplexDelta", "ValidationError", "__version__", "convexity_certificate",
-    "cost", "covariance", "disappointment_exact", "disappointment_importance",
+    "cost", "disappointment_exact", "disappointment_importance",
     "disappointment_mc", "dro_condition_holds", "ellipsoid_linear_max",
-    "ellipsoid_norm_sq", "enumerate_lattice", "importance_shift", "kl_divergence",
-    "lattice_size", "load_scenario", "min_variance_minimizer", "multinomial_log_prob",
-    "predict_kl_dual", "predict_robust", "predict_saa", "predict_svp",
-    "predictor_value_matrix", "predictor_value_rows", "prescribe",
-    "prescription_gap_bound", "rate_curve", "sample_empirical", "save_scenario",
-    "speed_ratio", "svp_direction", "svp_worst_case", "theoretical_rate_saa",
-    "variance", "variance_matrix",
+    "ellipsoid_norm_sq", "importance_shift", "lattice_size", "load_scenario",
+    "min_variance_minimizer", "predict_kl_dual", "predict_robust", "predict_saa",
+    "predict_svp", "predictor_value_matrix", "predictor_value_rows", "prescribe",
+    "prescription_gap_bound", "rate_curve", "speed_ratio", "svp_direction",
+    "theoretical_rate_saa", "variance", "variance_matrix",
 }
 
 
 def test_star_import_gives_the_public_names():
     import ddlab
 
-    assert len(EXPORTS) == 57
+    assert len(EXPORTS) == 50
     assert len(ddlab.__all__) == len(set(ddlab.__all__))
     assert set(ddlab.__all__) == EXPORTS
     namespace = {}

@@ -16,14 +16,12 @@ from ddlab import (
     SimplexDelta,
     ValidationError,
     ellipsoid_norm_sq,
-    enumerate_lattice,
-    kl_divergence,
     lattice_size,
-    multinomial_log_prob,
-    sample_empirical,
 )
 from ddlab import simplex
 from ddlab.simplex import _lattice_counts, _log_pmf_rows
+from kl_oracle import kl_divergence
+from oracles import enumerate_lattice, multinomial_log_prob
 
 
 def _brute_force(T, d):
@@ -66,6 +64,15 @@ class TestDistribution:
     def test_equality(self):
         assert Distribution([0.25, 0.75]) == Distribution([0.25, 0.75])
         assert Distribution([0.25, 0.75]) != Distribution([0.75, 0.25])
+
+    def test_takes_only_real_numbers(self):
+        # np.asarray(["0.5", "0.5"], dtype=float) read 0.5 twice, True read 1.0
+        for weights in (["0.5", "0.5"], [0.0, True], (0.5, None), [10**400, 0],
+                        np.array([True, False]), np.array(["1"]), np.array([1.0], dtype=object),
+                        [np.array([True]), [0.0]]):
+            with pytest.raises(ValidationError, match="weights"):
+                Distribution(weights)
+        assert Distribution((np.int64(1), 0)) == Distribution(np.array([1.0, 0.0]))
 
     def test_weights_immutable(self):
         d = Distribution([0.5, 0.5])
@@ -190,34 +197,24 @@ class TestLattice:
                 lattice_size(T, d)
             assert type(info.value) is ValidationError
 
-    def test_rank_range_takes_whole_numbers(self):
-        full = [tuple(e.counts) for e in enumerate_lattice(4, 3)]
-        got = enumerate_lattice(4, 3, start=np.int64(2), stop=7.0)
-        assert [tuple(e.counts) for e in got] == full[2:7]
-        # a float start or stop raised a bare TypeError, True read as 1
-        for start, stop, what in [(0.5, None, "start"), (True, None, "start"),
-                                  (0, 2.5, "stop"), (0, True, "stop"), ("1", None, "start")]:
-            with pytest.raises(ValidationError, match=what):
-                list(enumerate_lattice(4, 3, start=start, stop=stop))
-
     def test_enumeration_order_d2(self):
-        pts = [tuple(e.counts) for e in enumerate_lattice(2, 2)]
+        pts = [tuple(c) for c in _lattice_counts(2, 2)]
         assert pts == [(0, 2), (1, 1), (2, 0)]
 
     def test_enumeration_order_d3(self):
-        pts = [tuple(e.counts) for e in enumerate_lattice(2, 3)]
+        pts = [tuple(c) for c in _lattice_counts(2, 3)]
         assert pts == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
 
     def test_complete_and_unique(self):
-        pts = [tuple(e.counts) for e in enumerate_lattice(5, 3)]
+        pts = [tuple(c) for c in _lattice_counts(5, 3)]
         assert len(pts) == lattice_size(5, 3)
         assert len(set(pts)) == len(pts)
         assert all(sum(c) == 5 for c in pts)
 
     def test_rank_ranges_partition(self):
-        full = [tuple(e.counts) for e in enumerate_lattice(4, 3)]
-        split = [tuple(e.counts) for e in enumerate_lattice(4, 3, start=0, stop=7)]
-        split += [tuple(e.counts) for e in enumerate_lattice(4, 3, start=7)]
+        full = [tuple(c) for c in _lattice_counts(4, 3)]
+        split = [tuple(c) for c in _lattice_counts(4, 3, start=0, stop=7)]
+        split += [tuple(c) for c in _lattice_counts(4, 3, start=7)]
         assert split == full
 
     def test_counts_matrix_matches_generator(self):
@@ -238,14 +235,11 @@ class TestLattice:
                     start, stop = sorted(rng.integers(0, len(ref) + 1, size=2))
                     block = _lattice_counts(T, d, start=start, stop=stop)
                     assert [tuple(c) for c in block] == ref[start:stop]
-                    gen = enumerate_lattice(T, d, start=start, stop=stop)
-                    assert [tuple(e.counts) for e in gen] == ref[start:stop]
 
     def test_empty_and_out_of_range_blocks(self):
         size = lattice_size(5, 3)
         for start, stop in [(4, 4), (7, 3), (size, size + 5), (size + 2, None)]:
             assert _lattice_counts(5, 3, start=start, stop=stop).shape == (0, 3)
-            assert list(enumerate_lattice(5, 3, start=start, stop=stop)) == []
         ref = _brute_force(5, 3)
         clipped = _lattice_counts(5, 3, start=-4, stop=size + 9)
         assert [tuple(c) for c in clipped] == ref
@@ -261,36 +255,21 @@ class TestLattice:
             assert block.shape == (3, d)
             assert np.all(block.sum(axis=1) == T)
             assert [_rank(list(c)) for c in block] == [start, start + 1, start + 2]
-        tail = enumerate_lattice(T, d, cap=10**13, start=size - 1)
-        assert [tuple(e.counts) for e in tail] == [(T, 0, 0, 0, 0)]
+        tail = _lattice_counts(T, d, cap=10**13, start=size - 1)
+        assert [tuple(c) for c in tail] == [(T, 0, 0, 0, 0)]
 
     def test_cap_never_exceeds_int64_ranks(self):
         # more than 2**63 points cannot be ranked in int64, whatever the cap
         with pytest.raises(LatticeCapError) as exc:
-            list(enumerate_lattice(10**4, 8, cap=10**60, start=10**20, stop=10**20 + 2))
+            _lattice_counts(10**4, 8, cap=10**60, start=10**20, stop=10**20 + 2)
         assert exc.value.size == lattice_size(10**4, 8) > 2**63
         assert exc.value.cap == 2**63 - 1
         with pytest.raises(LatticeCapError):
             _lattice_counts(10**4, 8, cap=10**60, start=0, stop=2)
 
-    def test_rank_tables_are_built_once_per_walk(self, monkeypatch):
-        # they cost O(d T), so one build per block would make a d=2 walk
-        # quadratic in T
-        calls = []
-        original = simplex._rank_tables
-
-        def counting(T, d):
-            calls.append((T, d))
-            return original(T, d)
-
-        monkeypatch.setattr(simplex, "_rank_tables", counting)
-        monkeypatch.setattr(simplex, "_LATTICE_BLOCK", 7)
-        assert len(list(enumerate_lattice(100, 2))) == 101
-        assert calls == [(100, 2)]
-
     def test_cap_enforced(self):
         with pytest.raises(LatticeCapError) as exc:
-            list(enumerate_lattice(100, 5, cap=10))
+            _lattice_counts(100, 5, cap=10)
         assert exc.value.size == lattice_size(100, 5)
         assert exc.value.cap == 10
         assert "cap" in str(exc.value)
@@ -299,13 +278,11 @@ class TestLattice:
 class TestMultinomialLogProb:
     def test_hand_value(self):
         p = Distribution([0.5, 0.5])
-        e = EmpiricalDistribution([1, 1])
-        assert abs(multinomial_log_prob(e, p) - math.log(0.5)) <= 1e-12
+        assert abs(_log_pmf_rows(np.array([[1, 1]]), p, 2)[0] - math.log(0.5)) <= 1e-12
 
     def test_outside_support(self):
         p = Distribution([1.0, 0.0])
-        e = EmpiricalDistribution([1, 1])
-        assert multinomial_log_prob(e, p) == -math.inf
+        assert _log_pmf_rows(np.array([[1, 1]]), p, 2)[0] == -math.inf
 
     def test_sums_to_one_over_lattice(self):
         cases = [
@@ -323,8 +300,9 @@ class TestMultinomialLogProb:
 
     def test_scalar_is_one_row_of_batch(self):
         p = Distribution([0.5, 0.0, 0.3, 0.2])
-        rows = _log_pmf_rows(_lattice_counts(7, 4), p, 7)
-        scalar = [multinomial_log_prob(e, p) for e in enumerate_lattice(7, 4)]
+        C = _lattice_counts(7, 4)
+        rows = _log_pmf_rows(C, p, 7)
+        scalar = [multinomial_log_prob(EmpiricalDistribution(c), p) for c in C]
         assert np.array_equal(np.array(scalar), rows)
 
 
@@ -404,52 +382,11 @@ class TestLogFactorialTable:
         assert sum(sizes) == 200_001 - 100 and max(sizes) <= 1 << 16
         assert np.array_equal(table, gammaln(np.arange(200_001) + 1.0))
 
-    def test_log_prob_of_a_huge_sample_leaves_the_table_alone(self, monkeypatch):
-        # multinomial_log_prob needs d + 1 log-factorials, not a table up to T
-        table = simplex._log_factorials(20)
-
-        def refuse(n):
-            raise AssertionError("table asked to cover n = %d" % n)
-
-        monkeypatch.setattr(simplex, "_log_factorials", refuse)
-        p = Distribution([0.5, 0.3, 0.2, 0.0])
-        for counts in ([10**9 - 3, 2, 1, 0], [4 * 10**8, 3 * 10**8, 3 * 10**8, 0],
-                       [7, 0, 5, 0], [10**12, 0, 0, 1]):
-            c = np.array(counts)
-            got = multinomial_log_prob(EmpiricalDistribution(c), p)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logw = np.where(p.weights > 0.0, np.log(p.weights), -np.inf)
-                contrib = np.where(c > 0, c * logw, 0.0)
-            want = (gammaln(c.sum() + 1.0) - gammaln(c + 1.0)[None, :].sum(axis=1)
-                    + contrib[None, :].sum(axis=1))[0]
-            assert got.hex() == float(want).hex(), counts
-        assert simplex._LOG_FACT is table
-
     def test_table_is_read_only(self):
         table = simplex._log_factorials(50)
         with pytest.raises(ValueError):
             table[3] = 0.0
         assert table[3] == math.log(6.0)
-
-
-class TestSampling:
-    def test_deterministic_given_seed(self):
-        p = Distribution([0.2, 0.3, 0.5])
-        a = sample_empirical(p, 50, seed=11)
-        b = sample_empirical(p, 50, seed=11)
-        assert a == b
-
-    def test_streams_differ(self):
-        p = Distribution([0.2, 0.3, 0.5])
-        a = sample_empirical(p, 500, seed=11, stream=0)
-        b = sample_empirical(p, 500, seed=11, stream=1)
-        assert a != b
-
-    def test_counts_sum_to_T(self):
-        p = Distribution([0.9, 0.1])
-        e = sample_empirical(p, 37, seed=0)
-        assert int(e.counts.sum()) == 37
-        assert e.sample_size == 37
 
 
 def test_scratch_remakes_a_role_asked_for_another_dtype():
