@@ -22,6 +22,7 @@ from .predictors import (
     RegimeSchedule,
     _predictor_values,
     _svp_direction,
+    _KL_TOL,
     _value_bounds,
     predictor_value_rows,
     speed_ratio,
@@ -115,6 +116,54 @@ def _true_costs(problem: Problem, p: Distribution) -> np.ndarray:
     return _moments(problem.loss.values, p.weights[None, :])[0][0]
 
 
+def _screen(costs: np.ndarray, lower: np.ndarray, upper: np.ndarray, tie: float, margin):
+    """(keep, every, none): the screen of value bounds (n, ...) of n decisions
+    over a set of weight rows, per trailing index.  With U the least upper
+    bound, only the decisions with lower <= U + tie + margin can be picked
+    (`keep`); every row disappoints when each kept decision's true cost
+    exceeds U + 2 tie + margin (a pick is within tie of the least value), no
+    row when each is at most its lower bound + tie - margin.  NaN bounds
+    decide nothing."""
+    costs = costs.reshape(costs.shape + (1,) * (lower.ndim - 1))
+    U = upper.min(axis=0)
+    keep = ~(lower > U + tie + margin)
+    every = np.where(keep, costs, np.inf).min(axis=0) > U + 2.0 * tie + margin
+    none = (~keep | (costs <= lower + tie - margin)).all(axis=0)
+    return keep, every, none
+
+
+def _box_screen(problem, spec, rows, lo, hi, true_costs, ratio):
+    """`_screen` of the decisions `rows` over the weight rows w with
+    lo <= w <= hi, from `_value_bounds`, and its margin: 32 (d + 2) ulps of
+    k_half plus the widest bound, which exceeds twice the rounding of the
+    normalisation, the moments, svp's penalty and the bounds (each within d
+    ulps of that scale)."""
+    L, tie = problem.loss.values[rows], problem.loss.tie_window
+    lower, upper = _value_bounds(spec, L, lo, hi, ratio, tie)
+    margin = 32 * (L.shape[1] + 2) * np.spacing(problem.loss.k_half + (upper - lower).max())
+    return _screen(true_costs[rows], lower, upper, tie, margin) + (margin,)
+
+
+def _picked(problem, spec, rows, Q, true_costs, ratio, work):
+    """(values, event) at the weight rows Q (N, d): the values (n, N) of the
+    decisions `rows` (an index array) and whether the true cost of their
+    pick (`_pick_decisions`, in index order, so ties break as over all)
+    exceeds its value plus the tie window.  kl solves only the duals its
+    Pinsker screen keeps; svp's variances break ties."""
+    tie = problem.loss.tie_window
+    V, _, Var = _predictor_values(spec, problem.loss.values[rows], Q, ratio, work, tie)
+    pick, v_hat = _pick_decisions(problem, V.T, Q, work, rows, Var)
+    return V.T, true_costs[rows[pick]] > v_hat + tie
+
+
+def _reserve(work, spec, n, N):
+    """Size the moments and value buffers of `work` once, for n decisions
+    over N rows, so passes that keep more decisions later reuse them."""
+    if work is not None and "mean" not in work:
+        for role in ("mean", "t") + (("var", "values") if spec.kind == "svp" else ()):
+            _scratch(work, role, (n, N))
+
+
 def _disappointment_indicator(
     problem: Problem,
     spec: PredictorSpec,
@@ -128,39 +177,24 @@ def _disappointment_indicator(
     (within the tie window, as at lattice symmetry points) is no
     disappointment.
 
-    A prescription block is screened first: with `_value_bounds` over the
-    box of Q's columnwise min and max and U the least upper bound, only
-    decisions with lower <= U + tie + margin can be picked.  Every row
-    disappoints when each such decision's true cost exceeds U + 2 tie +
-    margin (a pick is within tie of the least value), none when each is at
-    most lower + tie - margin.  Otherwise the kept decisions alone are
-    valued and picked in one pass (`_pick_decisions`, in `_scratch(work,
-    ...)`) in index order, so ties break as over all; kl solves only the
-    duals its Pinsker screen keeps.  margin, 32 (d + 2) ulps of k_half plus
-    the widest bound, exceeds twice the rounding of the normalisation, the
-    moments, svp's penalty and the bounds (each within d ulps of that
-    scale); NaN bounds decide nothing.  The bits are the unscreened ones."""
+    A prescription block is screened first (`_box_screen` over the box of
+    Q's columnwise min and max): it may settle every row, all hits or none,
+    and otherwise the decisions it keeps alone are valued and picked in one
+    pass (`_picked`, in `_scratch(work, ...)`).  The bits are the
+    unscreened ones."""
     tie = problem.loss.tie_window
     if mode.kind == "prediction":
         x = _check_decision(problem, mode.decision)
         vals = predictor_value_rows(problem, x, spec, Q, ratio=ratio)
         return true_costs[x] > vals + tie
-    L, QT = problem.loss.values, Q.T
-    lower, upper = _value_bounds(spec, L, QT.min(axis=1), QT.max(axis=1), ratio, tie)
-    U = upper.min()
-    margin = 32 * (L.shape[1] + 2) * np.spacing(problem.loss.k_half + (upper - lower).max())
-    keep = ~(lower > U + tie + margin)
-    if true_costs[keep].min() > U + 2.0 * tie + margin:
-        return np.ones(Q.shape[0], dtype=bool)
-    if (true_costs[keep] <= lower[keep] + tie - margin).all():
-        return np.zeros(Q.shape[0], dtype=bool)
-    if work is not None and "mean" not in work:  # sized for every decision once
-        for role in ("mean", "t") + (("var", "values") if spec.kind == "svp" else ()):
-            _scratch(work, role, (L.shape[0], Q.shape[0]))
-    keep = np.flatnonzero(keep)
-    V, _, Var = _predictor_values(spec, L[keep], Q, ratio, work, tie)
-    pick, v_hat = _pick_decisions(problem, V.T, Q, work, keep, Var)
-    return true_costs[keep[pick]] > v_hat + tie
+    QT, n = Q.T, problem.n_decisions
+    keep, every, none, _ = _box_screen(
+        problem, spec, np.arange(n), QT.min(axis=1), QT.max(axis=1), true_costs, ratio
+    )
+    if every or none:
+        return np.full(Q.shape[0], bool(every))
+    _reserve(work, spec, n, Q.shape[0])  # sized for every decision once
+    return _picked(problem, spec, np.flatnonzero(keep), Q, true_costs, ratio, work)[1]
 
 
 def _merged_columns(L: np.ndarray):
@@ -235,23 +269,29 @@ def disappointment_exact(
     same, up to its last bits; a problem that does not merge gives the
     bits of the unmerged enumeration.
 
-    The lattice is streamed in rank blocks of B = `_LATTICE_BLOCK` rows,
-    keeping only the disappointing points' log-pmf values in rank order:
-    memory is O(B (d' + n_decisions) + d' T) plus 8 bytes per disappointing
-    point, not O(lattice).  A row's indicator and log-pmf do not depend on
-    its block, and the kept values are reduced in place by `_log_sum_exp`,
-    which gives the bits of `scipy.special.logsumexp` with one boolean mask
-    (1 byte per kept value) as its only temporary, so the result equals the
-    single-pass reduction bit for bit.  A block is laid out in columns,
-    one scenario or decision per row of N points: counts, weights, then a
-    prescription's screen, which values only the decisions that can be
-    picked, or none where the block is all hits or has none (see
-    `_disappointment_indicator`); one moments pass (variances only where
-    read), values, one pass that picks (tie-break variances for tied points
-    alone), hit counts and log-pmf terms, in one workspace per call that
-    every block reuses (`simplex._scratch`), so the time does not depend on
-    the allocator.  True costs are formed once per call, log-factorials
-    read from the process's table (`_log_factorials`)."""
+    The lattice is walked by lines: the points (prefix, k, R - k), k = 0..R,
+    that share their first d' - 2 counts, whose prefix rows are the lattice
+    of dimension d' - 1 (`_lattice_counts`, in rank order, so the lines tile
+    the lattice in rank order).  Every predictor is concave along a line
+    (the variance is concave in the weights, and kl by the joint convexity
+    of relative entropy), so the lines are walked in groups of B / 8
+    consecutive lines, B = `_LATTICE_BLOCK`.  A group of at most B points
+    is valued in full, as one rank range of the lattice, by
+    `_disappointment_indicator`; a larger one by `_walk`, which values the
+    lines' ends and middles and settles the rest by concavity bounds,
+    splitting what they leave open.  Either way a point's event is the one
+    that valuing it would give, so `log p` keeps the bits of the per-point
+    enumeration.  The hits are gathered in rank order: log-pmf values of the
+    full groups, runs of the walked ones.  The walk's buffers are released
+    before one buffer of exactly the hit count takes their log-pmf values,
+    formed in slices of B by `_log_pmf_rows` (`_gathered`; a lattice of one
+    rank range keeps its own), and `_log_sum_exp` reduces it in place with
+    the bits of `scipy.special.logsumexp`.  Memory is
+    O(B (d' + n_decisions) + d' T) plus 8 bytes per disappointing point and
+    a few words per run, not O(lattice).  Every pass writes into one
+    workspace per call (`simplex._scratch`), so the time does not depend on
+    the allocator; true costs are formed once per call, log-factorials read
+    from the process's table (`_log_factorials`)."""
     T = _whole(T, "sample size T", 1)
     merged, spec, tested, p, _ = _prepare(problem, spec, mode, p, schedule)
     d = merged.n_scenarios
@@ -259,20 +299,261 @@ def disappointment_exact(
     size = _capped_size(T, d, cap)  # raises LatticeCapError when too big
     below = _rank_tables(T, d)
     true_costs = _true_costs(merged, p)
-    hits, work = [], {}
-    for lo in range(0, size, _LATTICE_BLOCK):
-        C = _lattice_counts(T, d, cap, lo, min(lo + _LATTICE_BLOCK, size), below, work)
-        Q = _normalized_rows(C, T, work)
-        ind = _disappointment_indicator(merged, spec, tested, Q, true_costs, ratio, work)
-        rows = np.flatnonzero(ind)
-        hit = _scratch(work, "hit counts", (d, rows.size), np.int64)
-        np.take(C.T, rows, axis=1, out=hit, mode="clip")
-        hits.append(_log_pmf_rows(hit.T, p, T, work))
-    work.clear()  # before the kept values are copied into one buffer
-    log_p = _log_sum_exp(np.concatenate(hits))
-    log_p = min(log_p, 0.0)  # clamp float dust above certainty
+    parts, work, start, hits = [], {}, 0, 0
+    for first, P in _line_groups(T, d, cap, below, size):
+        points = size if P is None else int(P[:, -1].sum()) + P.shape[0]
+        if points <= _LATTICE_BLOCK:  # one rank range, valued in full
+            C = _lattice_counts(T, d, cap, start, start + points, below, work)
+            Q = _normalized_rows(C, T, work)
+            ind = _disappointment_indicator(merged, spec, tested, Q, true_costs, ratio, work)
+            hit = np.flatnonzero(ind)
+            counts = _scratch(work, "hit counts", (d, hit.size), np.int64)
+            np.take(C.T, hit, axis=1, out=counts, mode="clip")
+            parts.append(_log_pmf_rows(counts.T, p, T, work))
+            hits += hit.size
+        else:
+            runs = _walk(merged, spec, tested, P, T, true_costs, ratio, work)
+            parts.append((first, P.shape[0], runs))
+            hits += int(runs[2].sum())
+        start += points
+    work.clear()  # before the hit buffer is allocated
+    if len(parts) == 1 and isinstance(parts[0], np.ndarray):
+        log_pmf = parts.pop()  # one rank range: its hits are the buffer
+    else:
+        log_pmf = _gathered(parts, hits, T, d, cap, below, p, work)
+    log_p = min(_log_sum_exp(log_pmf), 0.0)  # clamp float dust above certainty
     prob = math.exp(log_p) if log_p != -math.inf else 0.0
     return _report(prob, log_p, MethodInfo(name="exact"), T, schedule, mode)
+
+
+def _gathered(parts: list, hits: int, T: int, d: int, cap: int, below: list,
+              p: Distribution, work: dict) -> np.ndarray:
+    """The log-pmf values of the hits, in rank order, in one buffer of the
+    hit count: the parts are the log-pmf values of a group valued in full
+    or (first, m, runs), the runs (`_walk`) on the m lines from rank first
+    on, whose prefix rows are built again."""
+    log_pmf, at = np.empty(hits), 0
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            slices = (part,)
+        else:
+            first, m, runs = part
+            P = _lattice_counts(T, d - 1, cap, first, first + m, below[:-1])
+            slices = _runs_log_pmf(P, runs, p, T, work)
+        for values in slices:
+            log_pmf[at:at + values.size] = values
+            at += values.size
+    return log_pmf
+
+
+def _line_groups(T: int, d: int, cap: int, below: list, size: int):
+    """(first, P): the lines of the lattice of T into d parts in groups of
+    B / 8 consecutive lines, B = `_LATTICE_BLOCK`, in rank order: the rank
+    of the group's first line and its prefix rows P (m, d - 1), the rank
+    range [first, first + m) of the lattice of T into d - 1 parts.  A
+    lattice of at most B points is one group without prefix rows, (0, None)."""
+    if size <= _LATTICE_BLOCK:
+        yield 0, None
+        return
+    step = max(1, _LATTICE_BLOCK // 8)
+    for first in range(0, math.comb(T + d - 2, d - 2), step):
+        yield first, _lattice_counts(T, d - 1, cap, first, first + step, below[:-1])
+
+
+def _line_points(P: np.ndarray, line: np.ndarray, k: np.ndarray, count=None,
+                 work: Optional[dict] = None) -> np.ndarray:
+    """The count rows (N, d) of the points (prefix, k, R - k) of the lines
+    `line` of the prefix rows P (m, d - 1), R a line's last count; given
+    `count`, the runs of count points from k on.  The transposed view of a
+    (d, N) array from `_scratch(work, ...)`."""
+    if count is not None:
+        line = np.repeat(line, count)
+        k = np.repeat(k - (np.cumsum(count) - count), count) + np.arange(line.size)
+    PT = P.T
+    CT = _scratch(work, "counts", (PT.shape[0] + 1, line.size), np.int64)
+    for j in range(PT.shape[0] - 1):
+        np.take(PT[j], line, out=CT[j])
+    CT[-2] = k
+    np.subtract(PT[-1][line], k, out=CT[-1])
+    return CT.T
+
+
+def _runs_log_pmf(P: np.ndarray, runs, p: Distribution, T: int, work: dict):
+    """The log-pmf values of the points of the runs (line, k, count) on the
+    lines of the prefix rows P, in order, in slices of `_LATTICE_BLOCK`."""
+    line, k, count = runs
+    for role, dtype in (("counts", np.int64), ("log-pmf terms", np.float64)):
+        _scratch(work, role, (P.shape[1] + 1, _LATTICE_BLOCK), dtype)  # every slice fits
+    for lo in range(0, int(count.sum()), _LATTICE_BLOCK):
+        C = _line_points(P, *_runs_slice(line, k, count, lo, lo + _LATTICE_BLOCK), work=work)
+        yield _log_pmf_rows(C, p, T, work)
+
+
+def _runs_slice(line: np.ndarray, k: np.ndarray, count: np.ndarray, lo: int, hi: int):
+    """(line, k, count) of the points lo..hi - 1 of the runs of count points
+    from k on along `line`, counted in order: the runs they meet, the first
+    and the last one cut."""
+    end = np.cumsum(count)
+    hi = min(hi, int(end[-1]))
+    r0, r1 = np.searchsorted(end, (lo, hi - 1), side="right")
+    k, count = k[r0:r1 + 1].copy(), count[r0:r1 + 1].copy()
+    cut = lo - (end[r0] - count[0])  # points of the first run before lo
+    k[0] += cut
+    count[0] -= cut
+    count[-1] -= end[r1] - hi
+    return line[r0:r1 + 1], k, count
+
+
+def _walk(problem, spec, mode, P, T, true_costs, ratio, work):
+    """The disappointing points of the lines of the prefix rows P (m, d - 1),
+    as runs (line, k, count): count points from (prefix, k, R - k) on, in
+    rank order.
+
+    The lines' box of weights, widened past the rounding of
+    `_normalized_rows`, is screened first (`_box_screen`): that may settle
+    every point, and it drops the tested decisions that cannot be picked.
+    Then the ends and the middle of each line are valued (`_picked`, which
+    gives the per-point event), and each segment [a, b] between valued
+    points of a line is bounded per decision by concavity (`_chords`):
+    below by min(V(a), V(b)), above by the chords through the nearest
+    valued points outside it, extended over it.  The bounds go through
+    `_screen`; a segment whose interior is all hits or none is settled, the
+    others are split at their middles, which are valued, until the
+    interior points left open fit in one slice of B = `_LATTICE_BLOCK`,
+    which is valued in full.  A point is kept as its key, line (T + 1) + k,
+    and its values once, in `_scratch(work, ...)`, by slot."""
+    d, tie, B = problem.n_scenarios, problem.loss.tie_window, _LATTICE_BLOCK
+    R, stride = P[:, -1], T + 1
+    rows = (np.arange(problem.n_decisions) if mode.kind == "prescription"
+            else np.array([mode.decision]))
+    box = _line_box(P, T)
+    keep, every, none, margin = _box_screen(problem, spec, rows, *box, true_costs, ratio)
+    if every or none:
+        lines = np.arange(R.size if every else 0)
+        return lines, np.zeros_like(lines), R[lines] + 1
+    _reserve(work, spec, rows.size, B)
+    for role, dtype in (("counts", np.int64), ("Q", np.float64)):  # every slice fits
+        _scratch(work, role, (d, B), dtype)
+    rows = rows[keep]
+    pad = _pad(spec, problem.loss.values[rows], margin)
+
+    def value(keys, out=None):  # the events at keys; their values into out
+        event = np.empty(keys.size, dtype=bool)
+        for s in range(0, keys.size, B):
+            C = _line_points(P, *np.divmod(keys[s:s + B], stride), work=work)
+            V, event[s:s + B] = _picked(
+                problem, spec, rows, _normalized_rows(C, T, work), true_costs, ratio, work
+            )
+            if out is not None:
+                out[:, s:s + B] = V
+        return event
+
+    # each line's ends and middle, ascending
+    keys = (np.arange(R.size) * stride)[:, None] + np.stack([0 * R, R // 2, R], axis=1)
+    keys = keys.reshape(-1)
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    store = _scratch(work, "walk values", (rows.size, 2 * keys.size + 1))
+    store[:, 0] = np.nan  # the value of a missing outside point
+    slot = np.arange(1, keys.size + 1)
+    hit = value(keys, store[:, 1:keys.size + 1])
+    used = keys.size + 1
+    # is_open[j]: the segment from point j to point j + 1 is not settled
+    is_open = np.append((np.diff(keys) > 1) & (np.diff(keys // stride) == 0), False)
+    starts, stops = [], []
+    while is_open.any():
+        j = np.flatnonzero(is_open)
+        a, b = keys[j], keys[j + 1]
+        # the valued points before a and after b, where on the same line
+        pad_keys = np.concatenate(([-stride], keys, [-stride]))
+        pad_slot = np.concatenate(([0], slot, [0]))
+        o, q = pad_keys[j], pad_keys[j + 3]
+        same_o, same_q = o // stride == a // stride, q // stride == a // stride
+        lower, upper = _chords(
+            store[:, np.where(same_o, pad_slot[j], 0)], store[:, slot[j]],
+            store[:, slot[j + 1]], store[:, np.where(same_q, pad_slot[j + 3], 0)],
+            b - a, np.where(same_o, a - o, 1), np.where(same_q, q - b, 1), pad,
+        )
+        _, every, none = _screen(true_costs[rows], lower, upper, tie, margin)
+        starts.append(a[every] + 1)
+        stops.append(b[every])
+        settled = every | none
+        is_open[j[settled]] = False
+        j, a, b = j[~settled], a[~settled], b[~settled]
+        inner = b - a - 1
+        if inner.sum() <= B:  # the rest in one slice
+            inner = np.repeat(a + 1 - np.cumsum(inner) + inner, inner) + np.arange(inner.sum())
+            inner = inner[value(inner)]
+            starts.append(inner)
+            stops.append(inner + 1)
+            break
+        mid = (a + b) // 2
+        if used + mid.size > store.shape[1]:
+            old = store[:, :used].copy()
+            store = _scratch(work, "walk values", (rows.size, 2 * (used + mid.size)))
+            store[:, :used] = old
+        event = value(mid, store[:, used:used + mid.size])
+        is_open[j] = mid - a > 1
+        keys, slot, hit, is_open = (
+            np.insert(x, j + 1, new) for x, new in (
+                (keys, mid), (slot, np.arange(used, used + mid.size)), (hit, event),
+                (is_open, b - mid > 1),
+            )
+        )
+        used += mid.size
+    starts.append(keys[hit])
+    stops.append(keys[hit] + 1)
+    start, stop = np.concatenate(starts), np.concatenate(stops)
+    order = np.argsort(start, kind="stable")
+    start, stop = start[order], stop[order]
+    line = start // stride
+    # a run goes on where a piece starts at the stop of the last on its line
+    new = np.ones(start.size + 1, dtype=bool)
+    new[1:-1] = (start[1:] != stop[:-1]) | (line[1:] != line[:-1])
+    start, stop, line = start[new[:-1]], stop[new[1:]], line[new[:-1]]
+    return line, start - line * stride, stop - start
+
+
+def _line_box(P: np.ndarray, T: int):
+    """(lo, hi), each (d,): a box that holds the weight rows
+    (`_normalized_rows`) of every point on the lines of the prefix rows P
+    (m, d - 1): the counts' columnwise min and max over T, widened by 4 d
+    units of rounding, past the d + 1 that the normalisation may add."""
+    widen = 1.0 + 2 * (P.shape[1] + 1) * np.finfo(float).eps
+    top = P[:, -1].max()
+    return (np.append(P[:, :-1].min(axis=0), [0, 0]) / T / widen,
+            np.append(P[:, :-1].max(axis=0), [top, top]) / T * widen)
+
+
+def _pad(spec: PredictorSpec, L: np.ndarray, margin: float) -> np.ndarray:
+    """(n, 1): how far a value of the loss rows L (n, d) may stray from a
+    concave function of the weights: the screen's rounding margin, plus
+    `_KL_TOL` spans for a kl dual."""
+    pad = np.full((L.shape[0], 1), margin)
+    if spec.kind == "kl" and spec.radius > 0.0:
+        pad += _KL_TOL * np.ptp(L, axis=1)[:, None]
+    return pad
+
+
+def _chords(Vo, Va, Vb, Vq, span, to_a, to_q, pad):
+    """(lower, upper), each (n, S): bounds on the values at the interior
+    points of S segments [a, b] of span b - a, from the values (n, S) at a
+    and b and at the valued points o = a - to_a and q = b + to_q outside
+    them.  A concave value is at least min(V(a), V(b)) inside and at most
+    the chord through (o, a) or through (b, q) extended; the rounding
+    margin pad (n, 1) widens a chord's bound by 1 + 2 span / to_a (to_q),
+    its lever.  A bound that reads a value that is not finite (a missing
+    outside point reads NaN, a kl pair the screen skips +inf) decides
+    nothing."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = (Va - Vo) / to_a
+        up_o = Va + np.maximum(s, s * (span - 1)) + pad * (1 + 2 * span / to_a)
+        s = (Vq - Vb) / to_q
+        up_q = Vb - np.minimum(s, s * (span - 1)) + pad * (1 + 2 * span / to_q)
+    upper = np.minimum(np.where(np.isfinite(Vo), up_o, np.inf),
+                       np.where(np.isfinite(Vq), up_q, np.inf))
+    ends = np.isfinite(Va) & np.isfinite(Vb)
+    return (np.where(ends, np.minimum(Va, Vb) - pad, -np.inf),
+            np.where(ends, upper, np.inf))
 
 
 def _log_sum_exp(a: np.ndarray) -> float:

@@ -32,7 +32,9 @@ from .errors import (
     EllipsoidConditionError,
     ValidationError,
 )
-from .simplex import HARD_REJECT_TOL, Distribution, EmpiricalDistribution, _real, _scratch, _whole
+from .simplex import (
+    HARD_REJECT_TOL, Distribution, EmpiricalDistribution, _real, _real_array, _scratch, _whole,
+)
 
 # ---------------------------------------------------------------------------
 # guarantee-speed schedules: each real parameter is stored as the float that
@@ -554,11 +556,13 @@ def predictor_value_rows(
 ) -> np.ndarray:
     """Predictor values of decision x over a batch of weight rows.
 
-    W has shape (N, d), each row a normalized distribution.  `ratio` is
-    a_T/T (needed by svp); a kl spec must carry an explicit radius.  A kl
-    row gives bit for bit what predict_kl_dual gives for it alone.
+    W has shape (N, d), each row a normalized distribution of real numbers
+    (`simplex._real_array`).  `ratio` is a_T/T (needed by svp); a kl spec
+    must carry an explicit radius.  A kl row gives bit for bit what
+    predict_kl_dual gives for it alone.
     """
     x = _check_decision(problem, x)
+    W = _real_array(W, "weights")
     return _predictor_values(spec, problem.loss.values[x:x + 1], W, ratio)[0][:, 0]
 
 
@@ -568,29 +572,31 @@ def predictor_value_matrix(
     W: np.ndarray,
     ratio: Optional[float] = None,
 ) -> np.ndarray:
-    """(N, n_decisions) matrix of predictor values over weight rows W;
-    column x equals predictor_value_rows(..., x, ...) bit for bit."""
-    return _predictor_values(spec, problem.loss.values, W, ratio)[0]
+    """(N, n_decisions) matrix of predictor values over weight rows W of
+    real numbers; column x equals predictor_value_rows(..., x, ...) bit for
+    bit."""
+    return _predictor_values(spec, problem.loss.values, _real_array(W, "weights"), ratio)[0]
 
 
 def variance_matrix(problem: Problem, W: np.ndarray) -> np.ndarray:
-    """(N, n_decisions) loss variances over weight rows W."""
-    return _moments(problem.loss.values, W)[1]
+    """(N, n_decisions) loss variances over weight rows W of real numbers."""
+    return _moments(problem.loss.values, _real_array(W, "weights"))[1]
 
 
 def ellipsoid_linear_max(
     loss_row, p: Distribution, a_matrix, radius: float
 ) -> Tuple[float, Distribution]:
     """Maximize sum_i l_i q_i over {q : (q-p)' A (q-p) <= radius} inside the
-    simplex, assuming the ellipsoid slice is certified to fit:
+    simplex, for a loss row and a matrix A of real numbers
+    (`simplex._real_array`), assuming the ellipsoid slice is certified to fit:
     sqrt(radius) < sigma_min(A) * min_i min(p_i, 1-p_i).
 
     Closed form: with u = A^-1 l, v = A^-1 e and
     gamma = l'u - (e'u)^2 / (e'v), the maximum is cost(p) + sqrt(radius*gamma)
     at q = p + sqrt(radius/gamma) * (u - (e'u/e'v) v).
     """
-    row = np.asarray(loss_row, dtype=float).reshape(-1)
-    A = np.asarray(a_matrix, dtype=float)
+    row = _real_array(loss_row, "loss row").reshape(-1)
+    A = _real_array(a_matrix, "a_matrix")
     d = p.dim
     if row.size != d or A.shape != (d, d):
         raise ValidationError("dimension mismatch")

@@ -197,12 +197,13 @@ class EmpiricalDistribution(_Frozen):
 
 
 class SimplexDelta(_Frozen):
-    """A signed difference of two distributions: components sum to 0."""
+    """A signed difference of two distributions: components, real numbers
+    (`_real_array`), sum to 0."""
 
     __slots__ = ("components",)
 
     def __init__(self, components) -> None:
-        v = np.asarray(components, dtype=float).reshape(-1)
+        v = _real_array(components, "delta components").reshape(-1)
         if not np.all(np.isfinite(v)):
             raise ValidationError("delta components must be finite")
         # zero-sum within float dust, scaled by the vector's own magnitude

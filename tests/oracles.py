@@ -1,13 +1,27 @@
 """Independent references and fixtures for the tests: a composition
-generator, the `scipy.special.gammaln` multinomial log-pmf and a scenario
-writer.  Acceptance criteria 05 and 11 sum and run through them."""
+generator, the `scipy.special.gammaln` multinomial log-pmf, the per-point
+exact disappointment and a scenario writer.  Acceptance criteria 05 and 11
+sum and run through them."""
 import json
+import math
 from typing import Iterator
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
-from ddlab import SCHEMA_VERSION, Distribution, EmpiricalDistribution, Problem
+from ddlab import (
+    SCHEMA_VERSION,
+    Distribution,
+    EmpiricalDistribution,
+    Problem,
+    cost,
+    predictor_value_matrix,
+    predictor_value_rows,
+    speed_ratio,
+    variance_matrix,
+)
+from ddlab import deviation, simplex
+from ddlab.decisions import select_decisions
 
 
 def _compositions(T: int, d: int) -> Iterator[tuple]:
@@ -36,6 +50,30 @@ def multinomial_log_prob(e: EmpiricalDistribution, p: Distribution) -> float:
         contrib = np.where(c > 0, c * logw, 0.0)
     return float((gammaln(c.sum() + 1.0) - gammaln(c + 1.0)[None, :].sum(axis=1)
                   + contrib[None, :].sum(axis=1))[0])
+
+
+def exact_log_p(problem, spec, mode, p, T, schedule) -> float:
+    """`disappointment_exact`'s log p, point by point: the scenarios merged
+    as the engine merges them, then every point of the merged lattice valued
+    by the public batch predictors, a prescription's pick made by
+    `select_decisions` over every decision, and the hits' log-pmf reduced
+    by `scipy.special.logsumexp`, in rank order."""
+    problem, spec, mode, p, _ = deviation._prepare(problem, spec, mode, p, schedule)
+    ratio = speed_ratio(schedule, T)
+    C = simplex._lattice_counts(T, problem.n_scenarios)
+    Q = deviation._normalized_rows(C, T)
+    tie = problem.loss.tie_window
+    if mode.kind == "prediction":
+        x = mode.decision
+        hit = cost(problem, x, p) > predictor_value_rows(problem, x, spec, Q, ratio=ratio) + tie
+    else:
+        V = predictor_value_matrix(problem, spec, Q, ratio=ratio)
+        pick = select_decisions(problem, V, variance_matrix(problem, Q))
+        truth = np.array([cost(problem, x, p) for x in range(problem.n_decisions)])
+        hit = truth[pick] > V[np.arange(C.shape[0]), pick] + tie
+    if not hit.any():
+        return -math.inf
+    return min(float(logsumexp(simplex._log_pmf_rows(C[hit], p, T))), 0.0)
 
 
 def save_scenario(problem: Problem, path: str) -> None:

@@ -48,6 +48,8 @@ from ddlab import decisions, deviation, predictors, simplex
 from ddlab.decisions import select_decisions
 from ddlab.deviation import _sample_count_rows, _sample_histogram, _unique_rows
 
+import oracles
+
 
 def make_problem(loss, true_dist=None):
     td = None if true_dist is None else Distribution(true_dist)
@@ -259,8 +261,9 @@ class TestExact:
 
 
 class TestExactStreaming:
-    """disappointment_exact streams the lattice in rank blocks; neither its
-    result nor the lattice it covers may depend on the block size."""
+    """disappointment_exact walks the lattice by lines, in groups and slices
+    of the block size; neither its result nor the hits it gathers may
+    depend on that size."""
 
     # (scenario, decision tested in prediction mode, T per patched block
     # size): each lattice spans several blocks of its size
@@ -297,65 +300,66 @@ class TestExactStreaming:
             assert got == want
 
     @pytest.mark.parametrize("block, T", [(7, 30), (None, 120)])  # None: default
-    def test_blocks_tile_the_lattice_in_rank_order(self, block, T, monkeypatch):
-        calls = []
-        original = deviation._lattice_counts
+    def test_hits_are_gathered_in_rank_order(self, block, T, monkeypatch):
+        # the reduced log-pmf values are those of the lattice's hits, each
+        # once and in rank order, from groups valued in full and walked ones
+        reduced = []
+        original = deviation._log_sum_exp
 
-        def recording(T, d, cap, start, stop, *tables):
-            calls.append((start, stop))
-            return original(T, d, cap, start, stop, *tables)
+        def recording(a):
+            reduced.append(a.copy())
+            return original(a)
 
         problem = scenario("newsvendor.json")
-        monkeypatch.setattr(deviation, "_lattice_counts", recording)
+        spec, p = PredictorSpec("saa"), problem.true_dist
+        monkeypatch.setattr(deviation, "_log_sum_exp", recording)
         if block is not None:
             monkeypatch.setattr(deviation, "_LATTICE_BLOCK", block)
-        disappointment_exact(
-            problem, PredictorSpec("saa"), Mode.prescription(), problem.true_dist,
-            T, SCHED,
+        disappointment_exact(problem, spec, Mode.prescription(), p, T, SCHED)
+        monkeypatch.undo()
+        C = simplex._lattice_counts(T, problem.n_scenarios)
+        Q = deviation._normalized_rows(C, T)
+        hit = TestBlockScreen._indicator(
+            problem, spec, Q, deviation._true_costs(problem, p), speed_ratio(SCHED, T)
         )
-        size = lattice_size(T, problem.n_scenarios)
-        assert len(calls) > 1
-        assert calls[0][0] == 0 and calls[-1][1] == size
-        assert all(lo < hi for lo, hi in calls)
-        assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+        assert len(reduced) == 1 and 0 < hit.sum() < hit.size
+        assert np.array_equal(reduced[0], simplex._log_pmf_rows(C[hit], p, T))
 
     @pytest.mark.parametrize("kind", ["saa", "svp"])
-    def test_blocks_reuse_one_workspace(self, kind, monkeypatch):
-        # every block writes its counts and weights into the buffers the
-        # first block made, and every evaluating block its moments, values
-        # and pick into those the first evaluating block made, sized for
-        # every decision: nothing of block size is allocated or freed inside
-        # the loop, although later blocks keep more decisions
-        snapshots, kept = [], {}
-        log_pmf, values = deviation._log_pmf_rows, deviation._predictor_values
+    def test_slices_reuse_one_workspace(self, kind, monkeypatch):
+        # every slice the walk values writes its counts, weights, moments and
+        # values into the buffers of the first, sized for a slice of every
+        # decision, and every slice of hits its counts and log-pmf terms into
+        # those of the first: nothing of slice size is allocated or freed
+        # inside a pass, although the groups keep different decisions
+        valued, gathered, kept = [], [], set()
+        picked, log_pmf = deviation._picked, deviation._log_pmf_rows
 
-        def recording(*args):  # after each block's indicator
-            snapshots.append(dict(args[-1]))  # the workspace, role -> buffer
-            return log_pmf(*args)
+        def recording_picked(problem, spec, rows, Q, true_costs, ratio, work):
+            out = picked(problem, spec, rows, Q, true_costs, ratio, work)
+            valued.append(dict(work))  # the workspace, role -> buffer
+            kept.add(rows.size)
+            return out
 
-        def evaluating(spec, L, *args):
-            kept[len(snapshots)] = L.shape[0]
-            return values(spec, L, *args)
+        def recording_log_pmf(C, p, T, work):
+            gathered.append(dict(work))
+            return log_pmf(C, p, T, work)
 
         problem = scenario("newsvendor.json")
-        monkeypatch.setattr(deviation, "_log_pmf_rows", recording)
-        monkeypatch.setattr(deviation, "_predictor_values", evaluating)
-        disappointment_exact(  # 39,711 points: five blocks
+        monkeypatch.setattr(deviation, "_picked", recording_picked)
+        monkeypatch.setattr(deviation, "_log_pmf_rows", recording_log_pmf)
+        disappointment_exact(  # 302,621 points, in walked groups and one in full
             problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist,
-            60, SCHED,
+            120, SCHED,
         )
-        assert len(snapshots) == 5
-        for later in snapshots[1:]:
-            assert all(later[role] is snapshots[0][role] for role in ("counts", "Q"))
-        first = min(kept)
-        assert len(kept) >= 3 and max(kept.values()) > kept[first]
-        roles = {"mean", "t", "best", "window", "inside", "both", "seen", "tied", "ahead",
-                 "pick"}
-        if kind == "svp":
-            roles |= {"var", "values"}
-        assert roles <= snapshots[first].keys()
-        for later in snapshots[first + 1:]:
-            assert all(later[role] is snapshots[first][role] for role in roles)
+        roles = {"counts", "Q", "mean", "t"} | ({"var", "values"} if kind == "svp" else set())
+        assert len(valued) >= 5 and len(kept) >= 2
+        for later in valued[1:]:
+            assert all(later[role] is valued[0][role] for role in roles)
+        walked = [w for w in gathered if "walk values" not in w]  # after the walk's buffers went
+        assert len(walked) >= 5
+        for later in walked[1:]:
+            assert all(later[role] is walked[0][role] for role in ("counts", "log-pmf terms"))
 
     def test_rank_tables_are_built_once_per_call(self, monkeypatch):
         # they cost O(d T), so one build per block would make a d=2 lattice
@@ -375,7 +379,8 @@ class TestExactStreaming:
 
     def test_memory_follows_the_block_not_the_lattice(self):
         # 302,621 lattice points; holding them with their 9-decision value,
-        # variance and mask arrays at once peaks above 100 MB
+        # variance and mask arrays at once peaks above 100 MB.  The walk's
+        # buffers go before the hit buffer (8 bytes per hit) is made
         problem = scenario("newsvendor.json")
         for kind in ("svp", "saa"):
             tracemalloc.start()
@@ -387,32 +392,30 @@ class TestExactStreaming:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 24e6, (kind, peak)
+            assert peak < 8e6, (kind, peak)
 
 
 class TestExactSinglePass:
-    """Each lattice block takes one moments pass for its predictor values,
-    with variances only where the predictor reads them; tie-break variances
-    are formed for the tied rows alone.  The true costs are formed once per
-    call, and the kept log-pmf values are reduced in place."""
+    """Each slice of valued points takes one moments pass for its predictor
+    values, with variances only where the predictor reads them; tie-break
+    variances are formed for the tied rows alone.  The true costs are
+    formed once per call, and the kept log-pmf values are reduced in place."""
 
     @pytest.mark.parametrize("kind", ["saa", "svp"])
-    def test_one_moments_pass_per_block(self, kind, monkeypatch):
+    def test_one_moments_pass_per_valued_slice(self, kind, monkeypatch):
         problem = scenario("newsvendor.json")
         L = problem.loss.values
-        blocks, passes, tied, true_costs, outcomes = [], [], [], [], []
-        lattice, block_moments = deviation._lattice_counts, predictors._moments
+        slices, passes, tied, true_costs = [], [], [], []
+        picked, block_moments = deviation._picked, predictors._moments
         call_moments, tie_moments = deviation._moments, decisions._moments
-        indicator = deviation._disappointment_indicator
 
-        def counting_lattice(*args):
-            C = lattice(*args)
-            blocks.append(C.shape[0])
-            return C
+        def counting_picked(problem, spec, rows, Q, *args):
+            slices.append((Q.shape[0], tuple(rows)))
+            return picked(problem, spec, rows, Q, *args)
 
         def counting_block_moments(Lk, W, work=None, var=True):
             rows = [int(np.flatnonzero((L == row).all(axis=1))[0]) for row in Lk]
-            passes.append((len(blocks) - 1, W.shape[0], tuple(rows), var))
+            passes.append((W.shape[0], tuple(rows), var))
             return block_moments(Lk, W, work, var)
 
         def counting_tie_moments(Lk, W, work=None, var=True):
@@ -423,50 +426,28 @@ class TestExactSinglePass:
             true_costs.append(W.shape[0])
             return call_moments(L, W)
 
-        def recording_indicator(*args):
-            ind = indicator(*args)
-            outcomes.append("all" if ind.all() else "none" if not ind.any() else "some")
-            return ind
-
-        monkeypatch.setattr(deviation, "_lattice_counts", counting_lattice)
+        monkeypatch.setattr(deviation, "_picked", counting_picked)
         monkeypatch.setattr(predictors, "_moments", counting_block_moments)
         monkeypatch.setattr(decisions, "_moments", counting_tie_moments)
         monkeypatch.setattr(deviation, "_moments", counting_call_moments)
-        monkeypatch.setattr(deviation, "_disappointment_indicator", recording_indicator)
-        disappointment_exact(  # 39,711 points: five blocks
+        disappointment_exact(  # 39,711 points on 1,891 lines: two walked groups
             problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist,
             60, ExponentialRate(0.02),
         )
-        assert len(blocks) == 5
-        # at most one pass per block, over that block's rows and the
-        # decisions it keeps, in order; variances for svp only
-        assert len({b for b, *_ in passes}) == len(passes)
-        for b, N, rows, var in passes:
-            assert N == blocks[b] and var == (kind == "svp")
+        # one pass per valued slice, over its points and the decisions kept,
+        # in order; variances for svp only
+        assert len(slices) >= 2 and len(passes) == len(slices)
+        for (N, kept), (N_pass, rows, var) in zip(slices, passes):
+            assert N_pass == N and rows == kept and var == (kind == "svp")
             assert list(rows) == sorted(set(rows)) and len(rows) < problem.n_decisions
-        # blocks that are all hits or have no hits take none
-        evaluated = {b for b, *_ in passes}
-        assert 0 < len(evaluated) < 5
-        assert all(outcomes[b] != "some" for b in range(5) if b not in evaluated)
-        # tie-break variances: one pass at most per evaluating block, over
-        # its tied rows (saa ties at 3.3% of these points, svp at none)
-        assert len(tied) <= len(evaluated) and sum(tied) < 0.1 * sum(blocks)
+        # the walk values a fraction of the lattice
+        valued = sum(N for N, _ in slices)
+        assert valued < 0.25 * lattice_size(60, problem.n_scenarios)
+        # tie-break variances: one pass at most per valued slice, over its
+        # tied rows (saa ties at some valued points, svp at none)
+        assert len(tied) <= len(slices) and sum(tied) < 0.1 * valued
         assert (sum(tied) > 0) == (kind == "saa")
         assert true_costs == [1]
-
-    @staticmethod
-    def _reference_log_p(problem, spec, p, T, schedule):
-        # the exact prescription composed from the public pieces
-        ratio = speed_ratio(schedule, T)
-        C = simplex._lattice_counts(T, problem.n_scenarios)
-        Q = deviation._normalized_rows(C, T)
-        V = predictor_value_matrix(problem, spec, Q, ratio=ratio)
-        pick = select_decisions(problem, V, variance_matrix(problem, Q))
-        truth = np.array([cost(problem, x, p) for x in range(problem.n_decisions)])
-        hit = truth[pick] > V[np.arange(C.shape[0]), pick] + problem.loss.tie_window
-        if not hit.any():
-            return -math.inf
-        return min(float(logsumexp(simplex._log_pmf_rows(C[hit], p, T))), 0.0)
 
     @pytest.mark.parametrize("kind", ["saa", "svp", "robust", "kl"])
     def test_prescription_matches_the_public_composition_bit_for_bit(self, kind):
@@ -487,7 +468,7 @@ class TestExactSinglePass:
             rep = disappointment_exact(
                 problem, spec, Mode.prescription(), p, T, schedule
             )
-            want = self._reference_log_p(problem, spec, p, T, schedule)
+            want = oracles.exact_log_p(problem, spec, Mode.prescription(), p, T, schedule)
             assert rep.log_probability.hex() == want.hex(), (case, kind)
             positive += rep.probability > 0.0
         assert positive >= (0 if kind == "robust" else 3)
@@ -691,43 +672,33 @@ class TestBlockScreen:
                 )
                 assert np.array_equal(got, want), (rows, costs)
 
-    @pytest.mark.parametrize("kind, share", [("saa", 0.4), ("svp", 0.2)])
-    def test_screen_decides_blocks_and_keeps_few_decisions(self, kind, share, monkeypatch):
-        # newsvendor at T = 120: 302,621 points in 37 blocks, 9 decisions
-        problem = scenario("newsvendor.json")
-        tie = problem.loss.tie_window
-        blocks, kept, valued = [], [], {}
-        lattice, bounds, values = (
-            deviation._lattice_counts, deviation._value_bounds, deviation._predictor_values
-        )
+    @pytest.mark.parametrize("kind", ["saa", "svp"])
+    def test_walk_values_few_points_and_keeps_few_decisions(self, kind, monkeypatch):
+        # newsvendor at T = 120: 302,621 points on 7,381 lines, 9 decisions;
+        # the screen settles whole groups of lines, the chords most segments
+        boxes, valued = [], []
+        screen, picked = deviation._screen, deviation._picked
 
-        def counting_lattice(*args):
-            C = lattice(*args)
-            blocks.append(C.shape[0])
-            return C
+        def counting_screen(costs, lower, upper, tie, margin):
+            keep, every, none = screen(costs, lower, upper, tie, margin)
+            if lower.ndim == 1:  # a group's or a block's box
+                boxes.append(bool(every or none))
+            return keep, every, none
 
-        def counting_bounds(*args):
-            lower, upper = bounds(*args)
-            # at least the decisions the screen keeps: its margin is below tie
-            kept.append(np.count_nonzero(lower <= upper.min() + 2.0 * tie))
-            return lower, upper
+        def counting_picked(problem, spec, rows, Q, *args):
+            valued.append((Q.shape[0], rows.size))
+            return picked(problem, spec, rows, Q, *args)
 
-        def counting_values(spec, L, *args):
-            valued[len(blocks) - 1] = L.shape[0]
-            return values(spec, L, *args)
-
-        monkeypatch.setattr(deviation, "_lattice_counts", counting_lattice)
-        monkeypatch.setattr(deviation, "_value_bounds", counting_bounds)
-        monkeypatch.setattr(deviation, "_predictor_values", counting_values)
+        monkeypatch.setattr(deviation, "_screen", counting_screen)
+        monkeypatch.setattr(deviation, "_picked", counting_picked)
         disappointment_exact(
-            problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist,
-            120, ExponentialRate(0.02),
+            problem := scenario("newsvendor.json"), PredictorSpec(kind),
+            Mode.prescription(), problem.true_dist, 120, ExponentialRate(0.02),
         )
-        assert len(blocks) == len(kept) == 37
-        decided = sum(N for b, N in enumerate(blocks) if b not in valued)
-        assert decided >= share * sum(blocks)
-        assert sum(kept) <= 5.5 * len(blocks)
-        assert all(valued[b] <= kept[b] for b in valued)
+        points = sum(N for N, _ in valued)
+        assert 0 < points <= 0.1 * lattice_size(120, 4)
+        assert sum(boxes) >= 2
+        assert sum(N * kept for N, kept in valued) <= 6.5 * points
 
     def test_robust_prescription_forms_no_moments(self, monkeypatch):
         passes = []
@@ -750,8 +721,9 @@ class TestBlockScreen:
 
     @pytest.mark.parametrize("kind", ["saa", "svp", "kl", "robust"])
     def test_prediction_mode_is_not_screened(self, kind, monkeypatch):
-        # one predictor_value_rows call per block and one moments pass in
-        # it, over the tested row (saa, svp and kl at radius 0 read it)
+        # a lattice in one slice: one predictor_value_rows call over all of
+        # it and one moments pass in it, over the tested row (saa, svp and kl
+        # at radius 0 read it)
         calls, passes, bounds = [], [], []
         rows, moments = deviation.predictor_value_rows, predictors._moments
 
@@ -766,14 +738,161 @@ class TestBlockScreen:
         monkeypatch.setattr(deviation, "predictor_value_rows", counting_rows)
         monkeypatch.setattr(predictors, "_moments", counting_moments)
         monkeypatch.setattr(deviation, "_value_bounds", lambda *a: bounds.append(a))
-        monkeypatch.setattr(deviation, "_LATTICE_BLOCK", 50)
         problem = scenario("newsvendor.json")
         spec = PredictorSpec(kind, 0.0 if kind == "kl" else None)
         disappointment_exact(  # the merged lattice of decision 4: 121 points
             problem, spec, Mode.prediction(4), problem.true_dist, 120, SCHED
         )
-        assert calls == [(0, 50), (0, 50), (0, 21)] and bounds == []
-        assert passes == ([] if kind == "robust" else [(1, 50), (1, 50), (1, 21)])
+        assert calls == [(0, 121)] and bounds == []
+        assert passes == ([] if kind == "robust" else [(1, 121)])
+
+
+class TestLineWalk:
+    """The exact engine values the ends and middles of the lattice's lines
+    and settles the rest by concavity bounds (`deviation._walk`): every
+    predictor stays within the walk's margin of a concave function along a
+    line, and log p keeps the bits of valuing every point."""
+
+    # T per merged dimension: lattices of up to about 2,000 points
+    MAX_T = {2: 40, 3: 40, 4: 18, 5: 12, 6: 9}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["saa", "svp", "robust", "kl"]),
+        radius=st.sampled_from([0.05, 2.0]),
+        block=st.sampled_from([1, 2, 7, 50]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        offset=st.sampled_from([0.0, 1e6]),
+    )
+    def test_log_probability_matches_the_per_point_oracle(
+        self, data, seed, kind, radius, block, scale, offset
+    ):
+        # small blocks: lattices span several groups, and segments split
+        rng = np.random.default_rng(seed)
+        d, n = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 5))
+        T = data.draw(st.integers(1, self.MAX_T[d]))
+        # integer losses tie exactly; noise on some rows breaks the ties
+        noise = rng.choice([0.0, 0.1], (n, 1)) * rng.normal(size=(n, d))
+        L = rng.integers(-3, 4, size=(n, d)) + noise
+        w = rng.dirichlet(np.ones(d))
+        w[rng.random(d) < 0.3] = 0.0
+        w[rng.integers(d)] += 0.01
+        perm = rng.permutation(d)
+        problem = Problem(
+            LossMatrix((L * scale + offset)[:, perm]), Distribution((w / w.sum())[perm])
+        )
+        spec = PredictorSpec(kind, radius if kind == "kl" else None)
+        schedule = data.draw(st.sampled_from([ExponentialRate(0.05), PowerLaw(1.0, 0.5)]))
+        mode = data.draw(
+            st.sampled_from([Mode.prescription(), Mode.prediction(int(rng.integers(n)))])
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(deviation, "_LATTICE_BLOCK", block)
+            got = disappointment_exact(problem, spec, mode, problem.true_dist, T, schedule)
+        want = oracles.exact_log_p(problem, spec, mode, problem.true_dist, T, schedule)
+        assert got.log_probability.hex() == want.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["saa", "svp", "robust", "kl"]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        offset=st.sampled_from([0.0, 1e6]),
+    )
+    def test_values_are_concave_along_a_line_within_the_margin(
+        self, data, seed, kind, scale, offset
+    ):
+        # the premise of the walk: a predictor that is not concave along the
+        # lines fails here rather than moving exact bits
+        rng = np.random.default_rng(seed)
+        d, n = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 6))
+        T = data.draw(st.integers(2, 80))
+        R = data.draw(st.integers(2, T))
+        # prefixes with zero counts: weight rows on the simplex's faces
+        prefix = rng.multinomial(T - R, rng.dirichlet(np.full(d - 2, 0.3))) if d > 2 else []
+        P = np.append(prefix, R)[None, :].astype(np.int64)
+        k = np.arange(R + 1)
+        C = np.column_stack([np.repeat(P[:, :-1], R + 1, axis=0), k, R - k])
+        noise = rng.choice([0.0, 0.1], (n, 1)) * rng.normal(size=(n, d))
+        L = rng.integers(-3, 4, size=(n, d)) + noise
+        problem = Problem(LossMatrix(L * scale + offset))
+        L = problem.loss.values
+        ratio = data.draw(st.sampled_from([1e-4, 0.02, 3.0]))
+        radius = data.draw(st.sampled_from([0.0, 0.02, 0.5, 3.0]))
+        spec = PredictorSpec(kind, radius if kind == "kl" else None)
+        V = predictors._predictor_values(spec, L, deviation._normalized_rows(C, T), ratio)[0].T
+        rows = np.arange(n)
+        *_, margin = deviation._box_screen(
+            problem, spec, rows, *deviation._line_box(P, T), np.zeros(n), ratio
+        )
+        pad = deviation._pad(spec, L, margin)
+        assert (np.diff(V, 2, axis=1) <= pad).all()
+        # the walk's bounds on segments between valued points hold inside
+        for _ in range(4):
+            extra = rng.choice(R + 1, size=int(rng.integers(0, R // 2 + 1)))
+            valued = np.unique(np.concatenate([[0, R // 2, R], extra]))
+            for i in np.flatnonzero(np.diff(valued) > 1):
+                a, b = valued[i], valued[i + 1]
+                o = valued[i - 1] if i > 0 else None
+                q = valued[i + 2] if i + 2 < valued.size else None
+                nan = np.full((n, 1), np.nan)
+                lower, upper = deviation._chords(
+                    nan if o is None else V[:, [o]], V[:, [a]], V[:, [b]],
+                    nan if q is None else V[:, [q]], np.array([b - a]),
+                    np.array([1 if o is None else a - o]), np.array([1 if q is None else q - b]),
+                    pad,
+                )
+                inside = V[:, a + 1:b]
+                assert (lower <= inside).all() and (inside <= upper).all(), (a, b, o, q)
+
+    def test_a_bound_that_reads_a_value_that_is_not_finite_decides_nothing(self):
+        # kl's Pinsker screen reads +inf for a pair it skips: a chord through
+        # it would bound the segment by V(a) from above
+        one, inf, nan = (np.full((1, 1), v) for v in (1.0, np.inf, np.nan))
+        span, step, pad = np.array([4]), np.array([1]), np.zeros((1, 1))
+        lower, upper = deviation._chords(inf, one, one, nan, span, step, step, pad)
+        assert lower[0, 0] == 1.0 and upper[0, 0] == np.inf
+        lower, upper = deviation._chords(one, inf, one, one, span, step, step, pad)
+        assert lower[0, 0] == -np.inf and upper[0, 0] == np.inf
+
+    @pytest.mark.parametrize(
+        "name, mode, T",
+        [("coin.json", Mode.prediction(1), 500), ("newsvendor.json", Mode.prescription(), 12)],
+    )
+    def test_a_lattice_in_one_slice_is_valued_in_one_pass(self, name, mode, T, monkeypatch):
+        # the fixed cost of small calls, such as the 12 of the disappoint_coin
+        # config: no prefix rows, one rank range, one indicator pass and one
+        # log-pmf pass, as a block of the rank-block engine
+        ranges, indicators, log_pmfs = [], [], []
+        lattice, indicator, log_pmf = (
+            deviation._lattice_counts, deviation._disappointment_indicator, deviation._log_pmf_rows
+        )
+
+        def recording_lattice(T, d, cap, start, stop, *args):
+            ranges.append((d, start, stop))
+            return lattice(T, d, cap, start, stop, *args)
+
+        def recording_indicator(problem, spec, mode, Q, *args):
+            indicators.append(Q.shape[0])
+            return indicator(problem, spec, mode, Q, *args)
+
+        def recording_log_pmf(C, *args):
+            log_pmfs.append(C.shape[0])
+            return log_pmf(C, *args)
+
+        monkeypatch.setattr(deviation, "_lattice_counts", recording_lattice)
+        monkeypatch.setattr(deviation, "_disappointment_indicator", recording_indicator)
+        monkeypatch.setattr(deviation, "_log_pmf_rows", recording_log_pmf)
+        problem = scenario(name)
+        rep = disappointment_exact(
+            problem, PredictorSpec("saa"), mode, problem.true_dist, T, PowerLaw(1.0, 0.5)
+        )
+        d = problem.n_scenarios
+        assert ranges == [(d, 0, lattice_size(T, d))] and indicators == [lattice_size(T, d)]
+        assert len(log_pmfs) == 1 and rep.probability > 0.0
 
 
 class TestScenarioMerge:

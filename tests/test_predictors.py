@@ -900,12 +900,34 @@ class TestEllipsoidLinearMax:
         with pytest.raises(ValidationError):
             ellipsoid_linear_max((0.0, 1.0), HALF, np.eye(2), -0.01)
 
+    def test_takes_only_real_numbers(self):
+        # np.asarray(..., dtype=float) read "0.0" and True as numbers
+        for row, A, what in ((["0.0", True], np.eye(2), "loss row"),
+                             ([0.0, 1.0], [["1", 0.0], [0.0, 1.0]], "a_matrix"),
+                             ([0.0, 1.0], np.eye(2) > 0, "a_matrix")):
+            with pytest.raises(ValidationError, match=what):
+                ellipsoid_linear_max(row, HALF, A, 0.01)
+
 
 # ---------------------------------------------------------------------------
 # batch engine
 
 
 class TestBatchEngine:
+    @pytest.mark.parametrize("call", [
+        lambda prob, W: predictor_value_rows(prob, 0, PredictorSpec("saa"), W),
+        lambda prob, W: predictor_value_matrix(prob, PredictorSpec("saa"), W),
+        lambda prob, W: variance_matrix(prob, W),
+    ], ids=["rows", "matrix", "variances"])
+    def test_weight_rows_take_only_real_numbers(self, call):
+        # np.asarray(W, dtype=float) read strings and booleans as weights
+        prob = make_problem([[0.0, 1.0], [1.0, 0.0]])
+        for W in ([["0.5", "0.5"]], [[True, False]], np.array([[True, False]]),
+                  [np.array([True, False])]):
+            with pytest.raises(ValidationError, match="weights"):
+                call(prob, W)
+        assert np.isfinite(call(prob, [[0.5, np.float32(0.5)]])).all()
+
     def setup_method(self):
         rng = np.random.default_rng(41)
         self.prob = make_problem(rng.uniform(0.0, 1.0, (3, 4)))

@@ -139,6 +139,14 @@ class TestSimplexDelta:
         # dust relative to the vector's own magnitude passes
         SimplexDelta([1e6, -1e6 + 1e-8])
 
+    def test_takes_only_real_numbers(self):
+        # np.asarray(["0.1", "-0.1"], dtype=float) read the strings as numbers
+        for components in (["0.1", "-0.1"], [True, -1.0], np.array([True, False]),
+                           [np.array([True]), [-1.0]]):
+            with pytest.raises(ValidationError, match="delta components"):
+                SimplexDelta(components)
+        assert SimplexDelta((np.int64(1), -1)).components.tolist() == [1.0, -1.0]
+
 
 class TestKLDivergence:
     def test_zero_at_equal(self):
