@@ -22,7 +22,7 @@ from .predictors import (
     RegimeSchedule,
     _predictor_values,
     _svp_direction,
-    _KL_TOL,
+    _kl_error,
     _value_bounds,
     predictor_value_rows,
     speed_ratio,
@@ -156,12 +156,19 @@ def _picked(problem, spec, rows, Q, true_costs, ratio, work):
     return V.T, true_costs[rows[pick]] > v_hat + tie
 
 
-def _reserve(work, spec, n, N):
-    """Size the moments and value buffers of `work` once, for n decisions
-    over N rows, so passes that keep more decisions later reuse them."""
-    if work is not None and "mean" not in work:
-        for role in ("mean", "t") + (("var", "values") if spec.kind == "svp" else ()):
-            _scratch(work, role, (n, N))
+def _reserve(work, problem, spec, n, N):
+    """Size the buffers of `work` for n decisions over N rows: the moments
+    and values, and the (N,) roles of the pick (`_pick_decisions`), so
+    later passes over fewer decisions or rows reuse them."""
+    if work is None:
+        return
+    for role in ("mean", "t") + (("var", "values") if spec.kind == "svp" else ()):
+        _scratch(work, role, (n, N))
+    ahead = np.min_scalar_type(problem.n_decisions)
+    for role, dtype in (("best", np.float64), ("window", np.float64), ("inside", np.bool_),
+                        ("both", np.bool_), ("seen", np.bool_), ("tied", np.bool_),
+                        ("ahead", ahead), ("pick", np.int64)):
+        _scratch(work, role, (N,), dtype)
 
 
 def _disappointment_indicator(
@@ -193,7 +200,7 @@ def _disappointment_indicator(
     )
     if every or none:
         return np.full(Q.shape[0], bool(every))
-    _reserve(work, spec, n, Q.shape[0])  # sized for every decision once
+    _reserve(work, problem, spec, n, Q.shape[0])  # sized for every decision
     return _picked(problem, spec, np.flatnonzero(keep), Q, true_costs, ratio, work)[1]
 
 
@@ -284,11 +291,12 @@ def disappointment_exact(
     enumeration.  The hits are gathered in rank order: log-pmf values of the
     full groups, runs of the walked ones.  The walk's buffers are released
     before one buffer of exactly the hit count takes their log-pmf values,
-    formed in slices of B by `_log_pmf_rows` (`_gathered`; a lattice of one
-    rank range keeps its own), and `_log_sum_exp` reduces it in place with
-    the bits of `scipy.special.logsumexp`.  Memory is
-    O(B (d' + n_decisions) + d' T) plus 8 bytes per disappointing point and
-    a few words per run, not O(lattice).  Every pass writes into one
+    formed in slices of B by `_log_pmf_rows` (`_gathered`), and
+    `_log_sum_exp` reduces it in place with the bits of
+    `scipy.special.logsumexp`.  Memory is O(B (d' + n_decisions) + d' T)
+    plus 8 bytes per disappointing point of the walked groups (16 of the
+    groups valued in full, whose log-pmf values are copied into the
+    buffer) and a few words per run, not O(lattice).  Every pass writes into one
     workspace per call (`simplex._scratch`), so the time does not depend on
     the allocator; true costs are formed once per call, log-factorials read
     from the process's table (`_log_factorials`)."""
@@ -317,10 +325,7 @@ def disappointment_exact(
             hits += int(runs[2].sum())
         start += points
     work.clear()  # before the hit buffer is allocated
-    if len(parts) == 1 and isinstance(parts[0], np.ndarray):
-        log_pmf = parts.pop()  # one rank range: its hits are the buffer
-    else:
-        log_pmf = _gathered(parts, hits, T, d, cap, below, p, work)
+    log_pmf = _gathered(parts, hits, T, d, cap, below, p, work)
     log_p = min(_log_sum_exp(log_pmf), 0.0)  # clamp float dust above certainty
     prob = math.exp(log_p) if log_p != -math.inf else 0.0
     return _report(prob, log_p, MethodInfo(name="exact"), T, schedule, mode)
@@ -431,7 +436,7 @@ def _walk(problem, spec, mode, P, T, true_costs, ratio, work):
     if every or none:
         lines = np.arange(R.size if every else 0)
         return lines, np.zeros_like(lines), R[lines] + 1
-    _reserve(work, spec, rows.size, B)
+    _reserve(work, problem, spec, rows.size, B)
     for role, dtype in (("counts", np.int64), ("Q", np.float64)):  # every slice fits
         _scratch(work, role, (d, B), dtype)
     rows = rows[keep]
@@ -525,12 +530,13 @@ def _line_box(P: np.ndarray, T: int):
 
 
 def _pad(spec: PredictorSpec, L: np.ndarray, margin: float) -> np.ndarray:
-    """(n, 1): how far a value of the loss rows L (n, d) may stray from a
-    concave function of the weights: the screen's rounding margin, plus
-    `_KL_TOL` spans for a kl dual."""
+    """(n, 1): at least twice how far a value of the loss rows L (n, d) may
+    stray from a concave function of the weights, which `_chords` needs:
+    the screen's margin (twice the rounding), plus twice the kernel's error
+    for a kl dual (`_kl_error`, which grows like 1/sqrt(r))."""
     pad = np.full((L.shape[0], 1), margin)
     if spec.kind == "kl" and spec.radius > 0.0:
-        pad += _KL_TOL * np.ptp(L, axis=1)[:, None]
+        pad += 2.0 * _kl_error(np.ptp(L, axis=1)[:, None], L.shape[1], spec.radius)
     return pad
 
 

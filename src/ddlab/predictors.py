@@ -469,8 +469,8 @@ def _predictor_values(
     select_decisions makes the same picks at the same values.  The screen
     bounds a value below by its mean, which the kernel's clamp makes the
     plug-in bit for bit, and above by min(max l, mean + span*sqrt(r/2))
-    (Pinsker: TV <= sqrt(KL/2)) plus 10*_KL_TOL*span and `tie` for the
-    kernel's error; it skips a pair whose mean exceeds the row's least upper
+    (Pinsker: TV <= sqrt(KL/2)) plus the kernel's error (`_kl_error`) and
+    `tie`; it skips a pair whose mean exceeds the row's least upper
     bound plus `tie`."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != L.shape[1]:
@@ -496,7 +496,7 @@ def _predictor_values(
         span = np.ptp(L, axis=1)[:, None]
         solve = np.broadcast_to(span > 0.0, values.shape)
         if tie is not None:
-            upper = _kl_upper(mean.T, span, L.max(axis=1)[:, None], r, tie)
+            upper = _kl_upper(mean.T, span, L.max(axis=1)[:, None], r, L.shape[1], tie)
             skip = solve & (mean.T > upper.min(axis=0) + tie)
             values[skip] = np.inf
             solve = solve & ~skip
@@ -538,13 +538,28 @@ def _value_bounds(spec, L, lo, hi, ratio, tie):
     if spec.kind == "svp":
         upper += math.sqrt(2.0 * ratio) * span / 2.0
     elif spec.kind == "kl" and spec.radius > 0.0:
-        upper = _kl_upper(upper, span, top, spec.radius, tie)
+        upper = _kl_upper(upper, span, top, spec.radius, L.shape[1], tie)
     return lower, upper
 
 
-def _kl_upper(mean, span, top, r, tie):
-    """min(top, mean + span sqrt(r/2)) (Pinsker) plus the kernel's error."""
-    return np.minimum(mean + span * math.sqrt(r / 2.0), top) + (10.0 * _KL_TOL * span + tie)
+def _kl_upper(mean, span, top, r, d, tie):
+    """min(top, mean + span sqrt(r/2)) (Pinsker) plus the kernel's error
+    (`_kl_error`) and tie."""
+    return np.minimum(mean + span * math.sqrt(r / 2.0), top) + (_kl_error(span, d, r) + tie)
+
+
+def _kl_error(span, d, r):
+    """A bound on how far the kernel's value of a loss row of d entries and
+    the given span strays from the dual's: 10 _KL_TOL spans for the
+    bracket, plus the rounding of alpha - e, some (d + 2) ulps of alpha.
+    At the optimum r = log(G/H) of the gaps a - l_i, at most
+    Var (t + span)^2 / (2 t^4) at a distance t above the largest loss, and
+    Var <= span^2/4, so alpha lies within span (2 + 1/sqrt(2 r)) of the
+    row and the error grows like 1/sqrt(r).  16 (d + 2) eps span
+    (3 + 1/sqrt(r)) is 20 times the largest error that duals solved to 120
+    digits showed for 1e-14 <= r <= 0.5 and d <= 8."""
+    eps = np.finfo(float).eps
+    return span * (10.0 * _KL_TOL + 16 * (d + 2) * eps * (3.0 + r ** -0.5))
 
 
 def predictor_value_rows(

@@ -327,11 +327,12 @@ class TestExactStreaming:
 
     @pytest.mark.parametrize("kind", ["saa", "svp"])
     def test_slices_reuse_one_workspace(self, kind, monkeypatch):
-        # every slice the walk values writes its counts, weights, moments and
-        # values into the buffers of the first, sized for a slice of every
-        # decision, and every slice of hits its counts and log-pmf terms into
-        # those of the first: nothing of slice size is allocated or freed
-        # inside a pass, although the groups keep different decisions
+        # every slice the walk values writes its counts, weights, moments,
+        # values and pick into the buffers of the first, sized for a full
+        # slice of every decision, and every slice of hits its counts and
+        # log-pmf terms into those of the first: nothing of slice size is
+        # allocated or freed inside a pass, although the groups keep
+        # different decisions and their slices differ in size
         valued, gathered, kept = [], [], set()
         picked, log_pmf = deviation._picked, deviation._log_pmf_rows
 
@@ -353,6 +354,7 @@ class TestExactStreaming:
             120, SCHED,
         )
         roles = {"counts", "Q", "mean", "t"} | ({"var", "values"} if kind == "svp" else set())
+        roles |= {"best", "window", "inside", "both", "seen", "tied", "ahead", "pick"}
         assert len(valued) >= 5 and len(kept) >= 2
         for later in valued[1:]:
             assert all(later[role] is valued[0][role] for role in roles)
@@ -719,13 +721,21 @@ class TestBlockScreen:
         )
         assert rep.probability == 0.0 and passes == []
 
+    @pytest.mark.parametrize("block", [None, 50])  # None: default
     @pytest.mark.parametrize("kind", ["saa", "svp", "kl", "robust"])
-    def test_prediction_mode_is_not_screened(self, kind, monkeypatch):
+    def test_prediction_mode_is_screened_only_when_walked(self, kind, block, monkeypatch):
         # a lattice in one slice: one predictor_value_rows call over all of
         # it and one moments pass in it, over the tested row (saa, svp and kl
-        # at radius 0 read it)
+        # at radius 0 read it), and no bounds.  At a 50-point slice its one
+        # line is walked: the line's box is screened once, and its points
+        # are valued through the walk's picks alone
         calls, passes, bounds = [], [], []
         rows, moments = deviation.predictor_value_rows, predictors._moments
+        value_bounds = deviation._value_bounds
+
+        def counting_bounds(*args):
+            bounds.append(args)
+            return value_bounds(*args)
 
         def counting_rows(problem, x, spec, Q, ratio=None):
             calls.append((x, Q.shape[0]))
@@ -737,14 +747,20 @@ class TestBlockScreen:
 
         monkeypatch.setattr(deviation, "predictor_value_rows", counting_rows)
         monkeypatch.setattr(predictors, "_moments", counting_moments)
-        monkeypatch.setattr(deviation, "_value_bounds", lambda *a: bounds.append(a))
+        monkeypatch.setattr(deviation, "_value_bounds", counting_bounds)
+        if block is not None:
+            monkeypatch.setattr(deviation, "_LATTICE_BLOCK", block)
         problem = scenario("newsvendor.json")
         spec = PredictorSpec(kind, 0.0 if kind == "kl" else None)
         disappointment_exact(  # the merged lattice of decision 4: 121 points
             problem, spec, Mode.prediction(4), problem.true_dist, 120, SCHED
         )
-        assert calls == [(0, 121)] and bounds == []
-        assert passes == ([] if kind == "robust" else [(1, 121)])
+        if block is None:
+            assert calls == [(0, 121)] and bounds == []
+            assert passes == ([] if kind == "robust" else [(1, 121)])
+        else:
+            assert calls == [] and len(bounds) == 1
+            assert all(L == 1 for L, _ in passes) and sum(N for _, N in passes) < 121
 
 
 class TestLineWalk:
@@ -761,7 +777,7 @@ class TestLineWalk:
         data=st.data(),
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["saa", "svp", "robust", "kl"]),
-        radius=st.sampled_from([0.05, 2.0]),
+        radius=st.sampled_from([1e-14, 1e-12, 0.05, 2.0]),
         block=st.sampled_from([1, 2, 7, 50]),
         scale=st.sampled_from([1e-3, 1.0, 1e3]),
         offset=st.sampled_from([0.0, 1e6]),
@@ -821,7 +837,8 @@ class TestLineWalk:
         problem = Problem(LossMatrix(L * scale + offset))
         L = problem.loss.values
         ratio = data.draw(st.sampled_from([1e-4, 0.02, 3.0]))
-        radius = data.draw(st.sampled_from([0.0, 0.02, 0.5, 3.0]))
+        # the kl kernel's rounding grows like 1/sqrt(r) at tiny radii
+        radius = data.draw(st.sampled_from([0.0, 1e-14, 1e-12, 0.02, 0.5, 3.0]))
         spec = PredictorSpec(kind, radius if kind == "kl" else None)
         V = predictors._predictor_values(spec, L, deviation._normalized_rows(C, T), ratio)[0].T
         rows = np.arange(n)
