@@ -197,25 +197,33 @@ def _pick_decisions(
     `select_decisions`, with the variances of those rows alone: read from
     var (N, n) when the caller formed them (svp), else formed here."""
     n, N = values.shape
-    best = np.min(values, axis=0, out=_scratch(work, "best", (N,)))
-    window = np.add(best, problem.loss.tie_window, out=_scratch(work, "window", (N,)))
-    inside, both = (_scratch(work, role, (N,), np.bool_) for role in ("inside", "both"))
-    seen, tied = (_scratch(work, role, (N,), np.bool_) for role in ("seen", "tied"))
+    best, window, inside, both, seen, tied, ahead, pick = _pick_buffers(problem, work, N)
+    np.min(values, axis=0, out=best)
+    np.add(best, problem.loss.tie_window, out=window)
     seen[:] = tied[:] = False
-    ahead = _scratch(work, "ahead", (N,), np.min_scalar_type(problem.n_decisions))
     ahead.fill(0)  # the decisions before each row's first candidate
     for x in range(n):
         np.less_equal(values[x], window, out=inside)
         np.logical_or(tied, np.logical_and(inside, seen, out=both), out=tied)
         np.logical_or(seen, inside, out=seen)
         np.add(ahead, np.logical_not(seen, out=both).view(np.uint8), out=ahead)
-    pick = np.add(ahead, 0, out=_scratch(work, "pick", (N,), np.int64))
+    np.add(ahead, 0, out=pick)
     tied = np.flatnonzero(tied)
     if tied.size:
         var = _moments(problem.loss.values[rows], W[tied])[1] if var is None else var[tied]
         pick[tied] = select_decisions(problem, values[:, tied].T, var)
         best[tied] = values[pick[tied], tied]
     return pick, best
+
+
+def _pick_buffers(problem: Problem, work: Optional[dict], N: int) -> list:
+    """The (N,) arrays of `_pick_decisions` from `_scratch(work, ...)`:
+    best, window, inside, both, seen, tied, ahead and pick.  A caller that
+    asks once for its largest pass sizes them for every later one."""
+    roles = (("best", np.float64), ("window", np.float64), ("inside", np.bool_),
+             ("both", np.bool_), ("seen", np.bool_), ("tied", np.bool_),
+             ("ahead", np.min_scalar_type(problem.n_decisions)), ("pick", np.int64))
+    return [_scratch(work, role, (N,), dtype) for role, dtype in roles]
 
 
 def min_variance_minimizer(problem: Problem, p: Distribution) -> int:

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .decisions import Problem, _check_decision, _moments, _pick_decisions
+from .decisions import Problem, _check_decision, _moments, _pick_buffers, _pick_decisions
 from .errors import LatticeCapError, ValidationError
 from .predictors import (
     PredictorSpec,
@@ -160,15 +160,10 @@ def _reserve(work, problem, spec, n, N):
     """Size the buffers of `work` for n decisions over N rows: the moments
     and values, and the (N,) roles of the pick (`_pick_decisions`), so
     later passes over fewer decisions or rows reuse them."""
-    if work is None:
-        return
-    for role in ("mean", "t") + (("var", "values") if spec.kind == "svp" else ()):
-        _scratch(work, role, (n, N))
-    ahead = np.min_scalar_type(problem.n_decisions)
-    for role, dtype in (("best", np.float64), ("window", np.float64), ("inside", np.bool_),
-                        ("both", np.bool_), ("seen", np.bool_), ("tied", np.bool_),
-                        ("ahead", ahead), ("pick", np.int64)):
-        _scratch(work, role, (N,), dtype)
+    if work is not None:
+        for role in ("mean", "t") + (("var", "values") if spec.kind == "svp" else ()):
+            _scratch(work, role, (n, N))
+        _pick_buffers(problem, work, N)
 
 
 def _disappointment_indicator(
