@@ -552,12 +552,13 @@ def _kl_error(span, d, r):
     """A bound on how far the kernel's value of a loss row of d entries and
     the given span strays from the dual's: 10 _KL_TOL spans for the
     bracket, plus the rounding of alpha - e, some (d + 2) ulps of alpha.
-    At the optimum r = log(G/H) of the gaps a - l_i, at most
+    At the optimum r = log(G/H), G and H the weighted geometric and
+    harmonic means of the gaps alpha - l_i; that is at most
     Var (t + span)^2 / (2 t^4) at a distance t above the largest loss, and
     Var <= span^2/4, so alpha lies within span (2 + 1/sqrt(2 r)) of the
-    row and the error grows like 1/sqrt(r).  16 (d + 2) eps span
-    (3 + 1/sqrt(r)) is 20 times the largest error that duals solved to 120
-    digits showed for 1e-14 <= r <= 0.5 and d <= 8."""
+    row and the error grows like 1/sqrt(r).  Against duals solved to 120
+    digits (1e-14 <= r <= 0.5, d <= 8) the error stayed below 1/20 of
+    this bound plus the screen's rounding margin."""
     eps = np.finfo(float).eps
     return span * (10.0 * _KL_TOL + 16 * (d + 2) * eps * (3.0 + r ** -0.5))
 

@@ -865,6 +865,24 @@ class TestLineWalk:
                 inside = V[:, a + 1:b]
                 assert (lower <= inside).all() and (inside <= upper).all(), (a, b, o, q)
 
+    def test_a_tiny_kl_radius_keeps_the_bits_of_the_per_point_oracle(self, monkeypatch):
+        # at r = 1e-14 the kernel's alpha - e loses about 1e-8 spans, past a
+        # margin of _KL_TOL spans: a chord bound settled a segment wrongly
+        # and log p moved in its last bit
+        problem = Problem(
+            LossMatrix([
+                [983.4868548615788, -1954.5045892552632, -2898.483019006636, 1906.1560741677329],
+                [-2857.835840284739, 2828.650340588138, -2990.9242147073123, 2772.594594579325],
+                [-3000.0, 0.0, -2000.0, -2000.0],
+            ]),
+            Distribution([0.33565070356636323, 0.09506946764635603, 0.0, 0.5692798287872807]),
+        )
+        spec, schedule = PredictorSpec("kl", 1e-14), PowerLaw(1.0, 0.5)
+        want = oracles.exact_log_p(problem, spec, Mode.prescription(), problem.true_dist, 14, schedule)
+        monkeypatch.setattr(deviation, "_LATTICE_BLOCK", 2)
+        got = disappointment_exact(problem, spec, Mode.prescription(), problem.true_dist, 14, schedule)
+        assert got.log_probability.hex() == want.hex()
+
     def test_a_bound_that_reads_a_value_that_is_not_finite_decides_nothing(self):
         # kl's Pinsker screen reads +inf for a pair it skips: a chord through
         # it would bound the segment by V(a) from above
