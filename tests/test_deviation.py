@@ -330,9 +330,9 @@ class TestExactStreaming:
         # every slice the walk values writes its counts, weights, moments,
         # values and pick into the buffers of the first, sized for a full
         # slice of every decision, and every slice of hits its counts and
-        # log-pmf terms into those of the first: nothing of slice size is
-        # allocated or freed inside a pass, although the groups keep
-        # different decisions and their slices differ in size
+        # log-pmf terms into those of the first: no workspace buffer is
+        # regrown inside a pass, although the groups keep different
+        # decisions and their slices differ in size
         valued, gathered, kept = [], [], set()
         picked, log_pmf = deviation._picked, deviation._log_pmf_rows
 
