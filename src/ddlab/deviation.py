@@ -277,21 +277,23 @@ def disappointment_exact(
     the lattice in rank order).  Every predictor is concave along a line
     (the variance is concave in the weights, and kl by the joint convexity
     of relative entropy), so the lines are walked in groups of B / 8
-    consecutive lines, B = `_LATTICE_BLOCK`.  A group of at most B points
-    is valued in full, as one rank range of the lattice, by
-    `_disappointment_indicator`; a larger one by `_walk`, which values the
-    lines' ends and middles and settles the rest by concavity bounds,
-    splitting what they leave open.  Either way a point's event is the one
-    that valuing it would give, so `log p` keeps the bits of the per-point
-    enumeration.  The hits are gathered in rank order: log-pmf values of the
-    full groups, runs of the walked ones.  The walk's buffers are released
-    before one buffer of exactly the hit count takes their log-pmf values,
-    formed in slices of B by `_log_pmf_rows` (`_gathered`), and
-    `_log_sum_exp` reduces it in place with the bits of
+    consecutive lines, B = `_LATTICE_BLOCK`.  A group of at most B points is
+    valued in full, as one rank range of the lattice, by
+    `_disappointment_indicator`, and a lattice of at most B points is one
+    such group, which spares small calls the walk's fixed cost; a larger
+    group goes to `_walk`, which values the lines' ends and middles and
+    halves each line, bounding every half by the chord of its sibling
+    (`_chord`), until the points left open fit in one slice.  Either way a
+    point's event is the one that valuing it would give, so `log p` keeps
+    the bits of the per-point enumeration.  The hits are gathered in rank
+    order: log-pmf values of the full groups, runs of the walked ones.  The
+    walk's buffers are released before one buffer of exactly the hit count
+    takes their log-pmf values, formed in slices of B by `_log_pmf_rows`
+    (`_gathered`), and `_log_sum_exp` reduces it in place with the bits of
     `scipy.special.logsumexp`.  Memory is O(B (d' + n_decisions) + d' T)
     plus 8 bytes per disappointing point of the walked groups (16 of the
-    groups valued in full, whose log-pmf values are copied into the
-    buffer) and a few words per run, not O(lattice).  Every pass writes into one
+    groups valued in full, whose log-pmf values are copied into the buffer)
+    and a few words per run, not O(lattice).  Every pass writes into one
     workspace per call (`simplex._scratch`), so the time does not depend on
     the allocator; true costs are formed once per call, log-factorials read
     from the process's table (`_log_factorials`)."""
@@ -412,16 +414,19 @@ def _walk(problem, spec, mode, P, T, true_costs, ratio, work):
     The lines' box of weights, widened past the rounding of
     `_normalized_rows`, is screened first (`_box_screen`): that may settle
     every point, and it drops the tested decisions that cannot be picked.
-    Then the ends and the middle of each line are valued (`_picked`, which
-    gives the per-point event), and each segment [a, b] between valued
-    points of a line is bounded per decision by concavity (`_chords`):
-    below by min(V(a), V(b)), above by the chords through the nearest
-    valued points outside it, extended over it.  The bounds go through
-    `_screen`; a segment whose interior is all hits or none is settled, the
-    others are split at their middles, which are valued, until the
-    interior points left open fit in one slice of B = `_LATTICE_BLOCK`,
-    which is valued in full.  A point is kept as its key, line (T + 1) + k,
-    and its values once, in `_scratch(work, ...)`, by slot."""
+    Then each line's middle and ends are valued (`_picked`, which gives the
+    per-point event), and the line is walked by halving.  A segment
+    (e, f, c) is the points strictly between e and f, e the end it shares
+    with its sibling half and c the sibling's far end, so a line starts as
+    (middle, 0, R) and (middle, R, 0).  `_chord` bounds a segment per
+    decision from the values at its three points, and the bounds go through
+    `_screen`: a segment whose interior is all hits or none is settled, the
+    others are split at their middles, which are valued, into (middle, f, e)
+    and (middle, e, f), until the interior points left open fit in one
+    slice of B = `_LATTICE_BLOCK`, which is valued in full.  A point is
+    named by its key, line (T + 1) + k; each segment carries the values at
+    its three points, and each valued slice writes its values into
+    `_scratch(work, ...)`."""
     d, tie, B = problem.n_scenarios, problem.loss.tie_window, _LATTICE_BLOCK
     R, stride = P[:, -1], T + 1
     rows = (np.arange(problem.n_decisions) if mode.kind == "prescription"
@@ -437,71 +442,49 @@ def _walk(problem, spec, mode, P, T, true_costs, ratio, work):
     rows = rows[keep]
     pad = _pad(spec, problem.loss.values[rows], margin)
 
-    def value(keys, out=None):  # the events at keys; their values into out
+    def value(keys):  # the events at keys and their values (n, N)
         event = np.empty(keys.size, dtype=bool)
+        V = _scratch(work, "walk values", (rows.size, keys.size))
         for s in range(0, keys.size, B):
             C = _line_points(P, *np.divmod(keys[s:s + B], stride), work=work)
-            V, event[s:s + B] = _picked(
+            V[:, s:s + B], event[s:s + B] = _picked(
                 problem, spec, rows, _normalized_rows(C, T, work), true_costs, ratio, work
             )
-            if out is not None:
-                out[:, s:s + B] = V
-        return event
+        return event, V
 
-    # each line's ends and middle, ascending
-    keys = (np.arange(R.size) * stride)[:, None] + np.stack([0 * R, R // 2, R], axis=1)
-    keys = keys.reshape(-1)
-    keys = keys[np.append(True, keys[1:] != keys[:-1])]
-    store = _scratch(work, "walk values", (rows.size, 2 * keys.size + 1))
-    store[:, 0] = np.nan  # the value of a missing outside point
-    slot = np.arange(1, keys.size + 1)
-    hit = value(keys, store[:, 1:keys.size + 1])
-    used = keys.size + 1
-    # is_open[j]: the segment from point j to point j + 1 is not settled
-    is_open = np.append((np.diff(keys) > 1) & (np.diff(keys // stride) == 0), False)
-    starts, stops = [], []
-    while is_open.any():
-        j = np.flatnonzero(is_open)
-        a, b = keys[j], keys[j + 1]
-        # the valued points before a and after b, where on the same line
-        pad_keys = np.concatenate(([-stride], keys, [-stride]))
-        pad_slot = np.concatenate(([0], slot, [0]))
-        o, q = pad_keys[j], pad_keys[j + 3]
-        same_o, same_q = o // stride == a // stride, q // stride == a // stride
-        lower, upper = _chords(
-            store[:, np.where(same_o, pad_slot[j], 0)], store[:, slot[j]],
-            store[:, slot[j + 1]], store[:, np.where(same_q, pad_slot[j + 3], 0)],
-            b - a, np.where(same_o, a - o, 1), np.where(same_q, q - b, 1), pad,
-        )
+    def halves(mid, e, f):  # (mid, f, e) and (mid, e, f), side by side
+        return np.concatenate([np.stack([mid, f, e]), np.stack([mid, e, f])], axis=-1)
+
+    # each line's middle and ends, each valued once; its two halves
+    ends = (np.arange(R.size) * stride)[:, None] + np.stack([R // 2, 0 * R, R], axis=1)
+    flat = ends.reshape(-1)
+    new = np.append(True, flat[1:] != flat[:-1])
+    hit, V = value(flat[new])
+    starts, stops = [flat[new][hit]], [flat[new][hit] + 1]
+    at = np.cumsum(new).reshape(ends.shape).T - 1  # (3, m): the columns of V
+    K, V = halves(*ends.T), halves(*(V[:, j] for j in at))  # (3, S) keys, (3, n, S) values
+    while True:
+        inside = np.abs(K[1] - K[0]) > 1
+        K, V = K[:, inside], V[..., inside]
+        a, b = np.minimum(K[0], K[1]), np.maximum(K[0], K[1])
+        lower, upper = _chord(*V, b - a, np.abs(K[0] - K[2]), pad)
         _, every, none = _screen(true_costs[rows], lower, upper, tie, margin)
         starts.append(a[every] + 1)
         stops.append(b[every])
-        settled = every | none
-        is_open[j[settled]] = False
-        j, a, b = j[~settled], a[~settled], b[~settled]
+        is_open = ~(every | none)
+        K, V, a, b = K[:, is_open], V[..., is_open], a[is_open], b[is_open]
         inner = b - a - 1
         if inner.sum() <= B:  # the rest in one slice
             inner = np.repeat(a + 1 - np.cumsum(inner) + inner, inner) + np.arange(inner.sum())
-            inner = inner[value(inner)]
+            inner = inner[value(inner)[0]]
             starts.append(inner)
             stops.append(inner + 1)
             break
         mid = (a + b) // 2
-        if used + mid.size > store.shape[1]:
-            old = store[:, :used].copy()
-            store = _scratch(work, "walk values", (rows.size, 2 * (used + mid.size)))
-            store[:, :used] = old
-        event = value(mid, store[:, used:used + mid.size])
-        is_open[j] = mid - a > 1
-        keys, slot, hit, is_open = (
-            np.insert(x, j + 1, new) for x, new in (
-                (keys, mid), (slot, np.arange(used, used + mid.size)), (hit, event),
-                (is_open, b - mid > 1),
-            )
-        )
-        used += mid.size
-    starts.append(keys[hit])
-    stops.append(keys[hit] + 1)
+        hit, Vm = value(mid)
+        starts.append(mid[hit])
+        stops.append(mid[hit] + 1)
+        K, V = halves(mid, K[0], K[1]), halves(Vm, V[0], V[1])
     start, stop = np.concatenate(starts), np.concatenate(stops)
     order = np.argsort(start, kind="stable")
     start, stop = start[order], stop[order]
@@ -526,7 +509,7 @@ def _line_box(P: np.ndarray, T: int):
 
 def _pad(spec: PredictorSpec, L: np.ndarray, margin: float) -> np.ndarray:
     """(n, 1): at least twice how far a value of the loss rows L (n, d) may
-    stray from a concave function of the weights, which `_chords` needs:
+    stray from a concave function of the weights, which `_chord` needs:
     the screen's margin (twice the rounding), plus twice the kernel's error
     for a kl dual (`_kl_error`, which grows like 1/sqrt(r))."""
     pad = np.full((L.shape[0], 1), margin)
@@ -535,26 +518,22 @@ def _pad(spec: PredictorSpec, L: np.ndarray, margin: float) -> np.ndarray:
     return pad
 
 
-def _chords(Vo, Va, Vb, Vq, span, to_a, to_q, pad):
-    """(lower, upper), each (n, S): bounds on the values at the interior
-    points of S segments [a, b] of span b - a, from the values (n, S) at a
-    and b and at the valued points o = a - to_a and q = b + to_q outside
-    them.  A concave value is at least min(V(a), V(b)) inside and at most
-    the chord through (o, a) or through (b, q) extended; the rounding
-    margin pad (n, 1) widens a chord's bound by 1 + 2 span / to_a (to_q),
-    its lever.  A bound that reads a value that is not finite (a missing
-    outside point reads NaN, a kl pair the screen skips +inf) decides
+def _chord(Ve, Vf, Vc, span, dist, pad):
+    """(lower, upper), each (n, S): bounds on the values at the points
+    strictly between e and f of S segments of a line, span = |f - e|, from
+    the values (n, S) at e, f and c, the point dist = |e - c| beyond e on
+    the other side.  A concave value is at least min(V(e), V(f)) inside and
+    at most the chord through (c, e) extended over the segment; the rounding
+    margin pad (n, 1) widens the lower bound by pad and the chord's by
+    pad (1 + 2 span / dist), its lever.  A bound that reads a value that is
+    not finite (a kl pair the Pinsker screen skips reads +inf) decides
     nothing."""
     with np.errstate(invalid="ignore", over="ignore"):
-        s = (Va - Vo) / to_a
-        up_o = Va + np.maximum(s, s * (span - 1)) + pad * (1 + 2 * span / to_a)
-        s = (Vq - Vb) / to_q
-        up_q = Vb - np.minimum(s, s * (span - 1)) + pad * (1 + 2 * span / to_q)
-    upper = np.minimum(np.where(np.isfinite(Vo), up_o, np.inf),
-                       np.where(np.isfinite(Vq), up_q, np.inf))
-    ends = np.isfinite(Va) & np.isfinite(Vb)
-    return (np.where(ends, np.minimum(Va, Vb) - pad, -np.inf),
-            np.where(ends, upper, np.inf))
+        s = (Ve - Vc) / dist
+        upper = Ve + np.maximum(s, s * (span - 1)) + pad * (1 + 2 * span / dist)
+    ends = np.isfinite(Ve) & np.isfinite(Vf)
+    return (np.where(ends, np.minimum(Ve, Vf) - pad, -np.inf),
+            np.where(ends & np.isfinite(Vc), upper, np.inf))
 
 
 def _log_sum_exp(a: np.ndarray) -> float:

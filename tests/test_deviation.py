@@ -847,23 +847,22 @@ class TestLineWalk:
         )
         pad = deviation._pad(spec, L, margin)
         assert (np.diff(V, 2, axis=1) <= pad).all()
-        # the walk's bounds on segments between valued points hold inside
+        # the walk's bounds on segments between valued points hold inside,
+        # from the chord through each valued neighbour in turn
         for _ in range(4):
             extra = rng.choice(R + 1, size=int(rng.integers(0, R // 2 + 1)))
             valued = np.unique(np.concatenate([[0, R // 2, R], extra]))
             for i in np.flatnonzero(np.diff(valued) > 1):
                 a, b = valued[i], valued[i + 1]
-                o = valued[i - 1] if i > 0 else None
-                q = valued[i + 2] if i + 2 < valued.size else None
-                nan = np.full((n, 1), np.nan)
-                lower, upper = deviation._chords(
-                    nan if o is None else V[:, [o]], V[:, [a]], V[:, [b]],
-                    nan if q is None else V[:, [q]], np.array([b - a]),
-                    np.array([1 if o is None else a - o]), np.array([1 if q is None else q - b]),
-                    pad,
-                )
-                inside = V[:, a + 1:b]
-                assert (lower <= inside).all() and (inside <= upper).all(), (a, b, o, q)
+                sides = [(a, b, valued[i - 1])] if i > 0 else []
+                sides += [(b, a, valued[i + 2])] if i + 2 < valued.size else []
+                for e, f, c in sides:
+                    lower, upper = deviation._chord(
+                        V[:, [e]], V[:, [f]], V[:, [c]], np.array([b - a]),
+                        np.array([abs(e - c)]), pad,
+                    )
+                    inside = V[:, a + 1:b]
+                    assert (lower <= inside).all() and (inside <= upper).all(), (e, f, c)
 
     def test_a_tiny_kl_radius_keeps_the_bits_of_the_per_point_oracle(self, monkeypatch):
         # at r = 1e-14 the kernel's alpha - e loses about 1e-8 spans, past a
@@ -883,15 +882,72 @@ class TestLineWalk:
         got = disappointment_exact(problem, spec, Mode.prescription(), problem.true_dist, 14, schedule)
         assert got.log_probability.hex() == want.hex()
 
+    @pytest.mark.parametrize("kind, radius", [("saa", None), ("svp", None), ("kl", 0.05)])
+    def test_a_long_line_splits_at_the_default_slice(self, kind, radius, monkeypatch):
+        # coin at T = 20,000 in prediction mode is one line of 20,001 points,
+        # past one slice: svp and kl split a half and value the 4,999 points
+        # left open in one slice; saa is linear, settled by its first three
+        sizes = []
+        picked = deviation._picked
+
+        def recording(problem, spec, rows, Q, *args):
+            sizes.append(Q.shape[0])
+            return picked(problem, spec, rows, Q, *args)
+
+        problem, spec = scenario("coin.json"), PredictorSpec(kind, radius)
+        monkeypatch.setattr(deviation, "_picked", recording)
+        args = (problem, spec, Mode.prediction(1), problem.true_dist, 20_000, SCHED)
+        got = disappointment_exact(*args)
+        monkeypatch.undo()
+        if kind == "saa":
+            assert sizes == [3]
+        else:
+            assert len(sizes) == 3 and sum(sizes) == 5_003
+        want = oracles.exact_log_p(*args)
+        assert got.log_probability.hex() == want.hex()
+
+    @pytest.mark.parametrize("kind", ["saa", "svp"])
+    @pytest.mark.parametrize("block, T", [(None, 120), (32, 20)])  # None: default
+    def test_the_walk_values_no_point_twice(self, kind, block, T, monkeypatch):
+        # a line's middle and ends coincide where R < 2, and the points a
+        # split values lie inside open segments only
+        counts, lines = [], []
+        picked, walk = deviation._picked, deviation._walk
+
+        def recording_picked(problem, spec, rows, Q, *args):
+            counts.append(np.rint(Q * T).astype(np.int64))
+            return picked(problem, spec, rows, Q, *args)
+
+        def recording_walk(problem, spec, mode, P, *args):
+            before = len(counts)
+            runs = walk(problem, spec, mode, P, *args)
+            if len(counts) > before:  # the box screen left the group open
+                lines.append(P[:, -1])
+            return runs
+
+        monkeypatch.setattr(deviation, "_picked", recording_picked)
+        monkeypatch.setattr(deviation, "_walk", recording_walk)
+        if block is not None:
+            monkeypatch.setattr(deviation, "_LATTICE_BLOCK", block)
+        problem = scenario("newsvendor.json")
+        disappointment_exact(
+            problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist, T,
+            ExponentialRate(0.02),
+        )
+        C, R = np.concatenate(counts), np.concatenate(lines)
+        assert (R == 0).any() and (R == 1).any() and (R > 2).any()
+        assert np.unique(C, axis=0).shape[0] == C.shape[0]
+
     def test_a_bound_that_reads_a_value_that_is_not_finite_decides_nothing(self):
         # kl's Pinsker screen reads +inf for a pair it skips: a chord through
-        # it would bound the segment by V(a) from above
-        one, inf, nan = (np.full((1, 1), v) for v in (1.0, np.inf, np.nan))
+        # it would bound the segment by -inf from above
+        one, inf = np.ones((1, 1)), np.full((1, 1), np.inf)
         span, step, pad = np.array([4]), np.array([1]), np.zeros((1, 1))
-        lower, upper = deviation._chords(inf, one, one, nan, span, step, step, pad)
+        lower, upper = deviation._chord(one, one, inf, span, step, pad)
         assert lower[0, 0] == 1.0 and upper[0, 0] == np.inf
-        lower, upper = deviation._chords(one, inf, one, one, span, step, step, pad)
-        assert lower[0, 0] == -np.inf and upper[0, 0] == np.inf
+        for Ve, Vf in ((inf, one), (one, inf)):
+            lower, upper = deviation._chord(Ve, Vf, one, span, step, pad)
+            assert lower[0, 0] == -np.inf and upper[0, 0] == np.inf
 
     @pytest.mark.parametrize(
         "name, mode, T",
