@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ScenarioFormatError, ValidationError
-from .simplex import Distribution, _Frozen, _real_array, _scratch, _whole
+from .simplex import Distribution, _Frozen, _real_array, _whole
 
 SCHEMA_VERSION = 1
 
@@ -119,7 +119,7 @@ def cost(problem: Problem, x: int, p: Distribution) -> float:
 
 
 def _moments(
-    L: np.ndarray, W: np.ndarray, work: Optional[dict] = None, var: bool = True
+    L: np.ndarray, W: np.ndarray, var: bool = True
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """(mean, var), each (N, n), of the loss rows L (n, d) under the weight
     rows W (N, d): two-pass sums about the mean of D = L - L[:, :1] (Chan,
@@ -128,21 +128,21 @@ def _moments(
     right over a weight row's own entries (the first mean term, exactly 0,
     is left out): no entry depends on its batch.  W is read as the rows of
     W.T, without a copy when W is laid out in columns.  var is None unless
-    `var`.  mean and var are transposed views of (n, N) arrays from
-    `_scratch(work, ...)`."""
+    `var`.  mean and var are transposed views of (n, N) arrays, made per
+    call with one (n, N) temporary that every term is written into."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != L.shape[1]:
         raise ValidationError("W must be (N, %d)" % L.shape[1])
     D = L - L[:, :1]
     WT = W.T  # one scenario's weights per row
     n, N = D.shape[0], W.shape[0]
-    M = np.multiply(D[:, 1, None], WT[1], out=_scratch(work, "mean", (n, N)))
-    t = _scratch(work, "t", (n, N))
+    M = np.multiply(D[:, 1, None], WT[1], out=np.empty((n, N)))
+    t = np.empty((n, N))
     for i in range(2, L.shape[1]):  # in place: fresh temporaries cost 3x here
         M += np.multiply(D[:, i, None], WT[i], out=t)
     V = None
     if var:
-        V = _scratch(work, "var", (n, N))
+        V = np.empty((n, N))
         for i in range(L.shape[1]):
             u = V if i == 0 else t  # the first term goes straight into V
             np.subtract(D[:, i, None], M, out=u)
@@ -185,8 +185,8 @@ def select_decisions(
 
 
 def _pick_decisions(
-    problem: Problem, values: np.ndarray, W: np.ndarray, work: Optional[dict] = None,
-    rows=slice(None), var: Optional[np.ndarray] = None,
+    problem: Problem, values: np.ndarray, W: np.ndarray, rows=slice(None),
+    var: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(pick, value), each (N,): the `select_decisions` pick (an index into
     values) of each weight row of W (N, d) and its value, from values (n, N)
@@ -197,33 +197,24 @@ def _pick_decisions(
     `select_decisions`, with the variances of those rows alone: read from
     var (N, n) when the caller formed them (svp), else formed here."""
     n, N = values.shape
-    best, window, inside, both, seen, tied, ahead, pick = _pick_buffers(problem, work, N)
-    np.min(values, axis=0, out=best)
-    np.add(best, problem.loss.tie_window, out=window)
-    seen[:] = tied[:] = False
-    ahead.fill(0)  # the decisions before each row's first candidate
+    best = values.min(axis=0)
+    window = best + problem.loss.tie_window
+    inside, both = np.empty(N, dtype=bool), np.empty(N, dtype=bool)
+    seen, tied = np.zeros(N, dtype=bool), np.zeros(N, dtype=bool)
+    # the decisions before each row's first candidate, which may pass 255
+    ahead = np.zeros(N, dtype=np.min_scalar_type(problem.n_decisions))
     for x in range(n):
         np.less_equal(values[x], window, out=inside)
         np.logical_or(tied, np.logical_and(inside, seen, out=both), out=tied)
         np.logical_or(seen, inside, out=seen)
         np.add(ahead, np.logical_not(seen, out=both).view(np.uint8), out=ahead)
-    np.add(ahead, 0, out=pick)
+    pick = ahead.astype(np.int64)
     tied = np.flatnonzero(tied)
     if tied.size:
         var = _moments(problem.loss.values[rows], W[tied])[1] if var is None else var[tied]
         pick[tied] = select_decisions(problem, values[:, tied].T, var)
         best[tied] = values[pick[tied], tied]
     return pick, best
-
-
-def _pick_buffers(problem: Problem, work: Optional[dict], N: int) -> list:
-    """The (N,) arrays of `_pick_decisions` from `_scratch(work, ...)`:
-    best, window, inside, both, seen, tied, ahead and pick.  A caller that
-    asks once for its largest pass sizes them for every later one."""
-    roles = (("best", np.float64), ("window", np.float64), ("inside", np.bool_),
-             ("both", np.bool_), ("seen", np.bool_), ("tied", np.bool_),
-             ("ahead", np.min_scalar_type(problem.n_decisions)), ("pick", np.int64))
-    return [_scratch(work, role, (N,), dtype) for role, dtype in roles]
 
 
 def min_variance_minimizer(problem: Problem, p: Distribution) -> int:

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .simplex import (
-    HARD_REJECT_TOL, Distribution, EmpiricalDistribution, _real, _real_array, _scratch, _whole,
+    HARD_REJECT_TOL, Distribution, EmpiricalDistribution, _real, _real_array, _whole,
 )
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def predict_robust(problem: Problem, x: int) -> PredictionResult:
 # ---------------------------------------------------------------------------
 # KL-ball predictor: one batched dual kernel that every KL caller goes through
 
-_KL_BLOCK = 1 << 16  # rows per pass, which bounds the kernel's working memory
+_KL_BLOCK = 1 << 16  # rows per pass, which bounds the kernel's memory
 _KL_TOL = 1e-10  # floor of the final dual bracket width, in units of the span
 _KL_MAX_DOUBLINGS = 200
 _KL_MAX_BISECTIONS = 300
@@ -449,7 +449,6 @@ def _predictor_values(
     L: np.ndarray,
     W: np.ndarray,
     ratio: Optional[float],
-    work: Optional[dict] = None,
     tie: Optional[float] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """(values, mean, var), each (N, n): the predictor values of the loss
@@ -461,8 +460,7 @@ def _predictor_values(
     window `tie` is given, var unless the kind is svp (prescriptions form
     tie-break variances for tied rows only: decisions._pick_decisions).  An
     entry does not depend on the rows beside it.  Each array is the
-    transposed view of an (n, N) one; the moments and svp values live in
-    `_scratch(work, ...)`.
+    transposed view of an (n, N) one, made per call.
 
     Given `tie` (every prescription), a kl spec solves only the pairs that
     can come within `tie` of their row's minimum; the others read +inf, so
@@ -483,9 +481,9 @@ def _predictor_values(
         raise ValidationError("kl spec must carry a resolved radius")
     mean = var = None
     if kind == "svp":
-        mean, var = _moments(L, W, work)
+        mean, var = _moments(L, W)
     elif tie is not None or kind == "saa" or (kind == "kl" and r == 0.0):
-        mean = _moments(L, W, work, var=False)[0]
+        mean = _moments(L, W, var=False)[0]
     N = W.shape[0]
     if kind == "robust":
         values = np.repeat(L.max(axis=1)[:, None], N, axis=1).T
@@ -504,8 +502,7 @@ def _predictor_values(
         values[cols, rows] = _kl_dual_solve(L[cols], W[rows], r)[0]
         values = values.T
     elif kind == "svp":  # mean + sqrt(2 ratio var), laid out as mean
-        values = _scratch(work, "values", var.shape[::-1]).T
-        np.multiply(2.0 * ratio, var, out=values)
+        values = np.multiply(2.0 * ratio, var.T).T
         np.add(mean, np.sqrt(values, out=values), out=values)
     else:
         values = mean  # saa, and kl at radius 0

@@ -249,23 +249,6 @@ def _capped_size(T: int, d: int, cap: int) -> int:
     return size
 
 
-def _scratch(work: Optional[dict], role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An uninitialized C-ordered array of `shape`: a fresh one when work is
-    None, else a view of the flat buffer that the dict `work` keeps under
-    `role`, made anew when too small or of another dtype.  A loop that
-    passes one dict to every pass reuses its arrays instead of allocating
-    and freeing them: the exact engine's blocks, whose freed arrays the
-    allocator handed back to the system and faulted in again at the next
-    block.  The view is valid until the next request for the same role."""
-    if work is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape)
-    buf = work.get(role)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = work[role] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
-
-
 def _row_sums(XT: np.ndarray) -> np.ndarray:
     """The row sums of the (N, d) array whose transpose is XT (d, N), with
     the bits of NumPy's `sum(axis=1)` over C-ordered rows: left to right
@@ -305,7 +288,6 @@ def _lattice_counts(
     start: int = 0,
     stop: Optional[int] = None,
     below: Optional[list] = None,
-    work: Optional[dict] = None,
 ) -> np.ndarray:
     """The compositions of T into d parts with ranks in [start, stop), as
     (N, d) int64 rows, the transposed view of a (d, N) array that the exact
@@ -319,7 +301,7 @@ def _lattice_counts(
     one table lookup.  Children whose range misses [start, stop) are never
     made, so time and memory follow the block, not the lattice, apart from
     the d tables of T + 2 counts from `_rank_tables` (built here unless
-    passed in as `below`).  The parts are written into `_scratch(work, ...)`.
+    passed in as `below`).
     """
     size = _capped_size(T, d, cap)
     stop = size if stop is None else min(stop, size)
@@ -330,7 +312,7 @@ def _lattice_counts(
         below = _rank_tables(T, d)
     # every prefix has a child in range, so the prefixes never outnumber the
     # block's rows: the first `rest.size` columns of `out` hold them
-    out = _scratch(work, "counts", (d, stop - start), np.int64)
+    out = np.empty((d, stop - start), dtype=np.int64)
     rest = np.array([T], dtype=np.int64)
     end = np.array([size], dtype=np.int64)  # one past each prefix's last rank
     for j, k in enumerate(range(d - 1, 0, -1)):  # k parts left after part j
@@ -412,18 +394,15 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def _log_pmf_rows(
-    C: np.ndarray, p: Distribution, T: int, work: Optional[dict] = None
-) -> np.ndarray:
+def _log_pmf_rows(C: np.ndarray, p: Distribution, T: int) -> np.ndarray:
     """Multinomial log-pmf of each count row of C (rows sum to T) under p:
     log T! - sum_i log C_i! + sum_i C_i log p_i, -inf for counts outside
     support(p).  The log-factorials are read from `_log_factorials`, so the
     values have the bits of the same sum over `scipy.special.gammaln`.  It
-    reads C.T into (d, N) terms from `_scratch(work, ...)`."""
+    reads C.T into one (d, N) array of terms."""
     log_fact = _log_factorials(T)
     CT = C.T
-    terms = _scratch(work, "log-pmf terms", CT.shape)
-    np.take(log_fact, CT, out=terms, mode="clip")  # 0 <= C <= T
+    terms = np.take(log_fact, CT, mode="clip")  # 0 <= C <= T
     w = p.weights
     logw = np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
     log_fact_C = _row_sums(terms)

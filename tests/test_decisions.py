@@ -235,3 +235,25 @@ def test_pick_is_select_decisions_on_full_variances(data, seed, scale, offset):
     pick, value = _pick_decisions(problem, np.ascontiguousarray(values.T), W)
     assert np.array_equal(pick, want)
     assert value.tobytes() == values[np.arange(N), want].tobytes()
+
+
+@pytest.mark.parametrize("first", [0, 255, 256, 280, 299])
+def test_pick_counts_past_255_decisions(first):
+    """With 300 decisions the one-pass pick counts the decisions before a
+    row's first candidate past 255: a first candidate at index 280 is
+    picked at 280, where a count in one byte would wrap to 24.  Row 0 has
+    one candidate, row 1 two (picked by select_decisions), row 2 one among
+    values that tie no other."""
+    n, N = 300, 3
+    rng = np.random.default_rng(first)
+    problem = Problem(LossMatrix(rng.random((n, 3))))
+    W = rng.dirichlet(np.ones(3), N)
+    values = np.full((N, n), 2.0)
+    values[2] += np.arange(n)
+    values[:, first] = 1.0
+    values[1, (first + 7) % n] = 1.0
+    want = select_decisions(problem, values, variance_matrix(problem, W))
+    pick, value = _pick_decisions(problem, np.ascontiguousarray(values.T), W)
+    assert want[0] == want[2] == first
+    assert np.array_equal(pick, want)
+    assert value.tobytes() == values[np.arange(N), want].tobytes()

@@ -325,44 +325,6 @@ class TestExactStreaming:
         assert len(reduced) == 1 and 0 < hit.sum() < hit.size
         assert np.array_equal(reduced[0], simplex._log_pmf_rows(C[hit], p, T))
 
-    @pytest.mark.parametrize("kind", ["saa", "svp"])
-    def test_slices_reuse_one_workspace(self, kind, monkeypatch):
-        # every slice the walk values writes its counts, weights, moments,
-        # values and pick into the buffers of the first, sized for a full
-        # slice of every decision, and every slice of hits its counts and
-        # log-pmf terms into those of the first: no workspace buffer is
-        # regrown inside a pass, although the groups keep different
-        # decisions and their slices differ in size
-        valued, gathered, kept = [], [], set()
-        picked, log_pmf = deviation._picked, deviation._log_pmf_rows
-
-        def recording_picked(problem, spec, rows, Q, true_costs, ratio, work):
-            out = picked(problem, spec, rows, Q, true_costs, ratio, work)
-            valued.append(dict(work))  # the workspace, role -> buffer
-            kept.add(rows.size)
-            return out
-
-        def recording_log_pmf(C, p, T, work):
-            gathered.append(dict(work))
-            return log_pmf(C, p, T, work)
-
-        problem = scenario("newsvendor.json")
-        monkeypatch.setattr(deviation, "_picked", recording_picked)
-        monkeypatch.setattr(deviation, "_log_pmf_rows", recording_log_pmf)
-        disappointment_exact(  # 302,621 points, in walked groups and one in full
-            problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist,
-            120, SCHED,
-        )
-        roles = {"counts", "Q", "mean", "t"} | ({"var", "values"} if kind == "svp" else set())
-        roles |= {"best", "window", "inside", "both", "seen", "tied", "ahead", "pick"}
-        assert len(valued) >= 5 and len(kept) >= 2
-        for later in valued[1:]:
-            assert all(later[role] is valued[0][role] for role in roles)
-        walked = [w for w in gathered if "walk values" not in w]  # after the walk's buffers went
-        assert len(walked) >= 5
-        for later in walked[1:]:
-            assert all(later[role] is walked[0][role] for role in ("counts", "log-pmf terms"))
-
     def test_rank_tables_are_built_once_per_call(self, monkeypatch):
         # they cost O(d T), so one build per block would make a d=2 lattice
         # quadratic in T
@@ -415,14 +377,14 @@ class TestExactSinglePass:
             slices.append((Q.shape[0], tuple(rows)))
             return picked(problem, spec, rows, Q, *args)
 
-        def counting_block_moments(Lk, W, work=None, var=True):
+        def counting_block_moments(Lk, W, var=True):
             rows = [int(np.flatnonzero((L == row).all(axis=1))[0]) for row in Lk]
             passes.append((W.shape[0], tuple(rows), var))
-            return block_moments(Lk, W, work, var)
+            return block_moments(Lk, W, var)
 
-        def counting_tie_moments(Lk, W, work=None, var=True):
+        def counting_tie_moments(Lk, W, var=True):
             tied.append(W.shape[0])
-            return tie_moments(Lk, W, work, var)
+            return tie_moments(Lk, W, var)
 
         def counting_call_moments(L, W):
             true_costs.append(W.shape[0])
@@ -595,7 +557,7 @@ class TestBlockScreen:
     def _indicator(problem, spec, Q, costs, ratio):
         # the unscreened prescription: every decision valued and picked
         tie = problem.loss.tie_window
-        V = predictors._predictor_values(spec, problem.loss.values, Q, ratio, None, tie)[0]
+        V = predictors._predictor_values(spec, problem.loss.values, Q, ratio, tie)[0]
         pick, v_hat = decisions._pick_decisions(problem, np.ascontiguousarray(V.T), Q)
         return costs[pick] > v_hat + tie
 
@@ -659,7 +621,7 @@ class TestBlockScreen:
         # least upper bound plus two, give or take an ulp
         for rows in [slice(i, i + 1) for i in range(min(8, len(C)))] + [slice(None)]:
             Q = deviation._normalized_rows(C[rows], T)
-            V = predictors._predictor_values(spec, L, Q, ratio, None, tie)[0]
+            V = predictors._predictor_values(spec, L, Q, ratio, tie)[0]
             lower, upper = predictors._value_bounds(
                 spec, L, Q.min(axis=0), Q.max(axis=0), ratio, tie
             )
@@ -1412,9 +1374,9 @@ class TestSampledStreaming:
                 draws.append(np.ndim(pvals) == 2)
                 return self.rng.multinomial(totals, pvals)
 
-        def recording(C, T, work=None):
+        def recording(C, T):
             slices.append(C.shape[0])
-            return real_rows(C, T, work)
+            return real_rows(C, T)
 
         monkeypatch.setattr(deviation, "_normalized_rows", recording)
         monkeypatch.setattr(deviation, "_philox", Recording)
@@ -1426,45 +1388,6 @@ class TestSampledStreaming:
         # some level was split; more slices means some rows were
         assert sum(draws) > 12 * 3
         assert len(slices) > 12 and max(slices) == block
-
-    @pytest.mark.parametrize("kind", ["saa", "svp"])
-    @pytest.mark.parametrize("method", ["mc", "importance"])
-    def test_slices_reuse_one_workspace(self, kind, method, monkeypatch):
-        # as in the exact engine: nothing of block size is allocated or
-        # freed after the first slice (weights) or after the first slice
-        # that evaluates (moments, values and pick)
-        snapshots, kept = [], {}
-        indicator, values = deviation._disappointment_indicator, deviation._predictor_values
-
-        def recording(*args):
-            ind = indicator(*args)
-            snapshots.append(dict(args[-1]))  # the workspace, role -> buffer
-            return ind
-
-        def evaluating(spec, L, *args):
-            kept[len(snapshots)] = L.shape[0]
-            return values(spec, L, *args)
-
-        problem, sched, mode = scenario("newsvendor.json"), ExponentialRate(0.02), Mode.prescription()
-        shift = importance_shift(problem, mode, problem.true_dist, speed_ratio(sched, 200))
-        monkeypatch.setattr(deviation, "_disappointment_indicator", recording)
-        monkeypatch.setattr(deviation, "_predictor_values", evaluating)
-        args = (problem, PredictorSpec(kind), mode, problem.true_dist, 200, sched)
-        if method == "mc":  # 33,412 distinct rows: five slices
-            disappointment_mc(*args, 1_000_000, 5)
-        else:
-            disappointment_importance(*args, shift, 1_000_000, 5)
-        assert len(snapshots) >= 4
-        for later in snapshots[1:]:
-            assert later["Q"] is snapshots[0]["Q"]
-        first = min(kept)
-        roles = {"mean", "t", "best", "window", "inside", "both", "seen", "tied", "ahead",
-                 "pick"}
-        if kind == "svp":
-            roles |= {"var", "values"}
-        assert roles <= snapshots[first].keys()
-        for later in snapshots[first + 1:]:
-            assert all(later[role] is snapshots[first][role] for role in roles)
 
     def test_memory_follows_the_block(self):
         # the newsvendor svp prescription at T = 200, n = 1e6 (33,412
@@ -1616,9 +1539,9 @@ class TestImportanceShiftMoments:
         calls = []
         original = decisions._moments
 
-        def counting(L, W, work=None):
+        def counting(L, W, var=True):
             calls.append(L.shape[0])
-            return original(L, W, work)
+            return original(L, W, var)
 
         for module in (decisions, predictors, deviation):
             monkeypatch.setattr(module, "_moments", counting)

@@ -682,9 +682,9 @@ class TestSvp:
         calls = []
         original = predictors._moments
 
-        def counting(L, W, work=None, var=True):
+        def counting(L, W, var=True):
             calls.append(L.shape[0])
-            return original(L, W, work, var)
+            return original(L, W, var)
 
         monkeypatch.setattr(predictors, "_moments", counting)
         emp = EmpiricalDistribution((30, 70))

@@ -272,9 +272,9 @@ class TestOneMomentsPass:
         calls = []
         original = predictors._moments
 
-        def counting(L, W, work=None):
+        def counting(L, W, var=True):
             calls.append(W.shape[0])
-            return original(L, W, work)
+            return original(L, W, var)
 
         monkeypatch.setattr(predictors, "_moments", counting)
         prob = Problem(abs_grid_problem())
@@ -288,9 +288,9 @@ class TestOneMomentsPass:
         calls = []
         original = decisions._moments
 
-        def counting(L, W, work=None, var=True):
+        def counting(L, W, var=True):
             calls.append(L.shape[0])
-            return original(L, W, work, var)
+            return original(L, W, var)
 
         monkeypatch.setattr(predictors, "_moments", counting)
         monkeypatch.setattr(decisions, "_moments", counting)
