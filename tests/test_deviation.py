@@ -358,6 +358,25 @@ class TestExactStreaming:
                 tracemalloc.stop()
             assert peak < 8e6, (kind, peak)
 
+    @pytest.mark.parametrize("kind", ["saa", "svp"])
+    def test_a_call_keeps_no_buffer(self, kind):
+        # each pass makes its own arrays and drops them: a call leaves
+        # nothing of slice size behind (one slice of counts is 262 kB), and
+        # it peaks below the 3.35 MB (saa) and 4.53 MB (svp) of one workspace
+        # that held every role's buffer for the whole call.  The first call
+        # grows the process's log-factorial table to T
+        problem = scenario("newsvendor.json")
+        args = (problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist, 120,
+                ExponentialRate(0.02))
+        disappointment_exact(*args)
+        tracemalloc.start()
+        try:
+            disappointment_exact(*args)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 64e3 and peak < 3e6, (kept, peak)
+
 
 class TestExactSinglePass:
     """Each slice of valued points takes one moments pass for its predictor
@@ -1407,6 +1426,27 @@ class TestSampledStreaming:
             finally:
                 tracemalloc.stop()
             assert peak < 6e6, peak
+
+    @pytest.mark.parametrize("kind", ["saa", "svp"])
+    @pytest.mark.parametrize("method", ["mc", "importance"])
+    def test_a_call_keeps_no_buffer(self, kind, method):
+        # as in the exact engine: nothing of slice size outlives the call.
+        # The first call grows the process's log-factorial table to T
+        problem, sched, mode = scenario("newsvendor.json"), ExponentialRate(0.02), Mode.prescription()
+        args = (problem, PredictorSpec(kind), mode, problem.true_dist, 200, sched)
+        if method == "mc":
+            run = lambda: disappointment_mc(*args, 1_000_000, 5)
+        else:
+            shift = importance_shift(problem, mode, problem.true_dist, speed_ratio(sched, 200))
+            run = lambda: disappointment_importance(*args, shift, 1_000_000, 5)
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 64e3, kept
 
 
 class TestImportance:
