@@ -23,6 +23,7 @@ from .predictors import (
     _predictor_values,
     _svp_direction,
     _kl_error,
+    _line_bounds,
     _value_bounds,
     predictor_value_rows,
     speed_ratio,
@@ -37,6 +38,7 @@ from .simplex import (
     _capped_size,
     _lattice_counts,
     _log_factorials,
+    _line_log_pmf,
     _log_pmf_rows,
     _philox,
     _rank_tables,
@@ -257,34 +259,29 @@ def disappointment_exact(
     same, up to its last bits; a problem that does not merge gives the
     bits of the unmerged enumeration.
 
-    The lattice is walked by lines: the points (prefix, k, R - k), k = 0..R,
-    that share their first d' - 2 counts, whose prefix rows are the lattice
-    of dimension d' - 1 (`_lattice_counts`, in rank order, so the lines tile
-    the lattice in rank order).  Every predictor is concave along a line
-    (the variance is concave in the weights, and kl by the joint convexity
-    of relative entropy), so the lines are walked in groups of B / 8
-    consecutive lines, B = `_LATTICE_BLOCK`.  A group of at most B points is
-    valued in full, as one rank range of the lattice, by
-    `_disappointment_indicator`, and a lattice of at most B points is one
-    such group, which spares small calls the walk's fixed cost; a larger
-    group goes to `_walk`, which values the lines' ends and middles and
-    halves each line, bounding every half by the chord of its sibling
-    (`_chord`), until the points left open fit in one slice.  Either way a
-    point's event is the one that valuing it would give, so `log p` keeps
-    the bits of the per-point enumeration.  The hits are gathered in rank
-    order: log-pmf values of the full groups, runs of the walked ones.  One
-    buffer of exactly the hit count, made after the walk, takes their
-    log-pmf values, formed in slices of B by `_log_pmf_rows`
-    (`_gathered`), and `_log_sum_exp` reduces it in place with the bits of
-    `scipy.special.logsumexp`.  Memory is O(B (d' + n_decisions) + d' T)
-    plus 8 bytes per disappointing point of the walked groups (16 of the
-    groups valued in full, whose log-pmf values are copied into the buffer)
-    and a few words per run, not O(lattice).  Every pass makes its own
-    arrays, small enough that the allocator serves them from memory it
-    holds: after three warm-up calls a T = 120 newsvendor prescription
-    (saa or svp) takes no minor page fault, against 558 (saa) and 497 (svp)
-    per call when the passes shared one pool of buffers.  True costs are
-    formed once per call, log-factorials read from the process's table
+    A lattice of at most B = `_LATTICE_BLOCK` points is valued in full, as
+    one rank range (`_disappointment_indicator`), which spares small calls
+    the walk's fixed cost.  A larger one is walked by lines (`_hit_runs`):
+    the points (prefix, k, R - k), k = 0..R, that share their first d' - 2
+    counts; their prefix rows, the lattice of dimension d' - 1 in rank
+    order (`_lattice_counts`), tile the lattice in rank order.  Along a line
+    the mean is affine and every predictor concave (the variance is concave
+    in the weights, kl by the joint convexity of relative entropy).  Each
+    group of B / 8 lines is screened over its box (`_box_screen`), then
+    line by line from the moments at its two ends (`_line_screen`), which
+    settles a line that is all hits or none.  The open lines are walked
+    B / 8 at a time (`_walk`): their ends and middles are valued and each
+    line halved, every half bounded by its sibling's chord (`_chord`),
+    until the points left open fit in one slice.  Either way a point's
+    event is the one that valuing it gives.  The hits' log-pmf values are
+    formed per line, in rank order and with the bits of `_log_pmf_rows`
+    (`_hits_log_pmf`), into one buffer of exactly the hit count, which
+    `_log_sum_exp` reduces in place with the bits of
+    `scipy.special.logsumexp`: `log p` keeps the bits of the per-point
+    enumeration.  Memory is O(B (d' + n_decisions) + d' T) plus 8 bytes
+    per disappointing point and d' + 2 words per run of them along a line,
+    not O(lattice); every pass makes its own arrays.  True costs are formed
+    once per call, log-factorials read from the process's table
     (`_log_factorials`)."""
     T = _whole(T, "sample size T", 1)
     merged, spec, tested, p, _ = _prepare(problem, spec, mode, p, schedule)
@@ -293,69 +290,78 @@ def disappointment_exact(
     size = _capped_size(T, d, cap)  # raises LatticeCapError when too big
     below = _rank_tables(T, d)
     true_costs = _true_costs(merged, p)
-    parts, start, hits = [], 0, 0
-    for first, P in _line_groups(T, d, cap, below, size):
-        points = size if P is None else int(P[:, -1].sum()) + P.shape[0]
-        if points <= _LATTICE_BLOCK:  # one rank range, valued in full
-            C = _lattice_counts(T, d, cap, start, start + points, below)
-            Q = _normalized_rows(C, T)
-            ind = _disappointment_indicator(merged, spec, tested, Q, true_costs, ratio)
-            hit = np.flatnonzero(ind)
-            parts.append(_log_pmf_rows(np.take(C.T, hit, axis=1, mode="clip").T, p, T))
-            hits += hit.size
-        else:
-            runs = _walk(merged, spec, tested, P, T, true_costs, ratio)
-            parts.append((first, P.shape[0], runs))
-            hits += int(runs[2].sum())
-        start += points
-    log_pmf = _gathered(parts, hits, T, d, cap, below, p)
+    if size <= _LATTICE_BLOCK:  # one rank range, valued in full
+        C = _lattice_counts(T, d, cap, 0, size, below)
+        Q = _normalized_rows(C, T)
+        ind = _disappointment_indicator(merged, spec, tested, Q, true_costs, ratio)
+        log_pmf = _log_pmf_rows(np.take(C.T, np.flatnonzero(ind), axis=1, mode="clip").T, p, T)
+    else:
+        runs = _hit_runs(merged, spec, tested, T, cap, below, true_costs, ratio)
+        log_pmf = _hits_log_pmf(*runs, p, T)
     log_p = min(_log_sum_exp(log_pmf), 0.0)  # clamp float dust above certainty
     prob = math.exp(log_p) if log_p != -math.inf else 0.0
     return _report(prob, log_p, MethodInfo(name="exact"), T, schedule, mode)
 
 
-def _gathered(parts: list, hits: int, T: int, d: int, cap: int, below: list,
-              p: Distribution) -> np.ndarray:
-    """The log-pmf values of the hits, in rank order, in one buffer of the
-    hit count: the parts are the log-pmf values of a group valued in full
-    or (first, m, runs), the runs (`_walk`) on the m lines from rank first
-    on, whose prefix rows are built again."""
-    log_pmf, at = np.empty(hits), 0
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            slices = (part,)
-        else:
-            first, m, runs = part
-            P = _lattice_counts(T, d - 1, cap, first, first + m, below[:-1])
-            slices = _runs_log_pmf(P, runs, p, T)
-        for values in slices:
-            log_pmf[at:at + values.size] = values
-            at += values.size
+def _hit_runs(problem, spec, mode, T, cap, below, true_costs, ratio):
+    """(P, k, count): the runs of disappointing points of the lattice of T
+    into d parts, in rank order, count points from (prefix, k, R - k) on,
+    P (r, d - 1) the prefix rows of their lines.  Each group of B / 8 lines,
+    B = `_LATTICE_BLOCK`, goes through `_box_screen`, then `_line_screen`
+    over the decisions the box keeps; its open lines wait until B / 8 of
+    them, or the last group, fill a batch for `_walk`, which takes the
+    greatest margin of the groups so far."""
+    d, step = problem.n_scenarios, max(1, _LATTICE_BLOCK // 8)
+    rows = (np.arange(problem.n_decisions) if mode.kind == "prescription"
+            else np.array([mode.decision]))
+    lines, runs, wait, margin = math.comb(T + d - 2, d - 2), [], [], 0.0
+    for first in range(0, lines, step):
+        P = _lattice_counts(T, d - 1, cap, first, first + step, below[:-1])
+        rank = np.arange(first, first + P.shape[0])
+        keep, every, none, box_margin = _box_screen(problem, spec, rows, *_line_box(P, T),
+                                                    true_costs, ratio)
+        if not (every or none):
+            margin = max(margin, box_margin)
+            kept, every, none = _line_screen(problem, spec, rows[keep], P, T, true_costs,
+                                             ratio, margin)
+            mask = np.zeros((rows.size, rank.size), dtype=bool)
+            mask[keep] = kept
+            opened = [a[..., ~(every | none)] for a in (rank, P.T, mask)]  # lines last
+            wait = [np.concatenate(pair, axis=-1) for pair in zip(wait, opened)] or opened
+        every = np.broadcast_to(every, rank.shape)
+        runs.append((rank[every], P[every], 0 * rank[every], P[every, -1] + 1))
+        while wait and (wait[0].size >= step or first + step >= lines and wait[0].size):
+            (rank, PT, mask), wait = [a[..., :step] for a in wait], [a[..., step:] for a in wait]
+            line, k, count = _walk(problem, spec, rows, mask, PT.T, T, true_costs, ratio, margin)
+            runs.append((rank[line], PT.T[line], k, count))
+    rank, P, k, count = (np.concatenate(part) for part in zip(*runs))
+    order = np.argsort(rank, kind="stable")  # a line's runs come from one pass, in order
+    return P[order], k[order], count[order]
+
+
+def _hits_log_pmf(P, k, count, p, T):
+    """The log-pmf values of the points of the runs (P, k, count) of
+    `_hit_runs`, in order, in one buffer of exactly their count, formed by
+    `_line_log_pmf` in slices of `_LATTICE_BLOCK` points, the first and the
+    last run of a slice cut to it."""
+    log_pmf, end = np.empty(int(count.sum())), np.cumsum(count)
+    for lo in range(0, log_pmf.size, _LATTICE_BLOCK):
+        hi = min(lo + _LATTICE_BLOCK, log_pmf.size)
+        r0, r1 = np.searchsorted(end, (lo, hi - 1), side="right")
+        start, n = k[r0:r1 + 1].copy(), count[r0:r1 + 1].copy()
+        cut = lo - (end[r0] - n[0])  # points of the first run before lo
+        start[0] += cut
+        n[0] -= cut
+        n[-1] -= end[r1] - hi
+        at = np.repeat(start - (np.cumsum(n) - n), n) + np.arange(hi - lo)
+        log_pmf[lo:hi] = _line_log_pmf(P[r0:r1 + 1], n, at, p, T)
     return log_pmf
 
 
-def _line_groups(T: int, d: int, cap: int, below: list, size: int):
-    """(first, P): the lines of the lattice of T into d parts in groups of
-    B / 8 consecutive lines, B = `_LATTICE_BLOCK`, in rank order: the rank
-    of the group's first line and its prefix rows P (m, d - 1), the rank
-    range [first, first + m) of the lattice of T into d - 1 parts.  A
-    lattice of at most B points is one group without prefix rows, (0, None)."""
-    if size <= _LATTICE_BLOCK:
-        yield 0, None
-        return
-    step = max(1, _LATTICE_BLOCK // 8)
-    for first in range(0, math.comb(T + d - 2, d - 2), step):
-        yield first, _lattice_counts(T, d - 1, cap, first, first + step, below[:-1])
-
-
-def _line_points(P: np.ndarray, line: np.ndarray, k: np.ndarray, count=None) -> np.ndarray:
+def _line_points(P: np.ndarray, line: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The count rows (N, d) of the points (prefix, k, R - k) of the lines
-    `line` of the prefix rows P (m, d - 1), R a line's last count; given
-    `count`, the runs of count points from k on.  The transposed view of a
-    (d, N) array."""
-    if count is not None:
-        line = np.repeat(line, count)
-        k = np.repeat(k - (np.cumsum(count) - count), count) + np.arange(line.size)
+    `line` of the prefix rows P (m, d - 1), R a line's last count.  The
+    transposed view of a (d, N) array."""
     PT = P.T
     CT = np.empty((PT.shape[0] + 1, line.size), dtype=np.int64)
     for j in range(PT.shape[0] - 1):
@@ -365,60 +371,38 @@ def _line_points(P: np.ndarray, line: np.ndarray, k: np.ndarray, count=None) -> 
     return CT.T
 
 
-def _runs_log_pmf(P: np.ndarray, runs, p: Distribution, T: int):
-    """The log-pmf values of the points of the runs (line, k, count) on the
-    lines of the prefix rows P, in order, in slices of `_LATTICE_BLOCK`."""
-    line, k, count = runs
-    for lo in range(0, int(count.sum()), _LATTICE_BLOCK):
-        C = _line_points(P, *_runs_slice(line, k, count, lo, lo + _LATTICE_BLOCK))
-        yield _log_pmf_rows(C, p, T)
+def _line_screen(problem, spec, rows, P, T, true_costs, ratio, margin):
+    """(keep, every, none): `_screen` of the decisions `rows` on each line of
+    the prefix rows P (m, d - 1), keep (n, m), from `_line_bounds` over the
+    lines' two ends, the lower bound widened by `_pad` as `_chord` widens
+    it, with a margin of `_box_screen`."""
+    R, L, tie = P[:, -1], problem.loss.values[rows], problem.loss.tie_window
+    C = _line_points(P, np.tile(np.arange(R.size), 2), np.append(0 * R, R))
+    lower, upper = _line_bounds(spec, L, _normalized_rows(C, T), ratio, tie)
+    return _screen(true_costs[rows], lower - _pad(spec, L, margin), upper, tie, margin)
 
 
-def _runs_slice(line: np.ndarray, k: np.ndarray, count: np.ndarray, lo: int, hi: int):
-    """(line, k, count) of the points lo..hi - 1 of the runs of count points
-    from k on along `line`, counted in order: the runs they meet, the first
-    and the last one cut."""
-    end = np.cumsum(count)
-    hi = min(hi, int(end[-1]))
-    r0, r1 = np.searchsorted(end, (lo, hi - 1), side="right")
-    k, count = k[r0:r1 + 1].copy(), count[r0:r1 + 1].copy()
-    cut = lo - (end[r0] - count[0])  # points of the first run before lo
-    k[0] += cut
-    count[0] -= cut
-    count[-1] -= end[r1] - hi
-    return line[r0:r1 + 1], k, count
-
-
-def _walk(problem, spec, mode, P, T, true_costs, ratio):
+def _walk(problem, spec, rows, keep, P, T, true_costs, ratio, margin):
     """The disappointing points of the lines of the prefix rows P (m, d - 1),
     as runs (line, k, count): count points from (prefix, k, R - k) on, in
-    rank order.
+    rank order.  keep (n, m) marks the decisions of `rows` that the line
+    screen keeps on each line; the others cannot be picked there.
 
-    The lines' box of weights, widened past the rounding of
-    `_normalized_rows`, is screened first (`_box_screen`): that may settle
-    every point, and it drops the tested decisions that cannot be picked.
-    Then each line's middle and ends are valued (`_picked`, which gives the
-    per-point event), and the line is walked by halving.  A segment
+    Each line's middle and ends are valued (`_picked`, over the decisions
+    kept on some line), and the line is walked by halving.  A segment
     (e, f, c) is the points strictly between e and f, e the end it shares
     with its sibling half and c the sibling's far end, so a line starts as
     (middle, 0, R) and (middle, R, 0).  `_chord` bounds a segment per
-    decision from the values at its three points, and the bounds go through
-    `_screen`: a segment whose interior is all hits or none is settled, the
-    others are split at their middles, which are valued, into (middle, f, e)
-    and (middle, e, f), until the interior points left open fit in one
-    slice of B = `_LATTICE_BLOCK`, which is valued in full.  A point is
-    named by its key, line (T + 1) + k, and each segment carries the values
-    at its three points."""
+    decision kept on its line from the values at its three points, and
+    `_screen` settles a segment whose interior is all hits or none.  The
+    others are split at their valued middles into (middle, f, e) and
+    (middle, e, f), until the points left open fit in one slice of
+    B = `_LATTICE_BLOCK`, valued in full.  A point is named by its key,
+    line (T + 1) + k, and each segment carries its three points' values."""
     tie, B = problem.loss.tie_window, _LATTICE_BLOCK
     R, stride = P[:, -1], T + 1
-    rows = (np.arange(problem.n_decisions) if mode.kind == "prescription"
-            else np.array([mode.decision]))
-    box = _line_box(P, T)
-    keep, every, none, margin = _box_screen(problem, spec, rows, *box, true_costs, ratio)
-    if every or none:
-        lines = np.arange(R.size if every else 0)
-        return lines, np.zeros_like(lines), R[lines] + 1
-    rows = rows[keep]
+    used = keep.any(axis=1)
+    rows, keep = rows[used], keep[used]
     pad = _pad(spec, problem.loss.values[rows], margin)
 
     def value(keys):  # the events at keys and their values (n, N)
@@ -446,7 +430,8 @@ def _walk(problem, spec, mode, P, T, true_costs, ratio):
         inside = np.abs(K[1] - K[0]) > 1
         K, V = K[:, inside], V[..., inside]
         a, b = np.minimum(K[0], K[1]), np.maximum(K[0], K[1])
-        lower, upper = _chord(*V, b - a, np.abs(K[0] - K[2]), pad)
+        lower, upper = (np.where(keep[:, a // stride], bound, np.inf)  # kept on the line
+                        for bound in _chord(*V, b - a, np.abs(K[0] - K[2]), pad))
         _, every, none = _screen(true_costs[rows], lower, upper, tie, margin)
         starts.append(a[every] + 1)
         stops.append(b[every])

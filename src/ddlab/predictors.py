@@ -539,6 +539,38 @@ def _value_bounds(spec, L, lo, hi, ratio, tie):
     return lower, upper
 
 
+def _line_bounds(spec, L, W, ratio, tie):
+    """(lower, upper), each (n, m): bounds, up to rounding, on the
+    `_predictor_values` of the loss rows L (n, d) along m lattice lines,
+    from one moments pass over the weight rows W (2 m, d) of their ends,
+    k = 0 on each line, then k = R.  Only the last two weights move, by up
+    to h = R / T, so the mean is affine: saa lies between its end values, kl
+    above the smaller and below `_kl_upper` of the greater.  svp is concave:
+    above its smaller end value, below the greater end mean plus
+    sqrt(2 ratio Var_max), the variance a concave quadratic of curvature
+    h^2 (l_a - l_b)^2, its maximum widened by 32 (d + 2) ulps of span^2."""
+    top, m = L.max(axis=1)[:, None], W.shape[0] // 2
+    if spec.kind == "robust":  # max l
+        return (np.broadcast_to(top, (L.shape[0], m)),) * 2
+    M, Var = _moments(L, W, var=spec.kind == "svp")
+    lower, upper = np.minimum(M[:m], M[m:]).T, np.maximum(M[:m], M[m:]).T
+    span = top - L.min(axis=1)[:, None]
+    if spec.kind == "svp":
+        V = M.T + np.sqrt(2.0 * ratio * Var.T)
+        lower = np.minimum(V[:, :m], V[:, m:])
+        V0, V1, D = Var[:m].T, Var[m:].T, L - L[:, :1]  # D: the losses `_moments` reads
+        K = ((W[m:, -2] - W[:m, -2]) * (D[:, -2] - D[:, -1])[:, None]) ** 2
+        gap = V1 - V0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            peak = np.where(np.abs(gap) < K, (V0 + V1) / 2 + K / 4 + gap * gap / (4 * K),
+                            np.maximum(V0, V1))
+        peak += 32 * (L.shape[1] + 2) * np.finfo(float).eps * span * span
+        upper = upper + np.sqrt(2.0 * ratio * peak)
+    elif spec.kind == "kl" and spec.radius > 0.0:
+        upper = _kl_upper(upper, span, top, spec.radius, L.shape[1], tie)
+    return lower, upper
+
+
 def _kl_upper(mean, span, top, r, d, tie):
     """min(top, mean + span sqrt(r/2)) (Pinsker) plus the kernel's error
     (`_kl_error`) and tie."""

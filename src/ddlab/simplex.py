@@ -403,17 +403,59 @@ def _log_pmf_rows(C: np.ndarray, p: Distribution, T: int) -> np.ndarray:
     log_fact = _log_factorials(T)
     CT = C.T
     terms = np.take(log_fact, CT, mode="clip")  # 0 <= C <= T
-    w = p.weights
-    logw = np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
     log_fact_C = _row_sums(terms)
     # the terms now take the C_i log p_i; a zero count gives a zero of
     # either sign: same bits
-    for c, lw, out in zip(CT, logw, terms):
-        if lw > -np.inf:
-            np.multiply(c, lw, out=out)
-        else:  # 0 log 0 = 0; a count outside support(p) weighs -inf
-            np.copyto(out, np.where(c > 0, -np.inf, 0.0))
+    _log_p_terms(CT, p, terms)
     return log_fact[T] - log_fact_C + _row_sums(terms)
+
+
+def _log_p_terms(CT: np.ndarray, p: Distribution, out: np.ndarray, cells=slice(None)):
+    """out (k, N) = the terms c log p_i of the counts CT (k, N) of the cells
+    `cells` of p: 0 log 0 = 0, and a count outside support(p) weighs -inf."""
+    w = p.weights[cells]
+    logw = np.where(w > 0.0, np.log(np.maximum(w, 1e-300)), -np.inf)
+    for c, lw, row in zip(CT, logw, out):
+        if lw > -np.inf:
+            np.multiply(c, lw, out=row)
+        else:
+            np.copyto(row, np.where(c > 0, -np.inf, 0.0))
+    return out
+
+
+def _line_log_pmf(P: np.ndarray, n: np.ndarray, k: np.ndarray, p: Distribution,
+                  T: int) -> np.ndarray:
+    """`_log_pmf_rows` of the count rows (P[i, :-1], k, R - k), R = P[i, -1],
+    bit for bit: n[i] points on line i of the prefix rows P (m, d - 1) in
+    turn.  Each line's first d - 2 terms, log c! and c log p, are summed
+    once in `_row_sums`' order, then each point adds its last two there:
+    after the others, or, when d % 8 < 2 and d >= 8, into the last of eight
+    accumulators.  -0.0 stands for an empty sum (adding it changes no bit).
+    Past d = 128, where `_row_sums` sums C-ordered rows, rows are built."""
+    d, rest = P.shape[1] + 1, np.repeat(P[:, -1], n) - k
+    if d > 128:
+        return _log_pmf_rows(np.column_stack([np.repeat(P[:, :-1], n, axis=0), k, rest]), p, T)
+    log_fact, head, sums = _log_factorials(T), P[:, :-1].T, []
+    for X, (x, y) in (
+        (np.take(log_fact, head, mode="clip"), np.take(log_fact, (k, rest), mode="clip")),
+        (_log_p_terms(head, p, np.empty(head.shape), slice(-2)),
+         _log_p_terms((k, rest), p, np.empty((2, k.size)), slice(-2, None))),
+    ):
+        if d < 8 or d % 8 > 1:
+            S = np.repeat(_row_sums(X) if d > 2 else np.full(X.shape[1], -0.0), n)
+            sums.append(np.add(np.add(S, x, out=S), y, out=S))
+            continue
+        acc = np.full((8, X.shape[1]), -0.0)
+        for i in range(0, d - 2, 8):
+            acc[:X[i:i + 8].shape[0]] += X[i:i + 8]
+        H, G, a6, a7 = (np.repeat(v, n) for v in (
+            (acc[0] + acc[1]) + (acc[2] + acc[3]), acc[4] + acc[5], acc[6], acc[7]))
+        sums.append(H + (G + ((a6 + x) + (a7 + y))) if d % 8 == 0
+                    else (H + (G + (a6 + (a7 + x)))) + y)
+    lf, cl = sums
+    np.subtract(log_fact[T], lf, out=lf)
+    lf += cl
+    return lf
 
 
 def _philox(seed: int) -> np.random.Generator:

@@ -1,7 +1,7 @@
 """Independent references and fixtures for the tests: a composition
 generator, the `scipy.special.gammaln` multinomial log-pmf, the per-point
-exact disappointment and a scenario writer.  Acceptance criteria 05 and 11
-sum and run through them."""
+exact disappointment and its events, and a scenario writer.  Acceptance
+criteria 05 and 11 sum and run through them."""
 import json
 import math
 from typing import Iterator
@@ -55,25 +55,29 @@ def multinomial_log_prob(e: EmpiricalDistribution, p: Distribution) -> float:
 def exact_log_p(problem, spec, mode, p, T, schedule) -> float:
     """`disappointment_exact`'s log p, point by point: the scenarios merged
     as the engine merges them, then every point of the merged lattice valued
-    by the public batch predictors, a prescription's pick made by
-    `select_decisions` over every decision, and the hits' log-pmf reduced
-    by `scipy.special.logsumexp`, in rank order."""
+    by `exact_events`, and the hits' log-pmf reduced by
+    `scipy.special.logsumexp`, in rank order."""
     problem, spec, mode, p, _ = deviation._prepare(problem, spec, mode, p, schedule)
-    ratio = speed_ratio(schedule, T)
     C = simplex._lattice_counts(T, problem.n_scenarios)
-    Q = deviation._normalized_rows(C, T)
-    tie = problem.loss.tie_window
-    if mode.kind == "prediction":
-        x = mode.decision
-        hit = cost(problem, x, p) > predictor_value_rows(problem, x, spec, Q, ratio=ratio) + tie
-    else:
-        V = predictor_value_matrix(problem, spec, Q, ratio=ratio)
-        pick = select_decisions(problem, V, variance_matrix(problem, Q))
-        truth = np.array([cost(problem, x, p) for x in range(problem.n_decisions)])
-        hit = truth[pick] > V[np.arange(C.shape[0]), pick] + tie
+    truth = np.array([cost(problem, x, p) for x in range(problem.n_decisions)])
+    hit = exact_events(problem, spec, mode, deviation._normalized_rows(C, T), truth,
+                       speed_ratio(schedule, T))
     if not hit.any():
         return -math.inf
     return min(float(logsumexp(simplex._log_pmf_rows(C[hit], p, T))), 0.0)
+
+
+def exact_events(problem, spec, mode, Q, truth, ratio) -> np.ndarray:
+    """The event at each weight row of Q, given the true costs `truth` of
+    every decision: valued by the public batch predictors, a prescription's
+    pick made by `select_decisions` over every decision."""
+    tie = problem.loss.tie_window
+    if mode.kind == "prediction":
+        x = mode.decision
+        return truth[x] > predictor_value_rows(problem, x, spec, Q, ratio=ratio) + tie
+    V = predictor_value_matrix(problem, spec, Q, ratio=ratio)
+    pick = select_decisions(problem, V, variance_matrix(problem, Q))
+    return truth[pick] > V[np.arange(Q.shape[0]), pick] + tie
 
 
 def save_scenario(problem: Problem, path: str) -> None:

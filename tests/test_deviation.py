@@ -388,13 +388,23 @@ class TestExactSinglePass:
     def test_one_moments_pass_per_valued_slice(self, kind, monkeypatch):
         problem = scenario("newsvendor.json")
         L = problem.loss.values
-        slices, passes, tied, true_costs = [], [], [], []
+        slices, passes, tied, true_costs, ends, end_passes = [], [], [], [], [], []
         picked, block_moments = deviation._picked, predictors._moments
         call_moments, tie_moments = deviation._moments, decisions._moments
+        line_bounds = deviation._line_bounds
 
         def counting_picked(problem, spec, rows, Q, *args):
             slices.append((Q.shape[0], tuple(rows)))
             return picked(problem, spec, rows, Q, *args)
+
+        def counting_line_bounds(spec, Lk, W, *args):
+            rows = [int(np.flatnonzero((L == row).all(axis=1))[0]) for row in Lk]
+            ends.append((W.shape[0], tuple(rows)))
+            before = len(passes)
+            out = line_bounds(spec, Lk, W, *args)
+            end_passes.extend(passes[before:])
+            del passes[before:]
+            return out
 
         def counting_block_moments(Lk, W, var=True):
             rows = [int(np.flatnonzero((L == row).all(axis=1))[0]) for row in Lk]
@@ -410,13 +420,21 @@ class TestExactSinglePass:
             return call_moments(L, W)
 
         monkeypatch.setattr(deviation, "_picked", counting_picked)
+        monkeypatch.setattr(deviation, "_line_bounds", counting_line_bounds)
         monkeypatch.setattr(predictors, "_moments", counting_block_moments)
         monkeypatch.setattr(decisions, "_moments", counting_tie_moments)
         monkeypatch.setattr(deviation, "_moments", counting_call_moments)
-        disappointment_exact(  # 39,711 points on 1,891 lines: two walked groups
+        disappointment_exact(  # 39,711 points on 1,891 lines: two groups of lines
             problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist,
             60, ExponentialRate(0.02),
         )
+        # one pass over the two ends of a group's lines, at most one per
+        # group, over the decisions its box keeps; variances for svp only
+        assert 1 <= len(ends) <= 2 and len(end_passes) == len(ends)
+        for (N, kept), (N_pass, rows, var) in zip(ends, end_passes):
+            assert N_pass == N and rows == kept and var == (kind == "svp")
+            assert list(rows) == sorted(set(rows)) and len(rows) < problem.n_decisions
+        assert sum(N for N, _ in ends) <= 2 * 1_891
         # one pass per valued slice, over its points and the decisions kept,
         # in order; variances for svp only
         assert len(slices) >= 2 and len(passes) == len(slices)
@@ -427,8 +445,10 @@ class TestExactSinglePass:
         valued = sum(N for N, _ in slices)
         assert valued < 0.25 * lattice_size(60, problem.n_scenarios)
         # tie-break variances: one pass at most per valued slice, over its
-        # tied rows (saa ties at some valued points, svp at none)
-        assert len(tied) <= len(slices) and sum(tied) < 0.1 * valued
+        # tied rows (saa ties at some valued points, svp at none).  The
+        # valued points lie on the lines that hold the event's boundary,
+        # where the ties are: 387 of 1,803 for saa
+        assert len(tied) <= len(slices) and sum(tied) < 0.25 * valued
         assert (sum(tied) > 0) == (kind == "saa")
         assert true_costs == [1]
 
@@ -658,7 +678,8 @@ class TestBlockScreen:
     @pytest.mark.parametrize("kind", ["saa", "svp"])
     def test_walk_values_few_points_and_keeps_few_decisions(self, kind, monkeypatch):
         # newsvendor at T = 120: 302,621 points on 7,381 lines, 9 decisions;
-        # the screen settles whole groups of lines, the chords most segments
+        # the box screen settles whole groups of lines, the line screen most
+        # lines of the others, the chords most segments
         boxes, valued = [], []
         screen, picked = deviation._screen, deviation._picked
 
@@ -682,6 +703,10 @@ class TestBlockScreen:
         assert 0 < points <= 0.1 * lattice_size(120, 4)
         assert sum(boxes) >= 2
         assert sum(N * kept for N, kept in valued) <= 6.5 * points
+        # the pairs of valued point and kept decision: 133,955 (saa) and
+        # 157,003 (svp) with a box screen per group alone, 34,420 and 18,120
+        # once lines are settled from their ends and keep decisions per line
+        assert sum(N * kept for N, kept in valued) <= 60_000
 
     def test_robust_prescription_forms_no_moments(self, monkeypatch):
         passes = []
@@ -891,23 +916,27 @@ class TestLineWalk:
     @pytest.mark.parametrize("block, T", [(None, 120), (32, 20)])  # None: default
     def test_the_walk_values_no_point_twice(self, kind, block, T, monkeypatch):
         # a line's middle and ends coincide where R < 2, and the points a
-        # split values lie inside open segments only
-        counts, lines = [], []
-        picked, walk = deviation._picked, deviation._walk
+        # split values lie inside open segments only.  The line screen reads
+        # each line's two ends once, in one pass per group, and values no
+        # point through the picks
+        counts, lines, ends = [], [], []
+        picked, walk, line_bounds = deviation._picked, deviation._walk, deviation._line_bounds
 
         def recording_picked(problem, spec, rows, Q, *args):
             counts.append(np.rint(Q * T).astype(np.int64))
             return picked(problem, spec, rows, Q, *args)
 
-        def recording_walk(problem, spec, mode, P, *args):
-            before = len(counts)
-            runs = walk(problem, spec, mode, P, *args)
-            if len(counts) > before:  # the box screen left the group open
-                lines.append(P[:, -1])
-            return runs
+        def recording_walk(problem, spec, rows, keep, P, *args):
+            lines.append(P[:, -1])
+            return walk(problem, spec, rows, keep, P, *args)
+
+        def recording_line_bounds(spec, L, W, *args):
+            ends.append(np.rint(W * T).astype(np.int64).reshape(2, -1, W.shape[1]))
+            return line_bounds(spec, L, W, *args)
 
         monkeypatch.setattr(deviation, "_picked", recording_picked)
         monkeypatch.setattr(deviation, "_walk", recording_walk)
+        monkeypatch.setattr(deviation, "_line_bounds", recording_line_bounds)
         if block is not None:
             monkeypatch.setattr(deviation, "_LATTICE_BLOCK", block)
         problem = scenario("newsvendor.json")
@@ -916,7 +945,24 @@ class TestLineWalk:
             ExponentialRate(0.02),
         )
         C, R = np.concatenate(counts), np.concatenate(lines)
-        assert (R == 0).any() and (R == 1).any() and (R > 2).any()
+        assert (R > 2).any() and np.unique(C, axis=0).shape[0] == C.shape[0]
+        # the ends k = 0 and k = R of each line, each line at most once
+        first, last = np.concatenate(ends, axis=1)
+        assert (first[:, -2] == 0).all() and (last[:, -1] == 0).all()
+        assert (first[:, :-2] == last[:, :-2]).all() and (first[:, -1] == last[:, -2]).all()
+        assert np.unique(first, axis=0).shape[0] == first.shape[0]
+        # the screens leave no short line open here: walk every line of the
+        # lattice at once, those with R < 2 too, every decision kept
+        counts.clear()
+        P, spec, rows = simplex._lattice_counts(T, 3), PredictorSpec(kind), np.arange(9)
+        costs = deviation._true_costs(problem, problem.true_dist)
+        ratio = speed_ratio(ExponentialRate(0.02), T)
+        *_, margin = deviation._box_screen(
+            problem, spec, rows, *deviation._line_box(P, T), costs, ratio
+        )
+        walk(problem, spec, rows, np.ones((9, len(P)), dtype=bool), P, T, costs, ratio, margin)
+        C, R = np.concatenate(counts), P[:, -1]
+        assert (R == 0).any() and (R == 1).any()
         assert np.unique(C, axis=0).shape[0] == C.shape[0]
 
     def test_a_bound_that_reads_a_value_that_is_not_finite_decides_nothing(self):
@@ -965,6 +1011,105 @@ class TestLineWalk:
         d = problem.n_scenarios
         assert ranges == [(d, 0, lattice_size(T, d))] and indicators == [lattice_size(T, d)]
         assert len(log_pmfs) == 1 and rep.probability > 0.0
+
+
+class TestLineScreen:
+    """Before a line is walked it is screened from the moments at its two
+    ends (`deviation._line_screen`, over `predictors._line_bounds`): a line
+    it settles must have the events that valuing its points gives."""
+
+    @pytest.mark.parametrize("kind", ["saa", "svp"])
+    @pytest.mark.parametrize("T, share", [(60, 0.08), (120, 0.04)])
+    def test_the_walk_values_a_small_share_of_the_lattice(self, kind, T, share, monkeypatch):
+        # newsvendor prescriptions, ExponentialRate(0.02): with a box screen
+        # per group of lines alone the walk valued 17.2-17.6% of the lattice
+        # at T = 60 and 7.8-8.4% at T = 120; settling lines from their ends
+        # leaves 3.9-4.5% and 2.0-2.3%
+        valued = []
+        picked = deviation._picked
+
+        def counting(problem, spec, rows, Q, *args):
+            valued.append(Q.shape[0])
+            return picked(problem, spec, rows, Q, *args)
+
+        monkeypatch.setattr(deviation, "_picked", counting)
+        problem = scenario("newsvendor.json")
+        disappointment_exact(
+            problem, PredictorSpec(kind), Mode.prescription(), problem.true_dist, T,
+            ExponentialRate(0.02),
+        )
+        assert 0 < sum(valued) <= share * lattice_size(T, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["saa", "svp", "robust", "kl"]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        offset=st.sampled_from([0.0, 1e6]),
+        edge=st.sampled_from([None, -1, 0, 1]),
+    )
+    def test_a_settled_line_has_the_events_of_the_per_point_oracle(
+        self, data, seed, kind, scale, offset, edge
+    ):
+        rng = np.random.default_rng(seed)
+        d, n = data.draw(st.integers(2, 7)), data.draw(st.integers(1, 6))
+        T = data.draw(st.integers(1, 40))
+        # integer losses tie exactly; noise on some rows breaks the ties
+        noise = rng.choice([0.0, 0.1], (n, 1)) * rng.normal(size=(n, d))
+        L = (rng.integers(-3, 4, size=(n, d)) + noise) * scale + offset
+        problem = Problem(LossMatrix(L))
+        radius = data.draw(st.sampled_from([1e-12, 1e-4, 0.02, 3.0]))
+        spec = PredictorSpec(kind, radius if kind == "kl" else None)
+        ratio = data.draw(st.sampled_from([1e-6, 1e-4, 0.02, 0.5, 2.0]))
+        mode = data.draw(
+            st.sampled_from([Mode.prescription(), Mode.prediction(int(rng.integers(n)))])
+        )
+        rows = np.arange(n) if mode.kind == "prescription" else np.array([mode.decision])
+        # up to 40 lines from a rank range
+        lines = math.comb(T + d - 2, d - 2)
+        start = data.draw(st.integers(0, lines - 1))
+        P = simplex._lattice_counts(T, d - 1, lines, start, start + 40)
+        # true costs at p on the simplex's boundary, or, for every decision
+        # alike, a line end's value plus the tie window, give or take an ulp
+        p = rng.dirichlet(np.full(d, 0.5))
+        p[rng.random(d) < 0.4] = 0.0
+        p[rng.integers(d)] += 0.01
+        truth = deviation._true_costs(problem, Distribution(p / p.sum()))
+        if edge is not None:
+            ends = np.column_stack([P[:, :-1], np.zeros(len(P), dtype=np.int64), P[:, -1]])
+            V = predictor_value_matrix(problem, spec, deviation._normalized_rows(ends, T), ratio)
+            at = V[rng.integers(len(P)), rows[rng.integers(rows.size)]]
+            truth = np.full(n, at + problem.loss.tie_window)
+            truth = np.nextafter(truth, edge * math.inf) if edge else truth
+        keep, every, none, margin = deviation._box_screen(
+            problem, spec, rows, *deviation._line_box(P, T), truth, ratio
+        )
+        if every or none:
+            return  # the group's box settles every line
+        _, every, none = deviation._line_screen(
+            problem, spec, rows[keep], P, T, truth, ratio, margin
+        )
+        for i in np.flatnonzero(every | none):
+            R = P[i, -1]
+            k = np.arange(R + 1)
+            C = np.column_stack([np.repeat(P[i:i + 1, :-1], R + 1, axis=0), k, R - k])
+            Q = deviation._normalized_rows(C, T)
+            hit = oracles.exact_events(problem, spec, mode, Q, truth, ratio)
+            assert (hit == every[i]).all(), (i, every[i])
+
+    @pytest.mark.parametrize("mode", [Mode.prescription(), Mode.prediction(1)])
+    def test_a_walk_past_128_scenarios_matches_the_per_point_oracle(self, mode):
+        # 129 scenarios at T = 2: 8,385 points, past one slice, on lines
+        # whose log-pmf is formed from full rows
+        rng = np.random.default_rng(11)
+        L = rng.normal(size=(3, 129))
+        w = rng.dirichlet(np.ones(129))
+        problem = Problem(LossMatrix(L), Distribution(w))
+        args = (problem, PredictorSpec("svp"), mode, problem.true_dist, 2, ExponentialRate(0.3))
+        got = disappointment_exact(*args)
+        assert lattice_size(2, 129) > deviation._LATTICE_BLOCK and got.probability > 0.0
+        assert got.log_probability.hex() == oracles.exact_log_p(*args).hex()
 
 
 class TestScenarioMerge:

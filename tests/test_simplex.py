@@ -314,6 +314,58 @@ class TestMultinomialLogProb:
         assert np.array_equal(np.array(scalar), rows)
 
 
+class TestLineLogPmf:
+    """The exact engine forms its hits' log-pmf per lattice line
+    (`simplex._line_log_pmf`): each line's first d - 2 terms summed once,
+    each point adding its last two.  The values must keep the bits of
+    `_log_pmf_rows` over the full count rows."""
+
+    @staticmethod
+    def _check(P, line, k, p, T):  # line ascends
+        got = simplex._line_log_pmf(P, np.bincount(line, minlength=len(P)), k, p, T)
+        C = np.column_stack([P[line, :-1], k, P[line, -1] - k])
+        want = _log_pmf_rows(C, p, T)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    # d = 8, 9, 16 and 17 put the last two terms into the eight interleaved
+    # accumulators of `_row_sums`; the others add them after the rest
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([8, 9, 16, 17]) | st.integers(2, 20),
+        where=st.sampled_from(["interior", "boundary", "vertex", "last two"]),
+    )
+    def test_matches_the_log_pmf_rows_bit_for_bit(self, data, seed, d, where):
+        rng = np.random.default_rng(seed)
+        T = data.draw(st.integers(1, 80))
+        w = rng.dirichlet(np.full(d, 0.5))
+        if where == "boundary":  # zero weights: -inf terms where counts land
+            w[rng.random(d) < 0.3] = 0.0
+            w[rng.integers(d)] += 0.01
+        elif where == "vertex":  # 0 log 1 = +0.0 beside the -0.0 of 0 log p < 0
+            w = np.eye(d)[rng.integers(d)]
+        elif where == "last two":  # a zero weight that the points' own terms read
+            w[-1 - rng.integers(2)] = 0.0
+        p = Distribution(w / w.sum())
+        # prefix rows with zero counts, and lines of every length down to R = 0
+        m, N = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 60))
+        P = rng.multinomial(T, rng.dirichlet(np.full(d - 1, 0.3)), size=m)
+        line = np.sort(rng.integers(m, size=N))
+        k = (rng.random(N) * (P[line, -1] + 1)).astype(np.int64)
+        self._check(P, line, k, p, T)
+
+    def test_past_128_parts_builds_the_rows(self):
+        # d = 129 at T = 2 is a lattice of 8,385 points, which the walk reaches
+        rng = np.random.default_rng(5)
+        w = rng.dirichlet(np.ones(129))
+        w[rng.random(129) < 0.2] = 0.0
+        P = _lattice_counts(2, 128)
+        line = np.repeat(np.arange(len(P)), P[:, -1] + 1)
+        k = np.concatenate([np.arange(R + 1) for R in P[:, -1]])
+        self._check(P, line, k, Distribution(w / w.sum()), 2)
+
+
 class TestLogFactorialTable:
     """The cached log c! table has the bits of scipy.special.gammaln(c + 1)."""
 
